@@ -47,7 +47,6 @@ from .propagate import (
     propagate_numeric,
     total_eit,
 )
-from .specfun import bessel_i, bessel_j, erf, scaled_bessel_i0, scaled_bessel_i1
 from .waveforms import PhotonWaveform, TimeGrid, WaveformKind, sample, spectral_amplitude, time_amplitude
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .media import (
 from .observables import integrated_intensity, pulse_area, thickness_scan
 from .propagate import (
     TimeSeries,
+    _check_broad,
+    _check_nonadiabatic,
+    _gaussian_eta,
     adiabatic_eit,
     analytic_matched,
     analytic_parts_broad,
@@ -65,18 +68,6 @@ __all__ = [
     "main",
 ]
 
-TRACE_METHODS = (
-    "input",
-    "numeric",
-    "analytic_matched",
-    "analytic_parts",
-    "approx_broad",
-    "adiabatic_eit",
-    "total_eit",
-    "gaussian_approx",
-    "phi_plus",
-    "phi_plus_zero",
-)
 OUTPUT_KINDS = ("time_trace", "thickness_scan", "eit_params", "areas_and_energies")
 
 
@@ -103,6 +94,118 @@ class Scenario:
     methods: list[str]
     outputs: list[str]
     scan: Optional[ScanSpec] = None
+
+
+# ---------------------------------------------------------------------------
+# trace methods
+# ---------------------------------------------------------------------------
+
+ALL_SOURCES = frozenset(WaveformKind)
+CAUSAL = frozenset({WaveformKind.EXPONENTIAL_CAUSAL})
+DECOMPOSABLE = ALL_SOURCES - {WaveformKind.GAUSSIAN}  # causal and its two parts
+
+
+@dataclass(frozen=True)
+class Method:
+    """One trace method: accepted media and sources, precondition, compute.
+
+    media None accepts any medium or none.  check(source, medium) raises
+    ValidityError outside the method's validity regime; compute(source,
+    medium, grid) builds the TimeSeries.  Library functions are looked up
+    when called, so a wrapper set on this module's attribute sees each call.
+    """
+
+    media: Optional[tuple[type, ...]]
+    sources: frozenset
+    compute: Callable[..., TimeSeries]
+    check: Optional[Callable] = None
+
+
+def _closed(provenance: str, amplitude: Callable) -> Callable[..., TimeSeries]:
+    """compute() wrapping amplitude(source, medium, tau) in a TimeSeries."""
+    return lambda w, a, grid: TimeSeries(grid, amplitude(w, a, grid.times()), provenance, w, a)
+
+
+def _check_matched(w, a):
+    if not math.isclose(a.gamma, w.delta_ph, rel_tol=1e-12):
+        raise ValidityError(
+            "assumes the matched condition gamma == delta_ph "
+            f"(got gamma={a.gamma}, delta_ph={w.delta_ph})"
+        )
+
+
+def _check_parts(w, a):
+    if isinstance(a, MatchedLine):
+        _check_matched(w, a)
+    else:
+        _check_broad(w.delta_ph, a.gamma_total)
+
+
+def _check_eit(w, a):
+    eit_params(a)
+
+
+def _check_total_eit(w, a):
+    eit_params(a)
+    _check_nonadiabatic(w.delta_ph, a.gamma_total)
+
+
+def _parts(w, a, tau):
+    if isinstance(a, MatchedLine):
+        b_s, b_a = analytic_parts_matched(w.delta_ph, a.thickness, tau)
+    else:
+        b_s, b_a = analytic_parts_broad(w.delta_ph, a.gamma_total, a.thickness, tau)
+    if w.kind is WaveformKind.SYMMETRIC_PART:
+        return b_s
+    return b_a if w.kind is WaveformKind.ANTISYMMETRIC_PART else b_s + b_a
+
+
+METHODS: dict[str, Method] = {
+    "input": Method(None, ALL_SOURCES, lambda w, a, grid: sample(w, grid)),
+    "numeric": Method(None, ALL_SOURCES, lambda w, a, grid: propagate_numeric(w, a, grid)),
+    "analytic_matched": Method(
+        (MatchedLine,), CAUSAL,
+        _closed("analytic_matched", lambda w, a, t: analytic_matched(w.delta_ph, a.thickness, t)),
+        _check_matched,
+    ),
+    "analytic_parts": Method(
+        (MatchedLine, BroadLine), DECOMPOSABLE,
+        _closed("analytic_parts", _parts),
+        _check_parts,
+    ),
+    "approx_broad": Method(
+        (BroadLine,), CAUSAL,
+        _closed("approx_broad",
+                lambda w, a, t: approx_broad(w.delta_ph, a.gamma_total, a.alpha0_l, t)),
+        lambda w, a: _check_broad(w.delta_ph, a.gamma_total),
+    ),
+    "adiabatic_eit": Method(
+        (EitMedium,), CAUSAL,
+        _closed("adiabatic_eit", lambda w, a, t: adiabatic_eit(w, a, t)),
+        _check_eit,
+    ),
+    "total_eit": Method(
+        (EitMedium,), DECOMPOSABLE,
+        lambda w, a, grid: total_eit(w, a, grid),
+        _check_total_eit,
+    ),
+    "gaussian_approx": Method(
+        (BroadLine,), frozenset({WaveformKind.GAUSSIAN}),
+        _closed("gaussian_approx",
+                lambda w, a, t: gaussian_broad(w.delta_ph, a.gamma_total, a.thickness, t)),
+        lambda w, a: _gaussian_eta(w.delta_ph, a.gamma_total, a.thickness),
+    ),
+    "phi_plus": Method(
+        (EitMedium,), ALL_SOURCES,
+        _closed("phi_plus", lambda w, a, t: phi_plus(w.delta_ph, eit_params(a), t)),
+        _check_eit,
+    ),
+    "phi_plus_zero": Method(
+        (EitMedium,), ALL_SOURCES,
+        _closed("phi_plus", lambda w, a, t: phi_plus(0.0, eit_params(a), t)),
+        _check_eit,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -261,77 +364,25 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     needs_trace = any(o in ("time_trace", "areas_and_energies") for o in sc.outputs)
     if needs_trace and not sc.methods:
         errors.append("methods must be nonempty for time_trace outputs")
-    for m in sc.methods:
-        if m not in TRACE_METHODS:
-            errors.append(f"unknown method {m!r}; valid: {', '.join(TRACE_METHODS)}")
     for o in sc.outputs:
         if o not in OUTPUT_KINDS:
             errors.append(f"unknown output {o!r}; valid: {', '.join(OUTPUT_KINDS)}")
-
-    def need_medium(m, cls, what):
-        if not isinstance(med, cls):
-            errors.append(f"method {m!r} requires a {what} medium")
-            return False
-        return True
-
-    def check_matched_condition(m):
-        if not math.isclose(med.gamma, d, rel_tol=1e-12):
-            errors.append(
-                f"method {m!r} assumes the matched condition gamma == delta_ph "
-                f"(got gamma={med.gamma}, delta_ph={d})"
-            )
-
     for m in sc.methods:
-        if m == "analytic_matched":
-            if need_medium(m, MatchedLine, "matched-line"):
-                check_matched_condition(m)
-                if kind is not WaveformKind.EXPONENTIAL_CAUSAL:
-                    errors.append("analytic_matched applies to the causal exponential source")
-        elif m == "analytic_parts":
-            if kind not in (
-                WaveformKind.SYMMETRIC_PART,
-                WaveformKind.ANTISYMMETRIC_PART,
-                WaveformKind.EXPONENTIAL_CAUSAL,
-            ):
-                errors.append("analytic_parts applies to the causal, symmetric or antisymmetric source")
-            if isinstance(med, BroadLine):
-                if not med.gamma_total > d:
-                    errors.append(
-                        "analytic_parts through a broad line requires Gamma > delta_ph "
-                        f"(got Gamma={med.gamma_total}, delta_ph={d})"
-                    )
-            elif isinstance(med, MatchedLine):
-                check_matched_condition(m)
-            else:
-                errors.append("analytic_parts requires a matched-line or broad-line medium")
-        elif m == "approx_broad":
-            if need_medium(m, BroadLine, "broad-line"):
-                if not med.gamma_total > d:
-                    errors.append("approx_broad requires Gamma > delta_ph")
-            if kind is not WaveformKind.EXPONENTIAL_CAUSAL:
-                errors.append("approx_broad applies to the causal exponential source")
-        elif m in ("adiabatic_eit", "total_eit", "phi_plus", "phi_plus_zero"):
-            if need_medium(m, EitMedium, "EIT"):
-                if med.omega**2 < med.gamma_m * med.gamma_total:
-                    errors.append(
-                        f"method {m!r}: adiabatic expansion requires "
-                        "Omega**2 >= gamma_m*Gamma (the transparency hole must be open); "
-                        f"got Omega**2={med.omega**2:g} < {med.gamma_m * med.gamma_total:g}"
-                    )
-                if m == "adiabatic_eit" and kind is not WaveformKind.EXPONENTIAL_CAUSAL:
-                    errors.append("adiabatic_eit applies to the causal exponential source")
-                if m == "total_eit":
-                    if kind is WaveformKind.GAUSSIAN:
-                        errors.append("total_eit has no Gaussian decomposition; use numeric")
-                    elif d > med.gamma_total * (1 + 1e-12):
-                        errors.append("total_eit requires delta_ph <= Gamma")
-        elif m == "gaussian_approx":
-            if need_medium(m, BroadLine, "broad-line"):
-                ft = (d / med.gamma_total) ** 2 * med.thickness
-                if ft >= 1.0:
-                    errors.append(f"gaussian_approx requires f*T < 1, got f*T = {ft:g}")
-            if kind is not WaveformKind.GAUSSIAN:
-                errors.append("gaussian_approx applies to the Gaussian source")
+        method = METHODS.get(m)
+        if method is None:
+            errors.append(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
+            continue
+        if method.media is not None and not isinstance(med, method.media):
+            names = " or ".join(cls.__name__ for cls in method.media)
+            errors.append(f"method {m!r} requires a {names} medium")
+        elif method.check is not None:
+            try:
+                method.check(sc.source, med)
+            except ValidityError as exc:
+                errors.append(f"method {m!r}: {exc}")
+        if kind not in method.sources:
+            takes = ", ".join(k.value for k in WaveformKind if k in method.sources)
+            errors.append(f"method {m!r} does not take the {kind.value} source (takes {takes})")
 
     if "thickness_scan" in sc.outputs:
         if sc.scan is None:
@@ -371,46 +422,6 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
 # execution
 # ---------------------------------------------------------------------------
 
-def _compute_trace(sc: Scenario, method: str) -> TimeSeries:
-    w, med, grid = sc.source, sc.medium, sc.grid
-    tau = grid.times()
-    if method == "input":
-        return sample(w, grid)
-    if method == "numeric":
-        return propagate_numeric(w, med, grid)
-    if method == "analytic_matched":
-        amp = analytic_matched(w.delta_ph, med.thickness, tau)
-        return TimeSeries(grid, amp, "analytic_matched", w, med)
-    if method == "analytic_parts":
-        if isinstance(med, MatchedLine):
-            b_s, b_a = analytic_parts_matched(w.delta_ph, med.thickness, tau)
-        else:
-            b_s, b_a = analytic_parts_broad(w.delta_ph, med.gamma_total, med.thickness, tau)
-        if sc.source.kind is WaveformKind.SYMMETRIC_PART:
-            amp = b_s
-        elif sc.source.kind is WaveformKind.ANTISYMMETRIC_PART:
-            amp = b_a
-        else:
-            amp = b_s + b_a
-        return TimeSeries(grid, amp, "analytic_parts", w, med)
-    if method == "approx_broad":
-        amp = approx_broad(w.delta_ph, med.gamma_total, med.alpha0_l, tau)
-        return TimeSeries(grid, amp, "approx_broad", w, med)
-    if method == "adiabatic_eit":
-        amp = np.asarray(adiabatic_eit(w, med, tau))
-        return TimeSeries(grid, amp, "adiabatic_eit", w, med)
-    if method == "total_eit":
-        return total_eit(w, med, grid)
-    if method == "gaussian_approx":
-        amp = gaussian_broad(w.delta_ph, med.gamma_total, med.thickness, tau)
-        return TimeSeries(grid, amp, "gaussian_approx", w, med)
-    if method in ("phi_plus", "phi_plus_zero"):
-        d = 0.0 if method == "phi_plus_zero" else w.delta_ph
-        amp = np.asarray(phi_plus(d, eit_params(med), tau), dtype=complex)
-        return TimeSeries(grid, amp, "phi_plus", w, med, extras={"delta_ph": d})
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal for a float."""
     return repr(float(x))
@@ -426,8 +437,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _medium_dict(med: Optional[AbsorberSpec]) -> dict:
     if med is None:
         return {"kind": "none"}
-    out = {"kind": type(med).__name__, **dataclasses.asdict(med)}
-    return out
+    return {"kind": type(med).__name__, **dataclasses.asdict(med)}
 
 
 def run_scenario(sc: Scenario, out_dir) -> dict:
@@ -463,7 +473,7 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
     traces: dict[str, TimeSeries] = {}
     if any(o in ("time_trace", "areas_and_energies") for o in sc.outputs):
         for method in sc.methods:
-            ts = _compute_trace(sc, method)
+            ts = METHODS[method].compute(sc.source, sc.medium, sc.grid)
             traces[method] = ts
             if "convergence" in ts.extras:
                 manifest["convergence"][method] = ts.extras["convergence"]
@@ -706,54 +716,38 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eit-params":
-        if not isinstance(sc.medium, EitMedium):
-            print("error: eit-params requires an EIT medium", file=sys.stderr)
-            return 2
         try:
             p = eit_params(sc.medium)
-        except ValidityError as exc:
+        except (TypeError, ValidityError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(json.dumps(dataclasses.asdict(p), indent=2, sort_keys=True))
         return 0
 
-    if args.command == "run":
-        errors, warnings = validate(sc)
+    if args.command == "figure":
+        names = PRESET_NAMES if args.preset == "all" else (args.preset,)
+        try:
+            scenarios = [s for name in names for s in figure_preset(name)]
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        scenarios = [sc]
+    # run and figure: validate, then run, each scenario in turn
+    written = {}
+    for s in scenarios:
+        errors, warnings = validate(s)
         _report(errors, warnings, file=sys.stderr)
         if errors:
             return 2
         try:
-            manifest = run_scenario(sc, out_dir)
+            written[s.name] = run_scenario(s, out_dir)["files"]
         except ConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        print(json.dumps(manifest["files"], indent=2, sort_keys=True))
-        return 0
-
-    if args.command == "figure":
-        names = PRESET_NAMES if args.preset == "all" else (args.preset,)
-        try:
-            scenario_lists = [figure_preset(n) for n in names]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        written = {}
-        for scenarios in scenario_lists:
-            for sc in scenarios:
-                errors, warnings = validate(sc)
-                _report(errors, warnings, file=sys.stderr)
-                if errors:
-                    return 2
-                try:
-                    manifest = run_scenario(sc, out_dir)
-                except ConvergenceError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 3
-                written[sc.name] = manifest["files"]
-        print(json.dumps(written, indent=2, sort_keys=True))
-        return 0
-
-    raise AssertionError(args.command)
+    files = written if args.command == "figure" else written[sc.name]
+    print(json.dumps(files, indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

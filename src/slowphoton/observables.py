@@ -17,9 +17,9 @@ import numpy as np
 from scipy import special as _sp
 from scipy.integrate import quad
 
-from .errors import TruncatedSupportWarning, ValidityError
+from .errors import TruncatedSupportWarning
 from .media import EitParams
-from .propagate import TimeSeries
+from .propagate import TimeSeries, _check_broad, _gaussian_eta
 
 __all__ = [
     "pulse_area",
@@ -86,11 +86,7 @@ def u_broad(delta_ph: float, gamma_total: float, thickness: float):
     decays only algebraically; the inner integrals are evaluated with
     scaled-Bessel integrands by adaptive quadrature (abs tol 1e-12).
     """
-    if not gamma_total > delta_ph:
-        raise ValidityError(
-            "u_broad requires Gamma > delta_ph "
-            f"(got Gamma={gamma_total}, delta_ph={delta_ph})"
-        )
+    _check_broad(delta_ph, gamma_total)
     if thickness < 0:
         raise ValueError("thickness must be >= 0")
     u0 = 0.5 / delta_ph
@@ -140,11 +136,7 @@ def u_gaussian(delta_ph: float, gamma_total: float, thickness: float) -> float:
     small broadening factor eta.  Valid for f*T < 1; the prefactor is the
     time integral of the squared exp(-d**2 t**2/4) input convention.
     """
-    f = (delta_ph / gamma_total) ** 2
-    ft = f * thickness
-    if ft >= 1.0:
-        raise ValidityError(f"approximation requires f*T < 1, got f*T = {ft:g}")
-    eta = 1.0 / math.sqrt(1.0 - ft)
+    eta = _gaussian_eta(delta_ph, gamma_total, thickness)
     return math.sqrt(2.0 * math.pi) * eta / delta_ph * math.exp(-2.0 * thickness)
 
 

@@ -43,7 +43,7 @@ from .media import (
     medium_poles,
     spectral_response,
 )
-from .waveforms import PhotonWaveform, TimeGrid, WaveformKind, spectral_amplitude, time_amplitude
+from .waveforms import PhotonWaveform, TimeGrid, WaveformKind, _step, spectral_amplitude, time_amplitude
 
 __all__ = [
     "TimeSeries",
@@ -101,10 +101,6 @@ class TimeSeries:
     @property
     def tau(self) -> np.ndarray:
         return self.grid.times()
-
-
-def _step(t):
-    return np.heaviside(t, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +490,6 @@ def _r_pm(sign: int, delta_ph: float, p: EitParams, tau):
     return out
 
 
-def _r_plus(delta_ph, p, tau):
-    return _r_pm(+1, delta_ph, p, tau)
-
-
-def _r_minus(delta_ph, p, tau):
-    return _r_pm(-1, delta_ph, p, tau)
-
-
 def adiabatic_eit(w: PhotonWaveform, a: EitMedium, tau, *, simplified: bool = False):
     """Adiabatic (window-filtered, delayed) part of the causal envelope.
 
@@ -514,30 +502,33 @@ def adiabatic_eit(w: PhotonWaveform, a: EitMedium, tau, *, simplified: bool = Fa
             "adiabatic_eit is defined for the causal exponential envelope"
         )
     p = eit_params(a)
-    out = _r_plus(w.delta_ph, p, tau)
+    out = _r_pm(+1, w.delta_ph, p, tau)
     if simplified:
         out = out * math.exp(p.t_eit - w.delta_ph * p.t_d)
     out = np.asarray(out, dtype=complex)
     return out if np.ndim(tau) else complex(out)
 
 
+def _check_nonadiabatic(delta_ph, gamma_total):
+    if delta_ph > gamma_total and not math.isclose(delta_ph, gamma_total, rel_tol=1e-12):
+        raise ValidityError(
+            "nonadiabatic part needs delta_ph <= Gamma "
+            f"(got delta_ph={delta_ph}, Gamma={gamma_total})"
+        )
+
+
 def _nonadiabatic(w: PhotonWaveform, a: EitMedium, tau):
     """Spectrally broad part: transmission through the uncoupled broad line."""
     d, g, tb = w.delta_ph, a.gamma_total, a.thickness
+    _check_nonadiabatic(d, g)
     if math.isclose(d, g, rel_tol=1e-12):
         if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
             return analytic_matched(g, tb, tau)
         b_s, b_a = analytic_parts_matched(g, tb, tau)
-    elif d < g:
-        if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
-            b_s, b_a = analytic_parts_broad(d, g, tb, tau)
-            return b_s + b_a
-        b_s, b_a = analytic_parts_broad(d, g, tb, tau)
     else:
-        raise ValidityError(
-            "nonadiabatic part needs delta_ph <= Gamma "
-            f"(got delta_ph={d}, Gamma={g})"
-        )
+        b_s, b_a = analytic_parts_broad(d, g, tb, tau)
+        if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
+            return b_s + b_a
     return b_s if w.kind is WaveformKind.SYMMETRIC_PART else b_a
 
 
@@ -568,8 +559,8 @@ def total_eit(
     if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
         adiabatic = np.asarray(adiabatic_eit(w, a, tau, simplified=simplified))
     else:
-        r_p = _r_plus(w.delta_ph, p, tau)
-        r_m = _r_minus(w.delta_ph, p, tau)
+        r_p = _r_pm(+1, w.delta_ph, p, tau)
+        r_m = _r_pm(-1, w.delta_ph, p, tau)
         if w.kind is WaveformKind.SYMMETRIC_PART:
             adiabatic = 0.5 * (r_p + r_m)
         else:
@@ -589,6 +580,14 @@ def total_eit(
 # Gaussian envelope through a broad line
 # ---------------------------------------------------------------------------
 
+def _gaussian_eta(delta_ph, gamma_total, thickness) -> float:
+    """Width factor eta = 1/sqrt(1 - f*T), f = (delta_ph/Gamma)**2, for f*T < 1."""
+    ft = (delta_ph / gamma_total) ** 2 * thickness
+    if ft >= 1.0:
+        raise ValidityError(f"approximation requires f*T < 1, got f*T = {ft:g}")
+    return 1.0 / math.sqrt(1.0 - ft)
+
+
 def gaussian_broad(delta_ph: float, gamma_total: float, thickness: float, tau):
     """Quadratic-expansion solution for a Gaussian envelope in a broad line.
 
@@ -598,11 +597,7 @@ def gaussian_broad(delta_ph: float, gamma_total: float, thickness: float, tau):
     carries the 1/4 of the incident exp(-d**2 t**2/4) width convention so
     the zero-thickness limit reproduces the input.
     """
-    f = (delta_ph / gamma_total) ** 2
-    ft = f * thickness
-    if ft >= 1.0:
-        raise ValidityError(f"approximation requires f*T < 1, got f*T = {ft:g}")
-    eta = 1.0 / math.sqrt(1.0 - ft)
+    eta = _gaussian_eta(delta_ph, gamma_total, thickness)
     tv = np.asarray(tau, dtype=float)
     u = tv + thickness / gamma_total
     out = eta * np.exp(-thickness - 0.25 * (eta * delta_ph * u) ** 2)

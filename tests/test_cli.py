@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from slowphoton import cli
 from slowphoton.cli import (
     PRESET_NAMES,
     figure_preset,
@@ -15,7 +16,7 @@ from slowphoton.cli import (
     run_scenario,
     validate,
 )
-from slowphoton.errors import ConfigError
+from slowphoton.errors import ConfigError, ConvergenceError
 from slowphoton.media import EitMedium, MatchedLine
 from slowphoton.waveforms import WaveformKind
 
@@ -198,6 +199,16 @@ class TestMainEntry:
         assert main(["run", str(fig6a_config), "--out", str(tmp_path / "o")]) == 0
         missing = tmp_path / "missing.cfg"
         assert main(["run", str(missing)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "figure"])
+    def test_nonconvergence_exit_code(self, fig6a_config, tmp_path, monkeypatch, capsys, command):
+        def diverge(sc, out_dir):
+            raise ConvergenceError("spectral quadrature drift too large")
+
+        monkeypatch.setattr(cli, "run_scenario", diverge)
+        target = str(fig6a_config) if command == "run" else "fig5"
+        assert main([command, target, "--out", str(tmp_path)]) == 3
+        assert "spectral quadrature drift" in capsys.readouterr().err
 
     def test_validation_exit_code_names_condition(self, tmp_path, capsys):
         text = FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 2.0")

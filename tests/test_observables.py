@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0e
 
 from slowphoton.errors import TruncatedSupportWarning, ValidityError
 from slowphoton.media import BroadLine, eit_params
@@ -23,7 +24,6 @@ from slowphoton.propagate import (
     analytic_parts_broad,
     propagate_numeric,
 )
-from slowphoton.specfun import scaled_bessel_i0
 from slowphoton.waveforms import (
     PhotonWaveform,
     TimeGrid,
@@ -31,6 +31,16 @@ from slowphoton.waveforms import (
     sample,
     spectral_amplitude,
 )
+
+# (x, exp(-x)*I0(x), exp(-x)*I1(x)) from a 40-digit mpmath evaluation
+I_SCALED_REFERENCE = [
+    (0.5, 0.645035270449150068108, 0.1564208031848716971426),
+    (1.0, 0.4657596075936404365019, 0.2079104153497084488694),
+    (10.0, 0.1278333371634286073231, 0.121262681384455518719),
+    (200.0, 0.02822715994911191567034, 0.02815650339483291782246),
+    (1e4, 0.003989472674604732106361, 0.00398927319598366226448),
+    (1e6, 0.0003989423302692457787773, 0.0003989421307980307763133),
+]
 
 
 def series(grid, amplitude, w=None, med=None):
@@ -124,7 +134,14 @@ class TestUMatched:
     def test_parts_sum_identity(self, t_eff):
         u_s, u_a, total = u_matched(t_eff)
         assert u_s + u_a == pytest.approx(total, rel=1e-10)
-        assert total == pytest.approx(scaled_bessel_i0(t_eff), rel=1e-10)
+        assert total == pytest.approx(i0e(t_eff), rel=1e-10)
+
+    @pytest.mark.parametrize("t_eff,i0e_ref,i1e_ref", I_SCALED_REFERENCE)
+    def test_oracle_values(self, t_eff, i0e_ref, i1e_ref):
+        # U_total = exp(-T)*I0(T) and U_a - U_s = exp(-T)*I1(T)
+        u_s, u_a, total = u_matched(t_eff)
+        assert total == pytest.approx(i0e_ref, rel=1e-10)
+        assert u_a - u_s == pytest.approx(i1e_ref, rel=1e-10)
 
     def test_slow_algebraic_decay(self):
         _, _, t200 = u_matched(200.0)

@@ -26,6 +26,20 @@ from conftest import mask_near_zero
 J0_FIRST_ROOT = 2.404825557695772768622
 EXP_M5_HALF = math.exp(-5.0) / 2.0  # boundary value at T = 10
 
+# (x, J0(x)) from a 40-digit mpmath series evaluation
+J0_REFERENCE = [
+    (0.5, 0.9384698072408129042284),
+    (1.0, 0.7651976865579665514497),
+    (2.0, 0.2238907791412356680518),
+    (5.0, -0.1775967713143383043474),
+    (10.0, -0.2459357644513483351978),
+    (25.0, 0.0962667832759581161735),
+    (50.0, 0.05581232766925181500475),
+    (100.0, 0.01998585030422312242423),
+    (1000.0, 0.02478668615242017456133),
+    (10000.0, -0.007096160353388801477265),
+]
+
 
 class TestAnalyticMatched:
     def test_leading_edge_is_unity(self):
@@ -49,6 +63,14 @@ class TestAnalyticMatched:
     def test_no_gain(self):
         tau = np.linspace(0, 30, 3001)
         assert np.abs(analytic_matched(1.0, 10.0, tau)).max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("x,j0", J0_REFERENCE)
+    def test_bessel_factor_oracle_values(self, x, j0):
+        # delta = tau = 1 and T = x**2/4 put the Bessel argument exactly at x;
+        # the absolute floor covers the conditioning near the zeros of J0
+        got = analytic_matched(1.0, x * x / 4.0, 1.0)
+        assert got.real == pytest.approx(math.exp(-1.0) * j0, rel=1e-12, abs=1e-13)
+        assert got.imag == 0.0
 
 
 class TestAnalyticPartsMatched:
@@ -318,21 +340,21 @@ class TestAdiabaticKernels:
         # conditioned, so the erfcx-based branches must reproduce it exactly
         from scipy.special import erf as _erf
 
-        from slowphoton.propagate import _r_minus, _r_plus
+        from slowphoton.propagate import _r_pm
 
         p = eit_params(eit_example)
         d = 1.0
         r = d / p.delta_eff
         tau = np.linspace(-3.0, 12.0, 601)
         y = tau - p.t_d
-        for sign, fn in ((+1, _r_plus), (-1, _r_minus)):
+        for sign in (+1, -1):
             naive = (
                 0.5
                 * math.exp(r * r)
                 * (1.0 + sign * _erf(0.5 * p.delta_eff * y - sign * r))
                 * np.exp(-p.t_eit - sign * d * y)
             )
-            got = fn(d, p, tau)
+            got = _r_pm(sign, d, p, tau)
             # the naive form underflows to 0 once 1 +- erf rounds off; the
             # erfcx branches stay finite there, hence the absolute floor
             np.testing.assert_allclose(got, naive, rtol=1e-12, atol=1e-14)

@@ -1,23 +1,24 @@
-"""Special-function accuracy against an independent high-precision oracle.
+"""Accuracy of the special functions the closed forms call.
+
+`propagate` and `observables` call `scipy.special` (Cephes) directly: j0 and
+j1 in the matched, broad and nonadiabatic envelopes, i0e and i1e in the
+thickness formulas, erf in the adiabatic EIT edge.  The closed forms are
+compared with the numeric propagation at about 1e-12, so these functions
+must hold that accuracy on the arguments the formulas reach.
 
 Frozen reference values were generated once with a 40-digit mpmath series
 evaluation; the in-file power series provides a second, self-contained
-cross-check at small arguments.
+cross-check at small arguments.  The unscaled I0/I1 values are checked
+through exp(-x)*I0(x) and exp(-x)*I1(x), the forms the library evaluates.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from slowphoton.specfun import (
-    ACCURACY,
-    bessel_i,
-    bessel_j,
-    erf,
-    scaled_bessel_i0,
-    scaled_bessel_i1,
-)
+from slowphoton import observables, propagate
 
 # (x, J0(x), J1(x)) from the 40-digit oracle
 J_REFERENCE = [
@@ -68,8 +69,11 @@ ERF_REFERENCE = [
 
 J0_FIRST_ROOT = 2.404825557695772768622
 
-RTOL = ACCURACY.max_relative_error
-ATOL = ACCURACY.abs_floor
+# Relative error target away from zeros; absolute floor near the zeros of
+# J0/J1, where a relative bound is not meaningful for double arguments.
+RTOL = 1e-12
+ATOL = 2e-13
+SCALED_RTOL = 1e-10
 
 
 def series_j(order, x, terms=70):
@@ -95,23 +99,28 @@ def series_i(order, x, terms=80):
     return float(total)
 
 
+def test_library_calls_scipy_special():
+    assert propagate._sp is special
+    assert observables._sp is special
+
+
 class TestBesselJ:
     def test_exact_values_at_zero(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert bessel_j(1, 0.0) == 0.0
+        assert special.j0(0.0) == 1.0
+        assert special.j1(0.0) == 0.0
 
     @pytest.mark.parametrize("x,j0,j1", J_REFERENCE)
     def test_oracle_values(self, x, j0, j1):
-        assert bessel_j(0, x) == pytest.approx(j0, rel=RTOL, abs=ATOL)
-        assert bessel_j(1, x) == pytest.approx(j1, rel=RTOL, abs=ATOL)
+        assert special.j0(x) == pytest.approx(j0, rel=RTOL, abs=ATOL)
+        assert special.j1(x) == pytest.approx(j1, rel=RTOL, abs=ATOL)
 
     def test_against_series(self):
         for x in np.linspace(0.05, 9.0, 25):
-            assert bessel_j(0, x) == pytest.approx(series_j(0, x), rel=1e-13, abs=1e-14)
-            assert bessel_j(1, x) == pytest.approx(series_j(1, x), rel=1e-13, abs=1e-14)
+            assert special.j0(x) == pytest.approx(series_j(0, x), rel=1e-13, abs=1e-14)
+            assert special.j1(x) == pytest.approx(series_j(1, x), rel=1e-13, abs=1e-14)
 
     def test_first_root(self):
-        assert abs(bessel_j(0, J0_FIRST_ROOT)) <= 1e-12
+        assert abs(special.j0(J0_FIRST_ROOT)) <= 1e-12
 
     def test_derivative_identity(self):
         # d/dx J0 = -J1, central differences at random points
@@ -119,90 +128,70 @@ class TestBesselJ:
         xs = rng.uniform(0.1, 50.0, size=100)
         h = 1e-5
         for x in xs:
-            fd = (bessel_j(0, x + h) - bessel_j(0, x - h)) / (2 * h)
-            assert fd == pytest.approx(-bessel_j(1, x), abs=1e-8)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_j(0, -1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0, math.nan)
-        with pytest.raises(ValueError):
-            bessel_j(2, 1.0)
+            fd = (special.j0(x + h) - special.j0(x - h)) / (2 * h)
+            assert fd == pytest.approx(-special.j1(x), abs=1e-8)
 
     def test_vectorized(self):
+        # The envelopes evaluate J0 on whole grids at once.
         x = np.array([0.0, 1.0, 2.0])
-        out = bessel_j(0, x)
+        out = special.j0(x)
         assert out.shape == (3,)
         assert out[0] == 1.0
 
 
 class TestBesselI:
     def test_exact_values_at_zero(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(1, 0.0) == 0.0
+        assert special.i0e(0.0) == 1.0
+        assert special.i1e(0.0) == 0.0
 
     @pytest.mark.parametrize("x,i0,i1", I_REFERENCE)
     def test_oracle_values(self, x, i0, i1):
-        assert bessel_i(0, x) == pytest.approx(i0, rel=RTOL)
-        assert bessel_i(1, x) == pytest.approx(i1, rel=RTOL)
+        assert special.i0e(x) == pytest.approx(math.exp(-x) * i0, rel=RTOL)
+        assert special.i1e(x) == pytest.approx(math.exp(-x) * i1, rel=RTOL)
 
     def test_against_series(self):
         for x in np.linspace(0.1, 20.0, 15):
-            assert bessel_i(0, x) == pytest.approx(series_i(0, x), rel=1e-13)
-            assert bessel_i(1, x) == pytest.approx(series_i(1, x), rel=1e-13)
-
-    def test_range_error(self):
-        with pytest.raises(ValueError, match="scaled"):
-            bessel_i(0, 701.0)
+            scale = math.exp(-x)
+            assert special.i0e(x) == pytest.approx(scale * series_i(0, x), rel=1e-13)
+            assert special.i1e(x) == pytest.approx(scale * series_i(1, x), rel=1e-13)
 
 
 class TestScaledBessel:
     def test_at_zero(self):
-        assert scaled_bessel_i0(0.0) == 1.0
-        assert scaled_bessel_i1(0.0) == 0.0
+        assert special.i0e(0.0) == 1.0
+        assert special.i1e(0.0) == 0.0
 
     @pytest.mark.parametrize("x,i0e,i1e", I_SCALED_REFERENCE)
     def test_oracle_values(self, x, i0e, i1e):
-        assert scaled_bessel_i0(x) == pytest.approx(i0e, rel=ACCURACY.scaled_i0_max_relative_error)
-        assert scaled_bessel_i1(x) == pytest.approx(i1e, rel=ACCURACY.scaled_i0_max_relative_error)
+        assert special.i0e(x) == pytest.approx(i0e, rel=SCALED_RTOL)
+        assert special.i1e(x) == pytest.approx(i1e, rel=SCALED_RTOL)
 
     def test_asymptotic_form(self):
         # i0e(x) ~ (2*pi*x)**-0.5 * (1 + 1/(8x)) for large x
         x = 200.0
         asym = (2 * math.pi * x) ** -0.5 * (1 + 1 / (8 * x))
-        assert scaled_bessel_i0(x) == pytest.approx(asym, rel=2e-5)
+        assert special.i0e(x) == pytest.approx(asym, rel=2e-5)
 
     def test_consistency_with_unscaled(self):
         for x in np.linspace(0.1, 50.0, 23):
-            assert scaled_bessel_i0(x) * math.exp(x) == pytest.approx(
-                bessel_i(0, x), rel=1e-9
-            )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            scaled_bessel_i0(-0.5)
+            assert special.i0e(x) * math.exp(x) == pytest.approx(series_i(0, x), rel=1e-9)
 
 
 class TestErf:
     def test_zero(self):
-        assert erf(0.0) == 0.0
+        assert special.erf(0.0) == 0.0
 
     @pytest.mark.parametrize("x,val", ERF_REFERENCE)
     def test_oracle_values(self, x, val):
-        assert erf(x) == pytest.approx(val, rel=RTOL)
+        assert special.erf(x) == pytest.approx(val, rel=RTOL)
 
     def test_exactly_odd(self):
         for x in [0.3, 1.3, 2.7, 5.5, 17.0]:
-            assert erf(-x) == -erf(x)
+            assert special.erf(-x) == -special.erf(x)
 
     def test_derivative_identity(self):
         rng = np.random.default_rng(7)
         h = 1e-5
         for x in rng.uniform(-3, 3, size=50):
-            fd = (erf(x + h) - erf(x - h)) / (2 * h)
+            fd = (special.erf(x + h) - special.erf(x - h)) / (2 * h)
             assert fd == pytest.approx(2 / math.sqrt(math.pi) * math.exp(-x * x), abs=1e-8)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            erf(math.inf)
