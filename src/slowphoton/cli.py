@@ -350,6 +350,10 @@ def load_config(path) -> Scenario:
 # validation
 # ---------------------------------------------------------------------------
 
+def _unknown_method(name: str) -> str:
+    return f"unknown method {name!r}; valid: {', '.join(METHODS)}"
+
+
 def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     """Check every method/output precondition without running anything.
 
@@ -370,7 +374,7 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     for m in sc.methods:
         method = METHODS.get(m)
         if method is None:
-            errors.append(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
+            errors.append(_unknown_method(m))
             continue
         if method.media is not None and not isinstance(med, method.media):
             names = " or ".join(cls.__name__ for cls in method.media)
@@ -392,8 +396,11 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
         elif sc.scan.kind == "broad":
             if not isinstance(med, (BroadLine, EitMedium)):
                 errors.append("broad thickness scan needs a broad-line medium for Gamma")
-            elif not med.linewidth > d:
-                errors.append("broad thickness scan requires Gamma > delta_ph")
+            else:
+                try:
+                    _check_broad(d, med.linewidth)
+                except ValidityError as exc:
+                    errors.append(f"thickness_scan: {exc}")
     if "eit_params" in sc.outputs and not isinstance(med, EitMedium):
         errors.append("eit_params output requires an EIT medium")
 
@@ -401,15 +408,19 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     tau = sc.grid.times()
     if sc.grid.t_start < 0 < sc.grid.t_end and min(abs(tau)) > 1e-12 * max(1.0, sc.grid.spacing):
         warnings.append("tau = 0 is not a grid sample; jump values will be offset")
-    if isinstance(med, EitMedium) and med.omega**2 >= med.gamma_m * med.gamma_total:
-        p = eit_params(med)
-        needed = p.t_d + 2.0 / p.delta_eff
-        if sc.grid.t_end < needed:
-            warnings.append(
-                f"grid ends at {sc.grid.t_end:g} before the delayed envelope "
-                f"(group delay t_d = {p.t_d:.4g}, edge width 2/delta_eff); "
-                f"extend t_end beyond {needed:.4g}"
-            )
+    if isinstance(med, EitMedium):
+        try:
+            p = eit_params(med)
+        except ValidityError:
+            pass  # closed window: no group delay to advise on
+        else:
+            needed = p.t_d + 2.0 / p.delta_eff
+            if sc.grid.t_end < needed:
+                warnings.append(
+                    f"grid ends at {sc.grid.t_end:g} before the delayed envelope "
+                    f"(group delay t_d = {p.t_d:.4g}, edge width 2/delta_eff); "
+                    f"extend t_end beyond {needed:.4g}"
+                )
     tail = math.exp(-d * max(sc.grid.t_end, 0.0))
     if tail > 1e-3 and kind is not WaveformKind.GAUSSIAN:
         warnings.append(
@@ -473,6 +484,8 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
     traces: dict[str, TimeSeries] = {}
     if any(o in ("time_trace", "areas_and_energies") for o in sc.outputs):
         for method in sc.methods:
+            if method not in METHODS:
+                raise ValueError(_unknown_method(method))
             ts = METHODS[method].compute(sc.source, sc.medium, sc.grid)
             traces[method] = ts
             if "convergence" in ts.extras:

@@ -75,9 +75,11 @@ _SUBTRACT_ORDERS = 2
 # Window scale: truncating the remainder tail ~ (alpha0*l/nu)**3/nu at
 # nu_max = _WINDOW_PER_ALPHA0L * alpha0*l bounds the error by ~1e-6.
 _WINDOW_PER_ALPHA0L = 26.0
+# Only lattices above _MAX_FFT_SAMPLES (grids finer than ~pi/nu_max) fall back
+# to direct summation; _FFT_CHUNK bounds the integrand's temporaries.
 _MIN_FFT_SAMPLES = 2**18
 _MAX_FFT_SAMPLES = 2**22
-_DIRECT_MAX_POINTS = 1200
+_FFT_CHUNK = 2**16
 
 
 @dataclass
@@ -176,7 +178,8 @@ def _remainder_fft(w, a, grid, orders, mdiv, period):
     """Remainder transform on the scenario grid via an aligned FFT.
 
     The FFT time step is grid.spacing/mdiv, so scenario samples land
-    exactly on FFT samples; the frequency window is pi/dtau.
+    exactly on FFT samples; the frequency window is pi/dtau.  The spectrum
+    is filled in _FFT_CHUNK slices and transformed in place.
     """
     h_grid = grid.spacing
     dtau = h_grid / mdiv
@@ -189,11 +192,14 @@ def _remainder_fft(w, a, grid, orders, mdiv, period):
         return None
     dnu = 2.0 * math.pi / (n * dtau)
     nu_half = math.pi / dtau
-    nu = -nu_half + dnu * np.arange(n)
-    h = _remainder_integrand(w, a, nu, orders)
     tau0 = grid.t_start
-    spect = h * np.exp(-1j * dnu * tau0 * np.arange(n))
-    r_fft = np.fft.fft(spect)
+    spect = np.empty(n, dtype=complex)
+    for start in range(0, n, _FFT_CHUNK):
+        stop = min(start + _FFT_CHUNK, n)
+        k = np.arange(start, stop)
+        h = _remainder_integrand(w, a, -nu_half + dnu * k, orders)
+        spect[start:stop] = h * np.exp(-1j * dnu * tau0 * k)
+    r_fft = np.fft.fft(spect, out=spect)
     j = np.arange(grid.n_points) * mdiv
     tau_j = tau0 + j * dtau
     values = (dnu / (2.0 * math.pi)) * np.exp(1j * nu_half * tau_j) * r_fft[j]
@@ -202,7 +208,7 @@ def _remainder_fft(w, a, grid, orders, mdiv, period):
 
 
 def _remainder_direct(w, a, grid, orders, nu_max, period):
-    """Remainder transform by direct summation (small or very fine grids).
+    """Remainder transform by direct summation, for grids beyond the FFT cap.
 
     The phase factors exp(-i*nu*tau_j) advance by a constant rotation per
     grid step, so one rotation vector replaces the full phase matrix.
@@ -225,15 +231,9 @@ def _remainder_direct(w, a, grid, orders, nu_max, period):
 def _remainder(w, a, grid, orders, nu_max0, period0, mdiv0, refine):
     """Remainder at refinement level `refine` (window and period x 2**refine)."""
     scale = 1 << refine
-    if grid.n_points <= _DIRECT_MAX_POINTS:
-        return _remainder_direct(
-            w, a, grid, orders, nu_max0 * scale, period0 * scale
-        )
     result = _remainder_fft(w, a, grid, orders, mdiv0 * scale, period0 * scale)
     if result is None:
-        return _remainder_direct(
-            w, a, grid, orders, nu_max0 * scale, period0 * scale
-        )
+        return _remainder_direct(w, a, grid, orders, nu_max0 * scale, period0 * scale)
     return result
 
 

@@ -122,6 +122,32 @@ class TestValidate:
         errors, _ = validate(load_config(path))
         assert any("Gamma > delta_ph" in e for e in errors)
 
+    def test_broad_scan_reports_the_guard_text(self, tmp_path):
+        path = tmp_path / "bad_scan.cfg"
+        path.write_text(
+            "source.kind = exponential_causal\nsource.delta_ph = 2.0\n"
+            "medium.kind = broad\nmedium.gamma_total = 2.0\nmedium.thickness = 5.0\n"
+            "grid.t_start = -1\ngrid.t_end = 5\ngrid.n_points = 601\n"
+            "outputs = thickness_scan\n"
+            "scan.kind = broad\nscan.t_min = 0\nscan.t_max = 10\nscan.n_points = 11\n"
+        )
+        errors, _ = validate(load_config(path))
+        assert errors == [
+            "thickness_scan: broad-line solution requires Gamma > delta_ph "
+            "(got Gamma=2.0, delta_ph=2.0)"
+        ]
+
+    def test_closed_window_gives_no_delay_advice(self, tmp_path):
+        text = FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 2.0")
+        text = text.replace("methods = input, numeric, total_eit", "methods = numeric")
+        text = text.replace("outputs = time_trace, eit_params", "outputs = time_trace")
+        text = text.replace("grid.t_end = 15.0", "grid.t_end = 0.5")
+        path = tmp_path / "closed_short.cfg"
+        path.write_text(text)
+        errors, warnings = validate(load_config(path))
+        assert errors == []
+        assert not any("delayed envelope" in w for w in warnings)
+
     def test_short_grid_warns_with_delay(self, fig6a_config, tmp_path):
         text = FIG6A_TEXT.replace("grid.t_end = 15.0", "grid.t_end = 0.5")
         path = tmp_path / "short.cfg"

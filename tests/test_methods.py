@@ -131,6 +131,14 @@ def test_unknown_method_lists_the_valid_ones():
     assert all(name in error for name in METHOD_NAMES)
 
 
+def test_run_scenario_rejects_unknown_method_like_validate(tmp_path):
+    sc = scenario("warp_drive", None, C)
+    (error,) = validate(sc)[0]
+    with pytest.raises(ValueError) as info:
+        run_scenario(sc, tmp_path)
+    assert str(info.value) == error
+
+
 @pytest.mark.parametrize(
     "method,med,kind",
     ACCEPTED_COMBINATIONS,

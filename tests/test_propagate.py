@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from slowphoton import propagate
+from slowphoton._rational import eval_pole_terms
 from slowphoton.errors import ConvergenceError, UnsupportedWaveformError, ValidityError
 from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params
 from slowphoton.propagate import (
+    _SUBTRACT_ORDERS,
     TimeSeries,
+    _remainder_direct,
+    _subtraction_terms,
+    _window_defaults,
     adiabatic_eit,
     analytic_matched,
     analytic_parts_broad,
@@ -19,9 +25,16 @@ from slowphoton.propagate import (
     propagate_numeric,
     total_eit,
 )
-from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind, sample
+from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind, sample, time_amplitude
 
 from conftest import mask_near_zero
+
+C, S, A = (
+    WaveformKind.EXPONENTIAL_CAUSAL,
+    WaveformKind.SYMMETRIC_PART,
+    WaveformKind.ANTISYMMETRIC_PART,
+)
+ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.0, 20.0, 3.0)]
 
 J0_FIRST_ROOT = 2.404825557695772768622
 EXP_M5_HALF = math.exp(-5.0) / 2.0  # boundary value at T = 10
@@ -251,6 +264,44 @@ class TestPropagateNumeric:
         grid = TimeGrid(-2.0, 12.0, 2801)
         out = propagate_numeric(causal_unit, med, grid)
         assert np.abs(out.amplitude).max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("n_points", [101, 601, 1200])
+    @pytest.mark.parametrize("kind", [C, S, A], ids=lambda k: k.value)
+    @pytest.mark.parametrize("medium", ROUTING_MEDIA, ids=lambda m: type(m).__name__)
+    def test_small_grids_take_the_fft(self, medium, kind, n_points):
+        # small grids take the FFT too; direct summation over the accepted
+        # level's window is the reference it must reproduce
+        w = PhotonWaveform(kind, 1.0)
+        grid = TimeGrid(-1.0, 6.0, n_points)
+        tau = grid.times()
+        out = propagate_numeric(w, medium, grid)
+        conv = out.extras["convergence"]
+        assert conv["strategy"] == "fft"
+        nu_max, period = _window_defaults(w, medium, grid)
+        scale = 2 ** conv["iterations"]
+        rem, _ = _remainder_direct(w, medium, grid, _SUBTRACT_ORDERS, nu_max * scale, period * scale)
+        closed = eval_pole_terms(_subtraction_terms(w, medium, _SUBTRACT_ORDERS), tau)
+        assert np.abs(out.amplitude - (time_amplitude(w, tau) + closed + rem)).max() <= 1e-6
+        if isinstance(medium, MatchedLine):
+            b_s, b_a = analytic_parts_matched(1.0, medium.thickness, tau)
+        elif isinstance(medium, BroadLine):
+            b_s, b_a = analytic_parts_broad(1.0, medium.gamma_total, medium.thickness, tau)
+        else:
+            return
+        ana = {C: b_s + b_a, S: b_s, A: b_a}[kind]
+        mask = mask_near_zero(tau, grid.spacing)
+        assert np.abs(out.amplitude - ana)[mask].max() <= 1e-4
+
+    def test_spectrum_slicing_moves_values_only_by_round_off(self, causal_unit, monkeypatch):
+        grid = TimeGrid(-1.0, 6.0, 601)
+        med = EitMedium(10.0, 1.0, 20.0, 3.0)
+        base = propagate_numeric(causal_unit, med, grid)
+        n_freq = base.extras["convergence"]["n_freq"]
+        # 1,000 divides no lattice size (short last slice); n_freq is one slice per level
+        for chunk in (1000, n_freq):
+            monkeypatch.setattr(propagate, "_FFT_CHUNK", chunk)
+            out = propagate_numeric(causal_unit, med, grid)
+            assert np.abs(out.amplitude - base.amplitude).max() <= 1e-13
 
     def test_fine_grid_falls_back_to_direct_summation(self, causal_unit):
         # many points at micro spacing: FFT alignment would need > 2**22
