@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowphoton import propagate
 from slowphoton._rational import eval_pole_terms
@@ -12,6 +15,7 @@ from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params
 from slowphoton.propagate import (
     _SUBTRACT_ORDERS,
     TimeSeries,
+    _beat_integral,
     _remainder_direct,
     _subtraction_terms,
     _window_defaults,
@@ -34,6 +38,20 @@ C, S, A = (
     WaveformKind.SYMMETRIC_PART,
     WaveformKind.ANTISYMMETRIC_PART,
 )
+# (t_eff, decay, rate, tau_max) of the beat integrals behind the presets:
+# fig2 (matched T = 10), fig3a (broad T_b = 10, Gamma = 10: T_-+ = 100/9,
+# 100/11), fig6a and fig7 (EIT nonadiabatic part, T_b = 30: T_-+ = 300/9,
+# 300/11), fig6b's medium at delta_ph = Gamma (matched T = 30, rate 10),
+# and the sweep's thickest matched line
+BEAT_SETS = [
+    (10.0, 0.5, 1.0, 10.0),
+    (100.0 / 9.0, 1.0, 9.0, 2.5),
+    (100.0 / 11.0, 1.0, 11.0, 2.5),
+    (300.0 / 9.0, 1.0, 9.0, 15.0),
+    (300.0 / 11.0, 1.0, 11.0, 15.0),
+    (30.0, 0.5, 10.0, 15.0),
+    (40.0, 1.0, 0.5, 10.0),
+]
 ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.0, 20.0, 3.0)]
 
 J0_FIRST_ROOT = 2.404825557695772768622
@@ -135,6 +153,54 @@ class TestAnalyticPartsBroad:
         b_s, b_a = analytic_parts_broad(1.0, 10.0, 10.0, tau)
         mask = mask_near_zero(tau, grid.spacing)
         assert np.abs(num.amplitude - (b_s + b_a))[mask].max() < 1e-4
+
+
+def _mp_beat(t_eff, decay, rate, tau):
+    """The beat integral by mpmath Gauss-Legendre at 30 digits over 40 panels."""
+    with mp.workdps(30):
+        t_eff, decay, rate, tau = (mp.mpf(v) for v in (t_eff, decay, rate, tau))
+
+        def f(x):
+            return mp.exp(-decay * (t_eff - x)) * mp.besselj(0, 2 * mp.sqrt(x * rate * tau))
+
+        return float(mp.quad(f, mp.linspace(0, t_eff, 41), method="gauss-legendre"))
+
+
+class TestBeatIntegral:
+    @pytest.mark.parametrize("t_eff, decay, rate, tau_max", BEAT_SETS)
+    def test_matches_mpmath_reference(self, t_eff, decay, rate, tau_max):
+        # tau_max sets the node count, so the rule here is the one the presets use
+        tau = np.array([0.05, 0.4 * tau_max, tau_max])
+        got = _beat_integral(t_eff, decay, rate, tau)
+        ref = np.array([_mp_beat(t_eff, decay, rate, t) for t in tau])
+        assert np.abs(got - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("t_eff, decay, rate, tau_max", BEAT_SETS)
+    def test_doubling_the_nodes_changes_nothing(self, t_eff, decay, rate, tau_max, monkeypatch):
+        tau = np.linspace(0.01, tau_max, 400)
+        base = _beat_integral(t_eff, decay, rate, tau)
+        order = propagate._beat_order
+        monkeypatch.setattr(propagate, "_beat_order", lambda *args: 2 * order(*args))
+        assert np.abs(_beat_integral(t_eff, decay, rate, tau) - base).max() <= 1e-12
+
+    def test_blocking_moves_values_only_by_round_off(self, monkeypatch):
+        tau = np.linspace(0.01, 15.0, 700)
+        base = _beat_integral(300.0 / 9.0, 1.0, 9.0, tau)
+        # one row per block, then every row in one block
+        for block in (1, tau.size * 10_000):
+            monkeypatch.setattr(propagate, "_BEAT_BLOCK", block)
+            assert np.abs(_beat_integral(300.0 / 9.0, 1.0, 9.0, tau) - base).max() <= 1e-15
+
+    def test_zero_thickness_gives_zeros(self):
+        out = _beat_integral(0.0, 1.0, 9.0, np.array([0.5, 1.0, 2.0]))
+        np.testing.assert_array_equal(out, np.zeros(3))
+        assert _beat_integral(0.0, 1.0, 9.0, 0.5).shape == ()
+
+    @pytest.mark.parametrize("tau", [0.7, np.array([0.7]), np.full((2, 3), 0.7)], ids=["scalar", "1d", "2d"])
+    def test_output_shape_follows_tau(self, tau):
+        out = _beat_integral(10.0, 0.5, 1.0, tau)
+        assert out.shape == np.shape(tau)
+        np.testing.assert_allclose(out, _beat_integral(10.0, 0.5, 1.0, 0.7), rtol=0, atol=1e-15)
 
 
 class TestApproxBroad:
@@ -315,6 +381,20 @@ class TestPropagateNumeric:
         mask = np.abs(tau) > 2 * zoom.spacing
         assert np.abs(out.amplitude - ana)[mask].max() < 1e-4
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="critical EIT coupling Omega = (Gamma - gamma_m)/2: medium_poles nudges "
+        "the double root apart and the pole subtraction blows up (ROADMAP item 2)",
+    )
+    def test_critical_eit_coupling_stays_passive(self, causal_unit):
+        grid = TimeGrid(-2.0, 15.0, 1701)
+        out = propagate_numeric(causal_unit, EitMedium(10.0, 1.0, 4.5, 30.0), grid)
+        b = out.amplitude
+        assert np.all(np.isfinite(b))
+        assert np.abs(b).max() <= 1.0
+        energy_in = np.trapezoid(np.abs(sample(causal_unit, grid).amplitude) ** 2, dx=grid.spacing)
+        assert np.trapezoid(np.abs(b) ** 2, dx=grid.spacing) <= energy_in
+
     def test_convergence_diagnostics_recorded(self, causal_unit):
         grid = TimeGrid(-1.0, 5.0, 1501)
         out = propagate_numeric(causal_unit, MatchedLine(1.0, 5.0), grid)
@@ -335,6 +415,49 @@ class TestPropagateNumeric:
         assert out.provenance == "numeric"
         assert out.source_meta is causal_unit
         assert out.medium_meta is med
+
+
+def _assert_parts_match_oracle(kind, delta_ph, medium, b_s, b_a, grid):
+    w = PhotonWaveform(kind, delta_ph)
+    num = propagate_numeric(w, medium, grid).amplitude
+    ana = {C: b_s + b_a, S: b_s, A: b_a}[kind]
+    mask = mask_near_zero(grid.times(), grid.spacing)
+    assert np.abs(num - ana)[mask].max() <= 1e-4
+
+
+def _property_grid(delta_ph):
+    # about 8 source decay times before tau = 0 and 10 after, as the sweep runs
+    return TimeGrid(-8.0 / delta_ph, 10.0 / delta_ph, 601)
+
+
+class TestClosedFormPartsProperties:
+    """analytic_parts_* against the oracle over parameter space, not only the presets."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        delta_ph=st.floats(0.5, 2.0),
+        thickness=st.floats(1.0, 40.0),
+        kind=st.sampled_from([C, S, A]),
+    )
+    def test_matched(self, delta_ph, thickness, kind):
+        grid = _property_grid(delta_ph)
+        b_s, b_a = analytic_parts_matched(delta_ph, thickness, grid.times())
+        _assert_parts_match_oracle(kind, delta_ph, MatchedLine(delta_ph, thickness), b_s, b_a, grid)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        delta_ph=st.floats(0.5, 2.0),
+        ratio=st.floats(1.2, 20.0),
+        thick_frac=st.floats(0.0, 1.0),
+        kind=st.sampled_from([C, S, A]),
+    )
+    def test_broad(self, delta_ph, ratio, thick_frac, kind):
+        # T_b from 2 to 30 with alpha0*l = T_b*Gamma <= 200*delta_ph, the sweep's range
+        gamma = ratio * delta_ph
+        t_b = 2.0 + thick_frac * (min(30.0, 200.0 / ratio) - 2.0)
+        grid = _property_grid(delta_ph)
+        b_s, b_a = analytic_parts_broad(delta_ph, gamma, t_b, grid.times())
+        _assert_parts_match_oracle(kind, delta_ph, BroadLine(gamma, t_b), b_s, b_a, grid)
 
 
 class TestAdiabaticEit:
