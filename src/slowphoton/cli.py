@@ -389,11 +389,23 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
             errors.append(f"method {m!r} does not take the {kind.value} source (takes {takes})")
 
     if "thickness_scan" in sc.outputs:
-        if sc.scan is None:
+        scan = sc.scan
+        if scan is None:
             errors.append("thickness_scan output requires scan.* keys")
-        elif sc.scan.kind not in ("matched", "broad"):
-            errors.append(f"unknown scan.kind {sc.scan.kind!r}")
-        elif sc.scan.kind == "broad":
+        elif not (math.isfinite(scan.t_min) and math.isfinite(scan.t_max)):
+            errors.append(f"scan.t_min and scan.t_max must be finite (got {scan.t_min}, {scan.t_max})")
+        elif scan.t_min < 0:
+            errors.append(f"scan.t_min must be >= 0 (got {scan.t_min})")
+        elif scan.n_points < 1:
+            errors.append(f"scan.n_points must be >= 1 (got {scan.n_points})")
+        elif scan.n_points > 1 and not scan.t_max > scan.t_min:
+            errors.append(
+                f"scan.t_max must exceed scan.t_min for {scan.n_points} points "
+                f"(got {scan.t_min}, {scan.t_max})"
+            )
+        elif scan.kind not in ("matched", "broad"):
+            errors.append(f"unknown scan.kind {scan.kind!r}")
+        elif scan.kind == "broad":
             if not isinstance(med, (BroadLine, EitMedium)):
                 errors.append("broad thickness scan needs a broad-line medium for Gamma")
             else:
@@ -682,7 +694,7 @@ def _default_outdir() -> str:
     return os.environ.get("SLOWPHOTON_OUTDIR", ".")
 
 
-def _report(errors, warnings, file=sys.stdout):
+def _report(errors, warnings, file=None):  # None: the current sys.stdout
     for e in errors:
         print(f"error: {e}", file=file)
     for w in warnings:

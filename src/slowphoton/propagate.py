@@ -82,6 +82,9 @@ _MAX_FFT_SAMPLES = 2**22
 _FFT_CHUNK = 2**16
 # Entries of the tau x node J0 matrix evaluated at once by _beat_integral.
 _BEAT_BLOCK = 2**16
+# _beat_integral drops x < t_eff - _BEAT_SPAN/decay, where the weight is below
+# exp(-_BEAT_SPAN): at most exp(-40)/decay = 4e-18/decay, since |J0| <= 1.
+_BEAT_SPAN = 40.0
 
 
 @dataclass
@@ -313,7 +316,7 @@ def analytic_matched(delta_ph: float, thickness: float, tau):
 
 
 def _beat_order(t_eff, decay, rate, tau_max):
-    """Gauss-Legendre node count for _beat_integral on [0, t_eff].
+    """Gauss-Legendre node count for _beat_integral, sized for [0, t_eff].
 
     The integrand is entire in x: one node per radian of half the Bessel
     phase 2*sqrt(t_eff*rate*tau_max) resolves its oscillations, and
@@ -331,19 +334,22 @@ def _beat_integral(t_eff, decay, rate, tau_values):
     Inner integral of the symmetric/antisymmetric transmission solutions, a
     Lommel function of two variables.  One Gauss-Legendre rule serves every
     tau: n = 16 + sqrt(t_eff*rate*tau_max) + 4*sqrt(decay*t_eff) nodes x_k
-    on [0, t_eff] (`_beat_order`), weighted by w_k*exp(-decay*(t_eff - x_k)).
-    J0 on the tau x node matrix, filled in blocks of at most _BEAT_BLOCK
-    entries, times the weight vector gives the integrals.  Accurate to
-    ~1e-13 absolute on the presets, which matters because downstream
-    combinations nearly cancel.
+    (`_beat_order`) on [max(0, t_eff - _BEAT_SPAN/decay), t_eff], weighted
+    by w_k*exp(-decay*(t_eff - x_k)).  The window keeps the rule's
+    round-off, which grows with its length, from growing with t_eff.  J0 on
+    the tau x node matrix, filled in blocks of at most _BEAT_BLOCK entries,
+    times the weight vector gives the integrals.  Accurate to ~1e-13
+    absolute on the presets, which matters because downstream combinations
+    nearly cancel.
     """
     tv = np.asarray(tau_values, dtype=float)
     if t_eff == 0.0:
         return np.zeros(tv.shape)
     flat = tv.reshape(-1)
     x, w = _sp.roots_legendre(_beat_order(t_eff, decay, rate, float(flat.max())))
-    x = 0.5 * t_eff * (x + 1.0)
-    w = 0.5 * t_eff * w * np.exp(-decay * (t_eff - x))
+    lo = max(0.0, t_eff - _BEAT_SPAN / decay)
+    x = lo + 0.5 * (t_eff - lo) * (x + 1.0)
+    w = 0.5 * (t_eff - lo) * w * np.exp(-decay * (t_eff - x))
     phase = 2.0 * np.sqrt(x * rate)
     root_tau = np.sqrt(flat)
     out = np.empty(flat.shape)

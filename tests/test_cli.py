@@ -38,6 +38,22 @@ methods = input, numeric, total_eit
 outputs = time_trace, eit_params
 """
 
+SCAN_TEXT = """\
+source.kind = exponential_causal
+source.delta_ph = 1.0
+medium.kind = broad
+medium.gamma_total = 10.0
+medium.thickness = 5.0
+grid.t_start = -1
+grid.t_end = 5
+grid.n_points = 601
+outputs = thickness_scan
+scan.kind = broad
+scan.t_min = 0
+scan.t_max = 10
+scan.n_points = 11
+"""
+
 
 @pytest.fixture
 def fig6a_config(tmp_path):
@@ -247,6 +263,39 @@ class TestMainEntry:
 
     def test_validate_subcommand(self, fig6a_config):
         assert main(["validate", str(fig6a_config)]) == 0
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("scan.t_max", "nan", "scan.t_min and scan.t_max must be finite"),
+            ("scan.t_max", "inf", "scan.t_min and scan.t_max must be finite"),
+            ("scan.t_min", "-inf", "scan.t_min and scan.t_max must be finite"),
+            ("scan.t_min", "-1", "scan.t_min must be >= 0"),
+            ("scan.n_points", "0", "scan.n_points must be >= 1"),
+            ("scan.t_max", "0", "scan.t_max must exceed scan.t_min for 11 points"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_scan_bounds_exit_2(self, tmp_path, capsys, command, key, value, message):
+        lines = [f"{key} = {value}" if line.startswith(key) else line for line in SCAN_TEXT.splitlines()]
+        path = tmp_path / "bad_bounds.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["matched", "broad"])
+    def test_single_point_scan_runs(self, tmp_path, kind):
+        path = tmp_path / "one_point.cfg"
+        path.write_text(SCAN_TEXT.replace("scan.kind = broad", f"scan.kind = {kind}")
+                        .replace("scan.n_points = 11", "scan.n_points = 1")
+                        .replace("scan.t_max = 10", "scan.t_max = 0"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "one_point_scan.csv").read_text().splitlines()
+        assert len(rows) == 2
 
     def test_eit_params_subcommand(self, fig6a_config, capsys):
         assert main(["eit-params", str(fig6a_config)]) == 0

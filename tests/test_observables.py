@@ -2,11 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import i0e
+from scipy.special import i0e, roots_legendre
 
+from slowphoton import observables
 from slowphoton.errors import TruncatedSupportWarning, ValidityError
 from slowphoton.media import BroadLine, eit_params
 from slowphoton.observables import (
@@ -41,6 +45,37 @@ I_SCALED_REFERENCE = [
     (1e4, 0.003989472674604732106361, 0.00398927319598366226448),
     (1e6, 0.0003989423302692457787773, 0.0003989421307980307763133),
 ]
+
+# Gamma/delta_ph and T_b of the broad-line rule checks: T_b = 19.9 is just
+# inside the whole-range window at Gamma/delta_ph = 1.2 (20/a = 6.1 there)
+# for the wider ratios, and 3,000 is the scan workload's largest thickness.
+BROAD_RATIOS = [1.2, 3.0, 10.0, 100.0]
+BROAD_THICKNESSES = [0.0, 0.25, 5.0, 19.9, 100.0, 1000.0, 3000.0]
+
+
+def _mp_broad(delta_ph, gamma_total, t_b):
+    """(U_s, U_a) in units of U0(0)/2 by mpmath quad of besseli over all of [0, T_b], 30 digits."""
+    with mp.workdps(30):
+        d, g, tb = mp.mpf(delta_ph), mp.mpf(gamma_total), mp.mpf(t_b)
+        ratio = d / g
+        a = 1 / (1 - ratio**2)
+        # panel edges at 1 to 40 decay lengths below T_b resolve its boundary layer
+        edges = sorted({mp.mpf(0), tb} | {tb - k / a for k in (1, 4, 10, 20, 40) if tb > k / a})
+        cache = {}
+
+        def f(x):
+            if x not in cache:
+                cache[x] = mp.exp(-2 * a * (tb - x) - x) * mp.besseli(0, x)
+            return cache[x]
+
+        i1 = mp.quad(f, edges) if tb else 0
+        i2 = mp.quad(lambda x: (tb - x) * f(x), edges) if tb else 0
+        # in units of U0(0)/2: u1 = 4 a^2 I1, u2 = 8 a^3 I2, u_pm = e^(-2 a T)(1 +- slope)
+        u1, u2 = 4 * a**2 * i1, 8 * a**3 * i2
+        beer, slope = mp.exp(-2 * a * tb), 4 * a**2 * ratio**2 * tb
+        u_s = beer * (1 + slope) - ratio**3 * (u1 - u2)
+        u_a = beer * (1 - slope) + ratio * u1 - ratio**3 * u2
+        return float(u_s), float(u_a)
 
 
 def series(grid, amplitude, w=None, med=None):
@@ -219,6 +254,69 @@ class TestUBroad:
         assert u_a_time == pytest.approx(u_a, rel=1e-3)
 
 
+class TestBroadRule:
+    """The windowed Gauss-Legendre rule behind u_broad and the broad thickness scan."""
+
+    @pytest.mark.parametrize("ratio", BROAD_RATIOS)
+    def test_matches_mpmath_reference(self, ratio):
+        scan = thickness_scan("broad", 1.0, ratio, BROAD_THICKNESSES)
+        ref = np.array([_mp_broad(1.0, ratio, t) for t in BROAD_THICKNESSES])
+        assert np.abs(scan.u_s - ref[:, 0]).max() <= 1e-12
+        assert np.abs(scan.u_a - ref[:, 1]).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("_BROAD_RULE", roots_legendre(64)), ("_BROAD_SPAN", 60.0)],
+        ids=["double_nodes", "window_exp_minus_60"],
+    )
+    def test_refining_the_rule_changes_nothing(self, name, value, monkeypatch):
+        t_values = np.linspace(0.0, 3000.0, 301)
+        base = [thickness_scan("broad", 1.0, r, t_values) for r in BROAD_RATIOS]
+        monkeypatch.setattr(observables, name, value)
+        for ratio, old in zip(BROAD_RATIOS, base):
+            new = thickness_scan("broad", 1.0, ratio, t_values)
+            assert np.abs(new.u_s - old.u_s).max() <= 1e-13
+            assert np.abs(new.u_a - old.u_a).max() <= 1e-13
+
+    def test_blocking_moves_values_only_by_round_off(self, monkeypatch):
+        t_values = np.linspace(0.0, 3000.0, 501)
+        base = thickness_scan("broad", 1.0, 1.2, t_values)
+        # one entry per block (so one row), then every row in one block
+        for block in (1, t_values.size * 10_000):
+            monkeypatch.setattr(observables, "_BROAD_BLOCK", block)
+            new = thickness_scan("broad", 1.0, 1.2, t_values)
+            assert np.abs(new.u_s - base.u_s).max() <= 1e-15
+            assert np.abs(new.u_a - base.u_a).max() <= 1e-15
+
+    def test_u_broad_is_the_scan_row(self):
+        d, g = 2.0, 5.0
+        scan = thickness_scan("broad", d, g, BROAD_THICKNESSES)
+        for i, t in enumerate(BROAD_THICKNESSES):
+            u_s, u_a = u_broad(d, g, t)
+            assert (u_s / (0.25 / d), u_a / (0.25 / d)) == (scan.u_s[i], scan.u_a[i])
+
+    def test_matched_scan_is_the_scalar_loop(self):
+        t_values = np.linspace(0.0, 3000.0, 3001)
+        scan = thickness_scan("matched", 1.0, None, t_values)
+        loop = np.array([u_matched(t)[:2] for t in t_values])
+        np.testing.assert_array_equal(scan.u_s, 2.0 * loop[:, 0])
+        np.testing.assert_array_equal(scan.u_a, 2.0 * loop[:, 1])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        ratio=st.floats(1.2, 100.0),
+        thicknesses=st.lists(st.floats(0.0, 3000.0, exclude_min=True), min_size=1, max_size=40, unique=True),
+    )
+    def test_energy_properties(self, ratio, thicknesses):
+        t_values = np.array([0.0] + sorted(thicknesses))
+        scan = thickness_scan("broad", 1.0, ratio, t_values)
+        # 1e-12 of rounding slack, as the scan benchmark allows
+        assert abs(scan.u_total[0] - 2.0) <= 1e-12
+        assert np.all(scan.u_s >= 0.0) and np.all(scan.u_a >= 0.0)
+        assert np.all(scan.u_total <= 2.0 + 1e-12)
+        assert np.all(np.diff(scan.u_total) <= 1e-12)
+
+
 class TestUEitAdiabatic:
     def test_narrow_photon_limit(self, eit_example):
         p = eit_params(eit_example)
@@ -302,6 +400,17 @@ class TestThicknessScan:
     def test_nonincreasing_values_rejected(self):
         with pytest.raises(ValueError):
             thickness_scan("matched", 1.0, None, [1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("kind,gamma", [("matched", None), ("broad", 10.0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, kind, gamma, bad):
+        with pytest.raises(ValueError, match="finite"):
+            thickness_scan(kind, 1.0, gamma, [0.0, 1.0, bad])
+
+    @pytest.mark.parametrize("kind,gamma", [("matched", None), ("broad", 10.0)])
+    def test_negative_thickness_rejected(self, kind, gamma):
+        with pytest.raises(ValueError, match=">= 0"):
+            thickness_scan(kind, 1.0, gamma, [-1.0, 0.0, 1.0])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -183,6 +183,14 @@ class TestBeatIntegral:
         monkeypatch.setattr(propagate, "_beat_order", lambda *args: 2 * order(*args))
         assert np.abs(_beat_integral(t_eff, decay, rate, tau) - base).max() <= 1e-12
 
+    def test_thick_line_matches_mpmath_reference(self):
+        # the rule runs on [t_eff - 80, t_eff] only; over all of [0, 2000]
+        # its weights' round-off reached 5.6e-12
+        tau = np.array([0.05, 1.0, 5.0, 15.0])
+        got = _beat_integral(2000.0, 0.5, 9.0, tau)
+        ref = np.array([_mp_beat(2000.0, 0.5, 9.0, t) for t in tau])
+        assert np.abs(got - ref).max() <= 1e-12
+
     def test_blocking_moves_values_only_by_round_off(self, monkeypatch):
         tau = np.linspace(0.01, 15.0, 700)
         base = _beat_integral(300.0 / 9.0, 1.0, 9.0, tau)
