@@ -39,7 +39,7 @@ from .media import (
     eit_params,
     fe57_siderite,
 )
-from .observables import integrated_intensity, pulse_area, thickness_scan
+from .observables import MAX_SCAN_POINTS, integrated_intensity, pulse_area, thickness_scan
 from .propagate import (
     TimeSeries,
     _check_broad,
@@ -55,7 +55,7 @@ from .propagate import (
     propagate_numeric,
     total_eit,
 )
-from .waveforms import PhotonWaveform, TimeGrid, WaveformKind, sample
+from .waveforms import PART_WEIGHTS, PhotonWaveform, TimeGrid, WaveformKind, sample
 
 __all__ = [
     "Scenario",
@@ -102,7 +102,7 @@ class Scenario:
 
 ALL_SOURCES = frozenset(WaveformKind)
 CAUSAL = frozenset({WaveformKind.EXPONENTIAL_CAUSAL})
-DECOMPOSABLE = ALL_SOURCES - {WaveformKind.GAUSSIAN}  # causal and its two parts
+DECOMPOSABLE = frozenset(PART_WEIGHTS)  # causal and its two parts
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,8 @@ def _parts(w, a, tau):
         b_s, b_a = analytic_parts_matched(w.delta_ph, a.thickness, tau)
     else:
         b_s, b_a = analytic_parts_broad(w.delta_ph, a.gamma_total, a.thickness, tau)
-    if w.kind is WaveformKind.SYMMETRIC_PART:
-        return b_s
-    return b_a if w.kind is WaveformKind.ANTISYMMETRIC_PART else b_s + b_a
+    w_s, w_a = PART_WEIGHTS[w.kind]
+    return w_s * b_s + w_a * b_a
 
 
 METHODS: dict[str, Method] = {
@@ -398,6 +397,8 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
             errors.append(f"scan.t_min must be >= 0 (got {scan.t_min})")
         elif scan.n_points < 1:
             errors.append(f"scan.n_points must be >= 1 (got {scan.n_points})")
+        elif scan.n_points > MAX_SCAN_POINTS:
+            errors.append(f"scan.n_points must be <= {MAX_SCAN_POINTS} (got {scan.n_points})")
         elif scan.n_points > 1 and not scan.t_max > scan.t_min:
             errors.append(
                 f"scan.t_max must exceed scan.t_min for {scan.n_points} points "

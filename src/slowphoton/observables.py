@@ -5,9 +5,9 @@ the endpoint samples are not yet negligible (truncated support) instead of
 silently losing tail contributions.  The closed-form transmitted energies
 use exponentially scaled Bessel functions throughout so the Beer's-law
 violation can be followed to thicknesses of a few thousand.  The broad-line
-energies of a whole thickness scan take one fixed Gauss-Legendre rule on the
-window where the attenuation exp(-2a(T_b - x)) exceeds exp(-40); the part
-below the window is under exp(-40)/(2a).
+energies of a whole thickness scan take the closed forms' depth-windowed
+Gauss-Legendre rule: fixed nodes on the window where the attenuation
+exp(-2a(T_b - x)) exceeds exp(-40); the part below it is under exp(-40)/(2a).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from scipy.integrate import quad  # noqa: F401 -- unused; the benchmark tracer w
 
 from .errors import TruncatedSupportWarning
 from .media import EitParams
-from .propagate import TimeSeries, _check_broad, _gaussian_eta
+from .propagate import TimeSeries, _check_broad, _depth_rule, _gaussian_eta, _row_blocks
 
 __all__ = [
     "pulse_area",
@@ -36,12 +36,12 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-6
-# _broad_parts integrates where 2a(T-x) <= _BROAD_SPAN with one Gauss-Legendre
-# rule: its error for exp(-u) on [0, 40] is ~1e-23 at 32 nodes, and i0e is
-# entire.  _BROAD_BLOCK bounds the entries of the i0e node matrix.
-_BROAD_SPAN = 40.0
+# _broad_parts' depth rule: its error for exp(-u) on [0, 40] is ~1e-23 at
+# 32 nodes, and i0e is entire.
 _BROAD_RULE = _sp.roots_legendre(32)
-_BROAD_BLOCK = 2**16
+# Most thicknesses a scan config may ask of thickness_scan, which bounds its
+# work (a broad scan this long took 3.5 s on a 2-vCPU VM) and its ~100 MB CSV.
+MAX_SCAN_POINTS = 10**6
 
 
 def _warn_truncated(ts: TimeSeries, what: str):
@@ -92,10 +92,10 @@ def _broad_parts(delta_ph: float, gamma_total: float, t_values):
     """(U_s, U_a) behind a broad line for every thickness T_b in t_values.
 
     The inner integrals I1 = int_0^T exp(-2a(T-x)) i0e(x) dx and
-    I2 = int_0^T (T-x) exp(-2a(T-x)) i0e(x) dx run over the window
-    [max(0, T - _BROAD_SPAN/(2a)), T] with one fixed Gauss-Legendre rule;
-    i0e on the thickness x node matrix is filled in blocks of at most
-    _BROAD_BLOCK entries.
+    I2 = int_0^T (T-x) exp(-2a(T-x)) i0e(x) dx take the beat integral's
+    depth rule (`propagate._depth_rule`) with the nodes of _BROAD_RULE, one row
+    per thickness; i0e on the thickness x node matrix is filled in the same
+    bounded blocks.
     """
     _check_broad(delta_ph, gamma_total)
     tb = np.asarray(t_values, dtype=float)
@@ -104,16 +104,10 @@ def _broad_parts(delta_ph: float, gamma_total: float, t_values):
     u0 = 0.5 / delta_ph
     ratio = delta_ph / gamma_total
     a = 1.0 / (1.0 - ratio**2)
-    nodes, weights = _BROAD_RULE
-    # depth T - x of each node below T, and its weight, per thickness
-    half = 0.5 * np.minimum(tb, _BROAD_SPAN / (2.0 * a))
-    depth = half[:, None] * (1.0 - nodes)
-    w = half[:, None] * weights * np.exp(-2.0 * a * depth)
+    depth, w = _depth_rule(_BROAD_RULE, tb, 2.0 * a)
     i1 = np.empty(tb.shape)
     i2 = np.empty(tb.shape)
-    rows = max(1, _BROAD_BLOCK // nodes.size)
-    for start in range(0, tb.size, rows):
-        blk = slice(start, start + rows)
+    for blk in _row_blocks(tb.size, depth.shape[1]):
         wi = w[blk] * _sp.i0e(tb[blk, None] - depth[blk])
         i1[blk] = wi.sum(axis=1)
         i2[blk] = (wi * depth[blk]).sum(axis=1)

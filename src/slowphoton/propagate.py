@@ -13,10 +13,15 @@ The split also keeps the oracle independent of the Bessel-function closed
 forms it is used to check.
 
 All closed-form solutions from the transmission analysis live here as
-well: the matched-line dynamical-beat envelope, the symmetric and
-antisymmetric parts through matched and broad lines, the thick-broad-line
+well: the matched-line dynamical-beat envelope, the thick-broad-line
 two-term approximation, the adiabatic EIT solution with its nonadiabatic
-spike, and the Gaussian-envelope approximation for a broad line.
+spike, and the Gaussian-envelope approximation for a broad line.  The
+symmetric and antisymmetric parts behind a Lorentzian line of halfwidth
+Gamma >= delta_ph come from one solution, `_line_parts`: the matched line
+Gamma = delta_ph is its limit, and the EIT medium's nonadiabatic part
+reuses it.  Its inner beat integrals and the broad-line thickness scan
+share one Gauss-Legendre rule placed in depth below the upper limit
+(`_depth_rule`), whose size does not grow with the effective thickness.
 
 Local time tau = t - l/c; jumps at tau = 0 take the midpoint value
 (Theta(0) = 1/2), consistent with the waveform module.
@@ -43,7 +48,15 @@ from .media import (
     medium_poles,
     spectral_response,
 )
-from .waveforms import PhotonWaveform, TimeGrid, WaveformKind, _step, spectral_amplitude, time_amplitude
+from .waveforms import (
+    PART_WEIGHTS,
+    PhotonWaveform,
+    TimeGrid,
+    WaveformKind,
+    _step,
+    spectral_amplitude,
+    time_amplitude,
+)
 
 __all__ = [
     "TimeSeries",
@@ -58,18 +71,6 @@ __all__ = [
     "gaussian_broad",
 ]
 
-PROVENANCES = (
-    "input",
-    "numeric",
-    "analytic_matched",
-    "analytic_parts",
-    "approx_broad",
-    "adiabatic_eit",
-    "total_eit",
-    "gaussian_approx",
-    "phi_plus",
-)
-
 # Orders of the medium expansion subtracted in closed form before the FFT.
 _SUBTRACT_ORDERS = 2
 # Window scale: truncating the remainder tail ~ (alpha0*l/nu)**3/nu at
@@ -80,11 +81,13 @@ _WINDOW_PER_ALPHA0L = 26.0
 _MIN_FFT_SAMPLES = 2**18
 _MAX_FFT_SAMPLES = 2**22
 _FFT_CHUNK = 2**16
-# Entries of the tau x node J0 matrix evaluated at once by _beat_integral.
-_BEAT_BLOCK = 2**16
-# _beat_integral drops x < t_eff - _BEAT_SPAN/decay, where the weight is below
-# exp(-_BEAT_SPAN): at most exp(-40)/decay = 4e-18/decay, since |J0| <= 1.
-_BEAT_SPAN = 40.0
+# _depth_rule drops depths u > _DEPTH_SPAN/decay below the upper limit, where
+# the weight exp(-decay*u) is below exp(-40): at most exp(-40)/decay =
+# 4e-18/decay for an integrand bounded by 1 (J0, i0e).
+_DEPTH_SPAN = 40.0
+# Entries of a row x node matrix (J0 of the beat integral, i0e of the
+# thickness scan) evaluated at once.
+_RULE_BLOCK = 2**16
 
 
 @dataclass
@@ -99,33 +102,33 @@ class TimeSeries:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         self.amplitude = np.asarray(self.amplitude, dtype=complex)
         if self.amplitude.shape != (self.grid.n_points,):
             raise ValueError("amplitude length does not match the grid")
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self.grid.times()
 
 
 # ---------------------------------------------------------------------------
 # numeric spectral propagator
 # ---------------------------------------------------------------------------
 
+def _exponential_weights(kind: WaveformKind):
+    """(c_p, c_m): the kind as c_p*exp(-d*t)Theta(t) + c_m*exp(d*t)Theta(-t).
+
+    Read off PART_WEIGHTS: the symmetric part is the half-sum of the causal
+    and anticausal exponentials, the antisymmetric part their half-difference.
+    """
+    w_s, w_a = PART_WEIGHTS[kind]
+    return 0.5 * (w_s + w_a), 0.5 * (w_s - w_a)
+
+
 def _waveform_pole_terms(w: PhotonWaveform):
     """Spectrum as sum of c/(s - z) terms in s = -i*nu (None for Gaussian)."""
-    d = w.delta_ph
-    if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
-        return [(1.0 + 0j, complex(-d))]
-    if w.kind is WaveformKind.SYMMETRIC_PART:
-        return [(0.5 + 0j, complex(-d)), (-0.5 + 0j, complex(d))]
-    if w.kind is WaveformKind.ANTISYMMETRIC_PART:
-        return [(0.5 + 0j, complex(-d)), (0.5 + 0j, complex(d))]
-    if w.kind is WaveformKind.GAUSSIAN:
+    if w.kind not in PART_WEIGHTS:
         return None
-    raise AssertionError(w.kind)
+    c_p, c_m = _exponential_weights(w.kind)
+    d = w.delta_ph
+    terms = [(c_p + 0j, complex(-d)), (-c_m + 0j, complex(d))]
+    return [term for term in terms if term[0] != 0]
 
 
 def _subtraction_terms(w: PhotonWaveform, a: AbsorberSpec, orders: int):
@@ -299,7 +302,7 @@ def propagate_numeric(
 
 
 # ---------------------------------------------------------------------------
-# matched line closed forms
+# two-level line closed forms: matched (Gamma = delta_ph) and broad lines
 # ---------------------------------------------------------------------------
 
 def analytic_matched(delta_ph: float, thickness: float, tau):
@@ -315,29 +318,46 @@ def analytic_matched(delta_ph: float, thickness: float, tau):
     return out if np.ndim(tau) else complex(out)
 
 
+def _depth_rule(rule, t_eff, decay):
+    """Gauss-Legendre rule in depth u = t_eff - x on [0, min(t_eff, _DEPTH_SPAN/decay)].
+
+    rule is (nodes, weights) on [-1, 1].  Returns the depths u and the
+    weights w*exp(-decay*u) for integral_0^t_eff exp(-decay*(t_eff - x)) f(x) dx;
+    an array t_eff gives one row of each per entry.  Placing the nodes in
+    depth keeps the weights exact however large t_eff is.
+    """
+    x, w = rule
+    half = 0.5 * np.minimum(t_eff, _DEPTH_SPAN / decay)[..., None]
+    u = half * (1.0 - x)
+    return u, half * w * np.exp(-decay * u)
+
+
+def _row_blocks(n_rows, n_nodes):
+    """Row slices whose row x node matrices hold at most _RULE_BLOCK entries."""
+    step = max(1, _RULE_BLOCK // n_nodes)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
 def _beat_order(t_eff, decay, rate, tau_max):
-    """Gauss-Legendre node count for _beat_integral, sized for [0, t_eff].
+    """Gauss-Legendre node count for _beat_integral.
 
     The integrand is entire in x: one node per radian of half the Bessel
     phase 2*sqrt(t_eff*rate*tau_max) resolves its oscillations, and
-    4*sqrt(decay*t_eff) the exponential's boundary layer at x = t_eff.
-    With decay*t_eff and the phase each up to 1,000, half this count
-    already reaches the round-off floor of the weights, a few 1e-15*t_eff.
+    4*sqrt(decay*window) the exponential's boundary layer over the depth
+    window of _depth_rule.  Both stay bounded on a near-matched line, where
+    t_eff grows without bound but t_eff*rate = alpha0*l does not.
     """
     n = 16 + math.ceil(math.sqrt(t_eff * rate * tau_max))
-    return n + math.ceil(4.0 * math.sqrt(decay * t_eff))
+    return n + math.ceil(4.0 * math.sqrt(min(decay * t_eff, _DEPTH_SPAN)))
 
 
 def _beat_integral(t_eff, decay, rate, tau_values):
     """integral_0^t_eff exp(-decay*(t_eff - x)) * J0(2*sqrt(x*rate*tau)) dx for tau > 0.
 
     Inner integral of the symmetric/antisymmetric transmission solutions, a
-    Lommel function of two variables.  One Gauss-Legendre rule serves every
-    tau: n = 16 + sqrt(t_eff*rate*tau_max) + 4*sqrt(decay*t_eff) nodes x_k
-    (`_beat_order`) on [max(0, t_eff - _BEAT_SPAN/decay), t_eff], weighted
-    by w_k*exp(-decay*(t_eff - x_k)).  The window keeps the rule's
-    round-off, which grows with its length, from growing with t_eff.  J0 on
-    the tau x node matrix, filled in blocks of at most _BEAT_BLOCK entries,
+    Lommel function of two variables.  One Gauss-Legendre rule from
+    _depth_rule, with `_beat_order` nodes, serves every tau; J0 on the
+    tau x node matrix, filled in blocks of at most _RULE_BLOCK entries,
     times the weight vector gives the integrals.  Accurate to ~1e-13
     absolute on the presets, which matters because downstream combinations
     nearly cancel.
@@ -346,18 +366,60 @@ def _beat_integral(t_eff, decay, rate, tau_values):
     if t_eff == 0.0:
         return np.zeros(tv.shape)
     flat = tv.reshape(-1)
-    x, w = _sp.roots_legendre(_beat_order(t_eff, decay, rate, float(flat.max())))
-    lo = max(0.0, t_eff - _BEAT_SPAN / decay)
-    x = lo + 0.5 * (t_eff - lo) * (x + 1.0)
-    w = 0.5 * (t_eff - lo) * w * np.exp(-decay * (t_eff - x))
-    phase = 2.0 * np.sqrt(x * rate)
+    n = _beat_order(t_eff, decay, rate, float(flat.max()))
+    u, w = _depth_rule(_sp.roots_legendre(n), t_eff, decay)
+    phase = 2.0 * np.sqrt((t_eff - u) * rate)
     root_tau = np.sqrt(flat)
     out = np.empty(flat.shape)
-    rows = max(1, _BEAT_BLOCK // x.size)
-    for start in range(0, flat.size, rows):
-        block = root_tau[start:start + rows]
-        out[start:start + rows] = _sp.j0(block[:, None] * phase) @ w
+    for rows in _row_blocks(flat.size, u.size):
+        out[rows] = _sp.j0(root_tau[rows, None] * phase) @ w
     return out.reshape(tv.shape)
+
+
+def _line_parts(d, g, alpha0_l, tau):
+    """(b_s, b_a) behind a Lorentzian line of halfwidth g >= d (g <= d: matched).
+
+    With T_pm = alpha0*l/(g +- d), for tau > 0
+        b_s, b_a = exp(-d*tau - T_-)/2 + exp(-g*tau)/2 * (g_- -+ g_+),
+    g_pm = _beat_integral(T_pm, 1, g +- d, tau).  The matched line g = d is
+    the limit T_- -> inf: the slow term vanishes and g_- becomes
+    J0(2*sqrt(alpha0*l*tau)).  For tau < 0 both parts show the attenuated
+    precursor exp(d*tau - T_+)/2 with opposite signs; at tau = 0 the
+    antisymmetric jump takes its midpoint value (1 - exp(-T_+))/2.
+    """
+    t_plus = alpha0_l / (g + d)
+    tv = np.atleast_1d(np.asarray(tau, dtype=float))
+    b_s = np.zeros(tv.shape, dtype=complex)
+    b_a = np.zeros(tv.shape, dtype=complex)
+
+    neg = tv < 0
+    pre = 0.5 * np.exp(d * tv[neg] - t_plus)
+    b_s[neg] = pre
+    b_a[neg] = -pre
+
+    pos = tv > 0
+    if np.any(pos):
+        tp = tv[pos]
+        g_plus = _beat_integral(t_plus, 1.0, g + d, tp)
+        if g > d:
+            t_minus = alpha0_l / (g - d)
+            g_minus = _beat_integral(t_minus, 1.0, g - d, tp)
+            slow = 0.5 * np.exp(-d * tp - t_minus)
+        else:
+            g_minus = _sp.j0(2.0 * np.sqrt(alpha0_l * tp))
+            slow = 0.0
+        fast = 0.5 * np.exp(-g * tp)
+        b_s[pos] = slow + fast * (g_minus - g_plus)
+        b_a[pos] = slow + fast * (g_minus + g_plus)
+
+    zero = tv == 0
+    if np.any(zero):
+        b_s[zero] = 0.5 * math.exp(-t_plus)
+        b_a[zero] = 0.5 * -math.expm1(-t_plus)
+
+    if np.ndim(tau) == 0:
+        return complex(b_s[0]), complex(b_a[0])
+    return b_s, b_a
 
 
 def analytic_parts_matched(delta_ph: float, thickness: float, tau):
@@ -367,38 +429,8 @@ def analytic_parts_matched(delta_ph: float, thickness: float, tau):
     exp(d*tau - T/2)/2 with opposite signs; at tau = 0 the antisymmetric
     jump takes its midpoint value (1 - exp(-T/2))/2.
     """
-    d, t_eff = delta_ph, thickness
-    tv = np.atleast_1d(np.asarray(tau, dtype=float))
-    b_s = np.zeros(tv.shape, dtype=complex)
-    b_a = np.zeros(tv.shape, dtype=complex)
+    return _line_parts(delta_ph, delta_ph, thickness * delta_ph, tau)
 
-    neg = tv < 0
-    pre = 0.5 * np.exp(d * tv[neg] - 0.5 * t_eff)
-    b_s[neg] = pre
-    b_a[neg] = -pre
-
-    pos = tv > 0
-    if np.any(pos):
-        tp = tv[pos]
-        j0_full = _sp.j0(2.0 * np.sqrt(t_eff * d * tp))
-        inner = _beat_integral(t_eff, 0.5, d, tp)
-        damp = 0.5 * np.exp(-d * tp)
-        b_s[pos] = damp * (j0_full - 0.5 * inner)
-        b_a[pos] = damp * (j0_full + 0.5 * inner)
-
-    zero = tv == 0
-    if np.any(zero):
-        b_s[zero] = 0.5 * math.exp(-0.5 * t_eff)
-        b_a[zero] = 0.5 * -math.expm1(-0.5 * t_eff)
-
-    if np.ndim(tau) == 0:
-        return complex(b_s[0]), complex(b_a[0])
-    return b_s, b_a
-
-
-# ---------------------------------------------------------------------------
-# broad line closed forms
-# ---------------------------------------------------------------------------
 
 def _check_broad(delta_ph, gamma_total):
     if not gamma_total > delta_ph:
@@ -416,38 +448,7 @@ def analytic_parts_broad(delta_ph: float, gamma_total: float, thickness: float, 
     (b_s, b_a).
     """
     _check_broad(delta_ph, gamma_total)
-    d, g = delta_ph, gamma_total
-    alpha0_l = thickness * g
-    t_plus = alpha0_l / (g + d)
-    t_minus = alpha0_l / (g - d)
-
-    tv = np.atleast_1d(np.asarray(tau, dtype=float))
-    b_s = np.zeros(tv.shape, dtype=complex)
-    b_a = np.zeros(tv.shape, dtype=complex)
-
-    neg = tv < 0
-    pre = 0.5 * np.exp(d * tv[neg] - t_plus)
-    b_s[neg] = pre
-    b_a[neg] = -pre
-
-    pos = tv > 0
-    if np.any(pos):
-        tp = tv[pos]
-        g_minus = _beat_integral(t_minus, 1.0, g - d, tp)
-        g_plus = _beat_integral(t_plus, 1.0, g + d, tp)
-        slow = 0.5 * np.exp(-d * tp - t_minus)
-        fast = 0.5 * np.exp(-g * tp)
-        b_s[pos] = slow + fast * (g_minus - g_plus)
-        b_a[pos] = slow + fast * (g_minus + g_plus)
-
-    zero = tv == 0
-    if np.any(zero):
-        b_s[zero] = 0.5 * math.exp(-t_plus)
-        b_a[zero] = 0.5 * -math.expm1(-t_plus)
-
-    if np.ndim(tau) == 0:
-        return complex(b_s[0]), complex(b_a[0])
-    return b_s, b_a
+    return _line_parts(delta_ph, gamma_total, thickness * gamma_total, tau)
 
 
 def approx_broad(delta_ph: float, gamma_total: float, alpha0_l: float, tau):
@@ -541,61 +542,30 @@ def _check_nonadiabatic(delta_ph, gamma_total):
 
 def _nonadiabatic(w: PhotonWaveform, a: EitMedium, tau):
     """Spectrally broad part: transmission through the uncoupled broad line."""
-    d, g, tb = w.delta_ph, a.gamma_total, a.thickness
-    _check_nonadiabatic(d, g)
-    if math.isclose(d, g, rel_tol=1e-12):
-        if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
-            return analytic_matched(g, tb, tau)
-        b_s, b_a = analytic_parts_matched(g, tb, tau)
-    else:
-        b_s, b_a = analytic_parts_broad(d, g, tb, tau)
-        if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
-            return b_s + b_a
-    return b_s if w.kind is WaveformKind.SYMMETRIC_PART else b_a
+    _check_nonadiabatic(w.delta_ph, a.gamma_total)
+    b_s, b_a = _line_parts(w.delta_ph, a.gamma_total, a.alpha0_l, tau)
+    w_s, w_a = PART_WEIGHTS[w.kind]
+    return w_s * b_s + w_a * b_a
 
 
-def total_eit(
-    w: PhotonWaveform,
-    a: EitMedium,
-    grid: TimeGrid,
-    *,
-    simplified: bool = False,
-) -> TimeSeries:
+def total_eit(w: PhotonWaveform, a: EitMedium, grid: TimeGrid) -> TimeSeries:
     """Total EIT-filtered envelope: adiabatic part plus nonadiabatic spike.
 
     Supported inputs: causal exponential, symmetric part, antisymmetric
     part.  The Gaussian envelope has no such decomposition; use
     propagate_numeric for it.
     """
-    if w.kind is WaveformKind.GAUSSIAN:
+    if w.kind not in PART_WEIGHTS:
         raise UnsupportedWaveformError(
             "total_eit has no decomposition for the Gaussian envelope; "
             "use propagate_numeric"
         )
-    if simplified and w.kind is not WaveformKind.EXPONENTIAL_CAUSAL:
-        raise UnsupportedWaveformError(
-            "the simplified adiabatic form applies to the causal envelope only"
-        )
     p = eit_params(a)
     tau = grid.times()
-    if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
-        adiabatic = np.asarray(adiabatic_eit(w, a, tau, simplified=simplified))
-    else:
-        r_p = _r_pm(+1, w.delta_ph, p, tau)
-        r_m = _r_pm(-1, w.delta_ph, p, tau)
-        if w.kind is WaveformKind.SYMMETRIC_PART:
-            adiabatic = 0.5 * (r_p + r_m)
-        else:
-            adiabatic = 0.5 * (r_p - r_m)
-    amplitude = adiabatic.astype(complex) + _nonadiabatic(w, a, tau)
-    return TimeSeries(
-        grid=grid,
-        amplitude=amplitude,
-        provenance="total_eit",
-        source_meta=w,
-        medium_meta=a,
-        extras={"eit_params": p, "simplified": simplified},
-    )
+    c_p, c_m = _exponential_weights(w.kind)
+    adiabatic = c_p * _r_pm(+1, w.delta_ph, p, tau) + c_m * _r_pm(-1, w.delta_ph, p, tau)
+    amplitude = adiabatic + _nonadiabatic(w, a, tau)
+    return TimeSeries(grid, amplitude, "total_eit", w, a)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "WaveformKind",
+    "PART_WEIGHTS",
     "PhotonWaveform",
     "TimeGrid",
     "time_amplitude",
@@ -34,6 +35,15 @@ class WaveformKind(str, enum.Enum):
     SYMMETRIC_PART = "symmetric_part"
     ANTISYMMETRIC_PART = "antisymmetric_part"
     GAUSSIAN = "gaussian"
+
+
+# Weights (w_s, w_a) that build each decomposable kind as w_s*symmetric +
+# w_a*antisymmetric part; the Gaussian has no such decomposition.
+PART_WEIGHTS = {
+    WaveformKind.EXPONENTIAL_CAUSAL: (1.0, 1.0),
+    WaveformKind.SYMMETRIC_PART: (1.0, 0.0),
+    WaveformKind.ANTISYMMETRIC_PART: (0.0, 1.0),
+}
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -272,6 +273,7 @@ class TestMainEntry:
             ("scan.t_min", "-inf", "scan.t_min and scan.t_max must be finite"),
             ("scan.t_min", "-1", "scan.t_min must be >= 0"),
             ("scan.n_points", "0", "scan.n_points must be >= 1"),
+            ("scan.n_points", "1000000000000", "scan.n_points must be <= 1000000"),
             ("scan.t_max", "0", "scan.t_max must exceed scan.t_min for 11 points"),
         ],
     )
@@ -296,6 +298,20 @@ class TestMainEntry:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         rows = (tmp_path / "out" / "one_point_scan.csv").read_text().splitlines()
         assert len(rows) == 2
+
+    def test_near_matched_broad_line_runs_quickly(self, tmp_path):
+        # Gamma = delta_ph*(1 + 1e-7) passes validate; its parts must come
+        # from a bounded rule, not one sized by T_- = alpha0*l*1e7
+        text = SCAN_TEXT.replace("medium.gamma_total = 10.0", "medium.gamma_total = 1.0000001")
+        text = text.replace("grid.n_points = 601", "grid.n_points = 1701")
+        text = text.replace("outputs = thickness_scan", "methods = input, analytic_parts\noutputs = time_trace")
+        path = tmp_path / "near_matched.cfg"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert time.perf_counter() - start < 10.0
+        trace = np.loadtxt(tmp_path / "out" / "near_matched_trace.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(trace))
 
     def test_eit_params_subcommand(self, fig6a_config, capsys):
         assert main(["eit-params", str(fig6a_config)]) == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0e, roots_legendre
 
-from slowphoton import observables
+from slowphoton import observables, propagate
 from slowphoton.errors import TruncatedSupportWarning, ValidityError
 from slowphoton.media import BroadLine, eit_params
 from slowphoton.observables import (
@@ -265,14 +265,14 @@ class TestBroadRule:
         assert np.abs(scan.u_a - ref[:, 1]).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "name, value",
-        [("_BROAD_RULE", roots_legendre(64)), ("_BROAD_SPAN", 60.0)],
+        "module, name, value",
+        [(observables, "_BROAD_RULE", roots_legendre(64)), (propagate, "_DEPTH_SPAN", 60.0)],
         ids=["double_nodes", "window_exp_minus_60"],
     )
-    def test_refining_the_rule_changes_nothing(self, name, value, monkeypatch):
+    def test_refining_the_rule_changes_nothing(self, module, name, value, monkeypatch):
         t_values = np.linspace(0.0, 3000.0, 301)
         base = [thickness_scan("broad", 1.0, r, t_values) for r in BROAD_RATIOS]
-        monkeypatch.setattr(observables, name, value)
+        monkeypatch.setattr(module, name, value)
         for ratio, old in zip(BROAD_RATIOS, base):
             new = thickness_scan("broad", 1.0, ratio, t_values)
             assert np.abs(new.u_s - old.u_s).max() <= 1e-13
@@ -283,7 +283,7 @@ class TestBroadRule:
         base = thickness_scan("broad", 1.0, 1.2, t_values)
         # one entry per block (so one row), then every row in one block
         for block in (1, t_values.size * 10_000):
-            monkeypatch.setattr(observables, "_BROAD_BLOCK", block)
+            monkeypatch.setattr(propagate, "_RULE_BLOCK", block)
             new = thickness_scan("broad", 1.0, 1.2, t_values)
             assert np.abs(new.u_s - base.u_s).max() <= 1e-15
             assert np.abs(new.u_a - base.u_a).max() <= 1e-15

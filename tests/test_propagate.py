@@ -38,19 +38,21 @@ C, S, A = (
     WaveformKind.SYMMETRIC_PART,
     WaveformKind.ANTISYMMETRIC_PART,
 )
-# (t_eff, decay, rate, tau_max) of the beat integrals behind the presets:
-# fig2 (matched T = 10), fig3a (broad T_b = 10, Gamma = 10: T_-+ = 100/9,
+# (t_eff, decay, rate, tau_max) of the beat integrals behind the presets.
+# A matched line of thickness T calls the rule (T/2, 1, 2*delta_ph): fig2
+# (T = 10), fig6b's medium at delta_ph = Gamma (T = 30, rate 20) and the
+# sweep's thickest matched line (alpha0*l = 40).  Broad lines call
+# (T_-+, 1, Gamma -+ delta_ph): fig3a (T_b = 10, Gamma = 10: T_-+ = 100/9,
 # 100/11), fig6a and fig7 (EIT nonadiabatic part, T_b = 30: T_-+ = 300/9,
-# 300/11), fig6b's medium at delta_ph = Gamma (matched T = 30, rate 10),
-# and the sweep's thickest matched line
+# 300/11).
 BEAT_SETS = [
-    (10.0, 0.5, 1.0, 10.0),
+    (5.0, 1.0, 2.0, 10.0),
     (100.0 / 9.0, 1.0, 9.0, 2.5),
     (100.0 / 11.0, 1.0, 11.0, 2.5),
     (300.0 / 9.0, 1.0, 9.0, 15.0),
     (300.0 / 11.0, 1.0, 11.0, 15.0),
-    (30.0, 0.5, 10.0, 15.0),
-    (40.0, 1.0, 0.5, 10.0),
+    (15.0, 1.0, 20.0, 15.0),
+    (20.0, 1.0, 2.0, 10.0),
 ]
 ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.0, 20.0, 3.0)]
 
@@ -145,6 +147,16 @@ class TestAnalyticPartsBroad:
         _, b_a0 = analytic_parts_broad(d, g, tb, 0.0)
         assert b_a0.real == pytest.approx(0.5 * (1 - math.exp(-t_plus)), rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_near_matched_line_tends_to_matched(self, eps):
+        # Gamma = delta_ph*(1 + eps) at alpha0*l = 10: T_- = 10/eps grows
+        # without bound, but the rule's depth window and node count do not
+        tau = np.linspace(-4.0, 10.0, 1401)
+        got = analytic_parts_broad(1.0, 1.0 + eps, 10.0 / (1.0 + eps), tau)
+        want = analytic_parts_matched(1.0, 10.0, tau)
+        for part, ref in zip(got, want):
+            assert np.abs(part - ref).max() <= eps
+
     def test_sum_matches_numeric(self, causal_unit):
         grid = TimeGrid(-0.5, 2.5, 1501)
         tau = grid.times()
@@ -196,7 +208,7 @@ class TestBeatIntegral:
         base = _beat_integral(300.0 / 9.0, 1.0, 9.0, tau)
         # one row per block, then every row in one block
         for block in (1, tau.size * 10_000):
-            monkeypatch.setattr(propagate, "_BEAT_BLOCK", block)
+            monkeypatch.setattr(propagate, "_RULE_BLOCK", block)
             assert np.abs(_beat_integral(300.0 / 9.0, 1.0, 9.0, tau) - base).max() <= 1e-15
 
     def test_zero_thickness_gives_zeros(self):
@@ -644,9 +656,14 @@ class TestTotalEit:
         assert jump_s < 0.1
         assert jump_a > 0.9
 
-    def test_simplified_flag_restricted(self, sym_unit, eit_example):
-        with pytest.raises(UnsupportedWaveformError):
-            total_eit(sym_unit, eit_example, TimeGrid(-1.0, 5.0, 101), simplified=True)
+    @pytest.mark.parametrize("kind", [C, S, A])
+    def test_near_matched_width_stays_bounded(self, eit_example, kind):
+        # delta_ph = Gamma*(1 - 1e-9) puts T_- = 3e10 into the broad-line
+        # parts; the result must approach the matched delta_ph = Gamma one
+        grid = TimeGrid(-2.0, 15.0, 1701)
+        near = total_eit(PhotonWaveform(kind, 10.0 * (1.0 - 1e-9)), eit_example, grid)
+        at = total_eit(PhotonWaveform(kind, 10.0), eit_example, grid)
+        assert np.abs(near.amplitude - at.amplitude).max() < 1e-8
 
 
 class TestGaussianBroad:
@@ -680,11 +697,6 @@ class TestGaussianBroad:
 
 
 class TestTimeSeries:
-    def test_unknown_provenance_rejected(self):
-        grid = TimeGrid(0.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            TimeSeries(grid, np.zeros(3), "whatever")
-
     def test_length_mismatch_rejected(self):
         grid = TimeGrid(0.0, 1.0, 3)
         with pytest.raises(ValueError):
