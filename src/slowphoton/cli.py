@@ -39,7 +39,13 @@ from .media import (
     eit_params,
     fe57_siderite,
 )
-from .observables import MAX_SCAN_POINTS, integrated_intensity, pulse_area, thickness_scan
+from .observables import (
+    MAX_GRID_POINTS,
+    MAX_SCAN_POINTS,
+    integrated_intensity,
+    pulse_area,
+    thickness_scan,
+)
 from .propagate import (
     TimeSeries,
     _check_broad,
@@ -417,7 +423,10 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     if "eit_params" in sc.outputs and not isinstance(med, EitMedium):
         errors.append("eit_params output requires an EIT medium")
 
-    # grid advice
+    # grid advice samples the grid, so an oversized one is refused first
+    if sc.grid.n_points > MAX_GRID_POINTS:
+        errors.append(f"grid.n_points must be <= {MAX_GRID_POINTS} (got {sc.grid.n_points})")
+        return errors, warnings
     tau = sc.grid.times()
     if sc.grid.t_start < 0 < sc.grid.t_end and min(abs(tau)) > 1e-12 * max(1.0, sc.grid.spacing):
         warnings.append("tau = 0 is not a grid sample; jump values will be offset")

@@ -42,6 +42,10 @@ _BROAD_RULE = _sp.roots_legendre(32)
 # Most thicknesses a scan config may ask of thickness_scan, which bounds its
 # work (a broad scan this long took 3.5 s on a 2-vCPU VM) and its ~100 MB CSV.
 MAX_SCAN_POINTS = 10**6
+# Most samples a time grid may hold, checked before anything samples it: a
+# trace CSV this long is ~100 MB, and the oracle's lattice for it (2^20 at
+# one FFT step per grid step) stays within the FFT's cap.
+MAX_GRID_POINTS = 10**6
 
 
 def _warn_truncated(ts: TimeSeries, what: str):

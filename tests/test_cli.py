@@ -19,7 +19,7 @@ from slowphoton.cli import (
 )
 from slowphoton.errors import ConfigError, ConvergenceError
 from slowphoton.media import EitMedium, MatchedLine
-from slowphoton.waveforms import WaveformKind
+from slowphoton.waveforms import TimeGrid, WaveformKind
 
 FIG6A_TEXT = """\
 # EIT transmission of a narrow causal photon
@@ -287,6 +287,24 @@ class TestMainEntry:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "figure"])
+    def test_oversized_grid_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, command):
+        path = tmp_path / "huge_grid.cfg"
+        path.write_text(SCAN_TEXT.replace("grid.n_points = 601", "grid.n_points = 1000000000000"))
+
+        def refuse(grid):
+            raise AssertionError(f"sampled a grid of {grid.n_points} points")
+
+        monkeypatch.setattr(TimeGrid, "times", refuse)
+        monkeypatch.setattr(cli, "figure_preset", lambda name: [load_config(path)])
+        out = tmp_path / "out"
+        target = "fig2" if command == "figure" else str(path)
+        args = [command, target] + (["--out", str(out)] if command != "validate" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "error: grid.n_points must be <= 1000000 (got 1000000000000)" in captured.out + captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["matched", "broad"])

@@ -1,6 +1,8 @@
 """Transmission solutions: closed forms against the spectral oracle."""
 
+import itertools
 import math
+import os
 
 import mpmath as mp
 import numpy as np
@@ -388,6 +390,43 @@ class TestPropagateNumeric:
             monkeypatch.setattr(propagate, "_FFT_CHUNK", chunk)
             out = propagate_numeric(causal_unit, med, grid)
             assert np.abs(out.amplitude - base.amplitude).max() <= 1e-13
+
+    @pytest.mark.parametrize("medium", ROUTING_MEDIA, ids=lambda m: type(m).__name__)
+    def test_parallel_fill_equals_serial_fill_bitwise(self, causal_unit, medium, monkeypatch):
+        grid = TimeGrid(-1.0, 6.0, 601)
+        parallel = propagate_numeric(causal_unit, medium, grid)
+        monkeypatch.setattr(propagate._fill_pool(), "map", map)
+        serial = propagate_numeric(causal_unit, medium, grid)
+        assert np.array_equal(parallel.amplitude, serial.amplitude)
+        assert parallel.extras == serial.extras
+
+    def test_slice_error_reaches_caller_and_pool_survives(self, causal_unit, monkeypatch):
+        grid = TimeGrid(-1.0, 6.0, 601)
+        med = MatchedLine(1.0, 5.0)
+        base = propagate_numeric(causal_unit, med, grid)
+        pool = propagate._fill_pool()
+        integrand = propagate._remainder_integrand
+        calls = itertools.count()
+
+        def failing(w, a, nu, orders):
+            if next(calls) == 2:
+                raise FloatingPointError("slice 2 failed")
+            return integrand(w, a, nu, orders)
+
+        monkeypatch.setattr(propagate, "_remainder_integrand", failing)
+        with pytest.raises(FloatingPointError, match="slice 2 failed"):
+            propagate_numeric(causal_unit, med, grid)
+        monkeypatch.setattr(propagate, "_remainder_integrand", integrand)
+        again = propagate_numeric(causal_unit, med, grid)
+        assert propagate._fill_pool() is pool
+        assert np.array_equal(again.amplitude, base.amplitude)
+
+    def test_fill_pool_uses_the_usable_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        assert 1 <= propagate._fill_pool()._max_workers <= usable
 
     def test_fine_grid_falls_back_to_direct_summation(self, causal_unit):
         # many points at micro spacing: FFT alignment would need > 2**22
