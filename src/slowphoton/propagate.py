@@ -85,7 +85,7 @@ _WINDOW_PER_ALPHA0L = 26.0
 # temporaries (a few complex arrays of _FFT_CHUNK entries), so the slice size
 # times the worker count bounds the memory the fill adds to the lattice.  On
 # 2 vCPUs, 2**15 adds about 5 MB (3-4%) to the peak RSS of a figure or sweep run;
-# 2**16 added 8-9%, and 2**14 gave up a third of the speed-up.
+# 2**16 added 8-10%, and 2**14 gave up a third of the speed-up.
 _MIN_FFT_SAMPLES = 2**18
 _MAX_FFT_SAMPLES = 2**22
 _FFT_CHUNK = 2**15
