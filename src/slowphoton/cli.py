@@ -12,7 +12,7 @@ Subcommands: ``run <config>``, ``figure <preset> [--out DIR]``,
 ``eit-params <config>``, ``validate <config>``.  The default output
 directory can be overridden with the SLOWPHOTON_OUTDIR environment
 variable.  Exit codes: 1 config parse error, 2 validation error,
-3 numerical non-convergence.
+3 numerical non-convergence or a spectral sum beyond its size caps.
 """
 
 from __future__ import annotations
@@ -262,36 +262,41 @@ def _as_float(flat, key) -> float:
 
 def _as_int(flat, key) -> int:
     value = _as_float(flat, key)
-    if value != int(value):
+    if not value.is_integer():
         raise ConfigError(f"key {key!r}: expected an integer, got {value}")
     return int(value)
 
 
-def _build_medium(flat) -> Optional[AbsorberSpec]:
-    kind = str(flat.get("medium.kind", "none")).strip().lower()
+def _as_kind(flat, key) -> str:
+    return str(flat.get(key, "")).strip().lower()
+
+
+def _as_waveform_kind(flat, key) -> WaveformKind:
     try:
-        if kind == "none":
-            return None
-        if kind == "matched":
-            return MatchedLine(
-                gamma=_as_float(flat, "medium.gamma"),
-                thickness=_as_float(flat, "medium.thickness"),
-            )
-        if kind == "broad":
-            return BroadLine(
-                gamma_total=_as_float(flat, "medium.gamma_total"),
-                thickness=_as_float(flat, "medium.thickness"),
-            )
-        if kind == "eit":
-            return EitMedium(
-                gamma_total=_as_float(flat, "medium.gamma_total"),
-                gamma_m=_as_float(flat, "medium.gamma_m"),
-                omega=_as_float(flat, "medium.omega"),
-                thickness=_as_float(flat, "medium.thickness"),
-            )
+        return WaveformKind(_as_kind(flat, key))
+    except ValueError:
+        raise ConfigError(
+            f"unknown {key} {flat.get(key)!r}; expected one of {[k.value for k in WaveformKind]}"
+        ) from None
+
+
+def _section(cls, prefix: str, flat: dict, **parsers):
+    """Build dataclass cls from the '<prefix>.<field>' key of each of its fields.
+
+    parsers[field](flat, key) parses a field's value; floats by default.  So
+    each section's keys are its dataclass's fields: source.* PhotonWaveform's,
+    grid.* TimeGrid's, scan.* ScanSpec's, medium.* those of MEDIA[medium.kind].
+    """
+    try:
+        return cls(**{
+            f.name: parsers.get(f.name, _as_float)(flat, f"{prefix}.{f.name}")
+            for f in dataclasses.fields(cls)
+        })
     except ValueError as exc:
-        raise ConfigError(f"medium: {exc}") from None
-    raise ConfigError(f"unknown medium.kind {kind!r}")
+        raise ConfigError(f"{prefix}: {exc}") from None
+
+
+MEDIA = {"matched": MatchedLine, "broad": BroadLine, "eit": EitMedium}
 
 
 def load_config(path) -> Scenario:
@@ -309,41 +314,19 @@ def load_config(path) -> Scenario:
     else:
         flat = _parse_flat_text(text)
 
-    try:
-        kind = WaveformKind(str(flat.get("source.kind", "")).strip().lower())
-    except ValueError:
-        raise ConfigError(
-            f"unknown source.kind {flat.get('source.kind')!r}; expected one of "
-            f"{[k.value for k in WaveformKind]}"
-        ) from None
-    try:
-        source = PhotonWaveform(kind, _as_float(flat, "source.delta_ph"))
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from None
-
-    try:
-        grid = TimeGrid(
-            t_start=_as_float(flat, "grid.t_start"),
-            t_end=_as_float(flat, "grid.t_end"),
-            n_points=_as_int(flat, "grid.n_points"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
-
+    source = _section(PhotonWaveform, "source", flat, kind=_as_waveform_kind)
+    grid = _section(TimeGrid, "grid", flat, n_points=_as_int)
     scan = None
     if "scan.kind" in flat:
-        scan = ScanSpec(
-            kind=str(flat["scan.kind"]).strip().lower(),
-            t_min=_as_float(flat, "scan.t_min"),
-            t_max=_as_float(flat, "scan.t_max"),
-            n_points=_as_int(flat, "scan.n_points"),
-        )
-
+        scan = _section(ScanSpec, "scan", flat, kind=_as_kind, n_points=_as_int)
+    medium_kind = str(flat.get("medium.kind", "none")).strip().lower()
+    if medium_kind != "none" and medium_kind not in MEDIA:
+        raise ConfigError(f"unknown medium.kind {medium_kind!r}")
     return Scenario(
         name=str(flat.get("name", Path(path).stem)),
         reference_rate_label=str(flat.get("reference_rate", "gamma_ref")),
         source=source,
-        medium=_build_medium(flat),
+        medium=None if medium_kind == "none" else _section(MEDIA[medium_kind], "medium", flat),
         grid=grid,
         methods=_as_list(flat.get("methods", "")),
         outputs=_as_list(flat.get("outputs", "time_trace")),
@@ -463,14 +446,8 @@ def _fmt(x: float) -> str:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _medium_dict(med: Optional[AbsorberSpec]) -> dict:
-    if med is None:
-        return {"kind": "none"}
-    return {"kind": type(med).__name__, **dataclasses.asdict(med)}
 
 
 def run_scenario(sc: Scenario, out_dir) -> dict:
@@ -482,8 +459,9 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
         "scenario": {
             "name": sc.name,
             "reference_rate": sc.reference_rate_label,
-            "source": {"kind": sc.source.kind.value, "delta_ph": sc.source.delta_ph},
-            "medium": _medium_dict(sc.medium),
+            "source": dataclasses.asdict(sc.source),
+            "medium": {"kind": "none"} if sc.medium is None
+            else {"kind": type(sc.medium).__name__, **dataclasses.asdict(sc.medium)},
             "grid": dataclasses.asdict(sc.grid),
             "methods": list(sc.methods),
             "outputs": list(sc.outputs),
@@ -545,16 +523,11 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
         elif output == "areas_and_energies":
             path = out_dir / f"{sc.name}_areas.csv"
             header = ["method", "area_re", "area_im", "area_abs", "energy"]
-            lines = [",".join(header)]
+            rows = []
             for m in sc.methods:
                 area = pulse_area(traces[m])
-                energy = integrated_intensity(traces[m])
-                lines.append(
-                    ",".join(
-                        [m, _fmt(area.real), _fmt(area.imag), _fmt(abs(area)), _fmt(energy)]
-                    )
-                )
-            path.write_text("\n".join(lines) + "\n", newline="\n")
+                rows.append((m, area.real, area.imag, abs(area), integrated_intensity(traces[m])))
+            _write_csv(path, header, rows)
             manifest["files"]["areas_and_energies"] = path.name
         elif output == "eit_params":
             path = out_dir / f"{sc.name}_eit_params.json"

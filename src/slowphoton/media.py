@@ -150,10 +150,8 @@ def spectral_response(a: AbsorberSpec, nu):
     nv = np.asarray(nu, dtype=float)
     if not np.all(np.isfinite(nv)):
         raise ValueError("nu must be finite")
-    if isinstance(a, MatchedLine):
-        out = a.thickness * a.gamma / (a.gamma - 1j * nv)
-    elif isinstance(a, BroadLine):
-        out = a.thickness * a.gamma_total / (a.gamma_total - 1j * nv)
+    if isinstance(a, (MatchedLine, BroadLine)):
+        out = a.alpha0_l / (a.linewidth - 1j * nv)
     elif isinstance(a, EitMedium):
         gm = a.gamma_m
         g = a.gamma_total

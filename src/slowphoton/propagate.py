@@ -80,14 +80,18 @@ _SUBTRACT_ORDERS = 2
 # nu_max = _WINDOW_PER_ALPHA0L * alpha0*l bounds the error by ~1e-6.
 _WINDOW_PER_ALPHA0L = 26.0
 # Only lattices above _MAX_FFT_SAMPLES (grids finer than ~pi/nu_max) fall back
-# to direct summation.  _remainder_fft fills its lattice in _FFT_CHUNK slices,
-# concurrently on the usable CPUs.  Each running slice holds its integrand's
-# temporaries (a few complex arrays of _FFT_CHUNK entries), so the slice size
-# times the worker count bounds the memory the fill adds to the lattice.  On
-# 2 vCPUs, 2**15 adds about 5 MB (3-4%) to the peak RSS of a figure or sweep run;
-# 2**16 added 8-10%, and 2**14 gave up a third of the speed-up.
+# to direct summation, bounded by the same lattice cap and by _MAX_DIRECT_WORK
+# frequency x point products: 2-8 ns each on 2 vCPUs, so 3.5 s for a level of
+# 2**20 frequencies x 1,024 points.  _remainder_fft fills its lattice in
+# _FFT_CHUNK slices, concurrently on the usable CPUs.  Each running slice holds
+# its integrand's temporaries (a few complex arrays of _FFT_CHUNK entries), so
+# the slice size times the worker count bounds the memory the fill adds to the
+# lattice.  On 2 vCPUs, 2**15 adds about 5 MB (3-4%) to the peak RSS of a
+# figure or sweep run; 2**16 added 8-10%, and 2**14 gave up a third of the
+# speed-up.
 _MIN_FFT_SAMPLES = 2**18
 _MAX_FFT_SAMPLES = 2**22
+_MAX_DIRECT_WORK = 2**30
 _FFT_CHUNK = 2**15
 # _depth_rule drops depths u > _DEPTH_SPAN/decay below the upper limit, where
 # the weight exp(-decay*u) is below exp(-40): at most exp(-40)/decay =
@@ -139,14 +143,14 @@ def _waveform_pole_terms(w: PhotonWaveform):
     return [term for term in terms if term[0] != 0]
 
 
-def _subtraction_terms(w: PhotonWaveform, a: AbsorberSpec, orders: int):
-    """Pole terms of b(s) * sum_{k=1..orders} (-A(s)l)^k / k!."""
+def _subtraction_terms(w: PhotonWaveform, a: AbsorberSpec):
+    """Pole terms of b(s) * sum_{k=1.._SUBTRACT_ORDERS} (-A(s)l)^k / k!."""
     wave = _waveform_pole_terms(w)
     if wave is None:
         return []
     med = medium_poles(a)
     terms = []
-    for k in range(1, orders + 1):
+    for k in range(1, _SUBTRACT_ORDERS + 1):
         for combo in combinations_with_replacement(range(len(med)), k):
             counts: dict[int, int] = {}
             for idx in combo:
@@ -164,13 +168,13 @@ def _subtraction_terms(w: PhotonWaveform, a: AbsorberSpec, orders: int):
     return terms
 
 
-def _remainder_integrand(w, a, nu, orders):
+def _remainder_integrand(w, a, nu):
     b = spectral_amplitude(w, nu)
     al = spectral_response(a, nu)
     acc = np.exp(-al) - 1.0
     if w.kind is not WaveformKind.GAUSSIAN:
         power = np.ones_like(al)
-        for k in range(1, orders + 1):
+        for k in range(1, _SUBTRACT_ORDERS + 1):
             power = power * (-al) / k
             acc = acc - power
     return b * acc
@@ -190,14 +194,23 @@ def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
     return nu_max, period
 
 
-_fill_pool_lock = threading.Lock()
-_fill_pool_executor: Optional[ThreadPoolExecutor] = None
+def _forget_fill_pool():
+    global _fill_pool_lock, _fill_pool_executor
+    _fill_pool_lock = threading.Lock()
+    _fill_pool_executor = None
+
+
+_forget_fill_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool without its threads, and would wait on it
+    os.register_at_fork(after_in_child=_forget_fill_pool)
 
 
 def _fill_pool() -> ThreadPoolExecutor:
     """Thread pool filling the FFT lattice, one worker per usable CPU.
 
-    Created on first use, so importing the module starts no thread.
+    Created on first use, so importing the module starts no thread; one pool
+    serves the process, and a forked child builds its own.
     """
     global _fill_pool_executor
     with _fill_pool_lock:
@@ -212,7 +225,7 @@ def _fill_pool() -> ThreadPoolExecutor:
         return _fill_pool_executor
 
 
-def _remainder_fft(w, a, grid, orders, mdiv, period):
+def _remainder_fft(w, a, grid, mdiv, period):
     """Remainder transform on the scenario grid via an aligned FFT.
 
     The FFT time step is grid.spacing/mdiv, so scenario samples land
@@ -241,7 +254,7 @@ def _remainder_fft(w, a, grid, orders, mdiv, period):
     def fill(start):
         stop = min(start + _FFT_CHUNK, n)
         k = np.arange(start, stop)
-        h = _remainder_integrand(w, a, -nu_half + dnu * k, orders)
+        h = _remainder_integrand(w, a, -nu_half + dnu * k)
         spect[start:stop] = h * np.exp(-1j * dnu * tau0 * k)
 
     # reading every result re-raises a slice's error here
@@ -255,16 +268,24 @@ def _remainder_fft(w, a, grid, orders, mdiv, period):
     return values, info
 
 
-def _remainder_direct(w, a, grid, orders, nu_max, period):
+def _remainder_direct(w, a, grid, nu_max, period):
     """Remainder transform by direct summation, for grids beyond the FFT cap.
 
     The phase factors exp(-i*nu*tau_j) advance by a constant rotation per
-    grid step, so one rotation vector replaces the full phase matrix.
+    grid step, so one rotation vector replaces the full phase matrix.  The
+    m frequencies obey the FFT's lattice cap, and the m*n_points products
+    _MAX_DIRECT_WORK; above either, ConvergenceError is raised before any
+    array is allocated.
     """
     dnu = 2.0 * math.pi / period
     m = math.ceil(2.0 * nu_max / dnu)
+    if m > _MAX_FFT_SAMPLES or m * grid.n_points > _MAX_DIRECT_WORK:
+        raise ConvergenceError(
+            f"direct summation needs {m} frequencies x {grid.n_points} points, above "
+            f"the caps of {_MAX_FFT_SAMPLES} frequencies and {_MAX_DIRECT_WORK} products"
+        )
     nu = -nu_max + dnu * np.arange(m)
-    h = _remainder_integrand(w, a, nu, orders) * (dnu / (2.0 * math.pi))
+    h = _remainder_integrand(w, a, nu) * (dnu / (2.0 * math.pi))
     tau = grid.times()
     phase = h * np.exp(-1j * nu * tau[0])
     step = np.exp(-1j * nu * grid.spacing)
@@ -274,15 +295,6 @@ def _remainder_direct(w, a, grid, orders, nu_max, period):
         phase *= step
     info = {"nu_max": nu_max, "n_freq": m, "strategy": "direct"}
     return values, info
-
-
-def _remainder(w, a, grid, orders, nu_max0, period0, mdiv0, refine):
-    """Remainder at refinement level `refine` (window and period x 2**refine)."""
-    scale = 1 << refine
-    result = _remainder_fft(w, a, grid, orders, mdiv0 * scale, period0 * scale)
-    if result is None:
-        return _remainder_direct(w, a, grid, orders, nu_max0 * scale, period0 * scale)
-    return result
 
 
 def propagate_numeric(
@@ -312,28 +324,31 @@ def propagate_numeric(
             medium_meta=a,
             extras={"convergence": {"drift": 0.0, "iterations": 0}},
         )
-    orders = _SUBTRACT_ORDERS
-    closed = eval_pole_terms(_subtraction_terms(w, a, orders), tau)
     nu_max, period = _window_defaults(w, a, grid)
     mdiv = max(1, math.ceil(grid.spacing * nu_max / math.pi))
-    prev, info = _remainder(w, a, grid, orders, nu_max, period, mdiv, 0)
+    prev = None
     drift = math.inf
-    for iteration in range(1, max_doublings + 1):
-        cur, info = _remainder(w, a, grid, orders, nu_max, period, mdiv, iteration)
-        drift = float(np.max(np.abs(cur - prev)))
+    # level k doubles the window and the period k times
+    for level in range(max_doublings + 1):
+        scale = 1 << level
+        cur, info = (_remainder_fft(w, a, grid, mdiv * scale, period * scale)
+                     or _remainder_direct(w, a, grid, nu_max * scale, period * scale))
+        if prev is not None:
+            drift = float(np.max(np.abs(cur - prev)))
+            if drift <= tol:
+                break
         prev = cur
-        if drift <= tol:
-            break
     else:
         raise ConvergenceError(
             f"spectral quadrature drift {drift:.3e} > {tol:.1e} after "
             f"{max_doublings} refinements"
         )
     info = dict(info)
-    info.update({"drift": drift, "iterations": iteration, "tol": tol})
+    info.update({"drift": drift, "iterations": level, "tol": tol})
+    closed = eval_pole_terms(_subtraction_terms(w, a), tau)
     return TimeSeries(
         grid=grid,
-        amplitude=free + closed + prev,
+        amplitude=free + closed + cur,
         provenance="numeric",
         source_meta=w,
         medium_meta=a,

@@ -80,6 +80,10 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        if not math.isfinite(self.t_end - self.t_start):  # also an infinite or nan bound
+            raise ValueError(
+                f"t_start, t_end and their span must be finite (got {self.t_start}, {self.t_end})"
+            )
         if not (self.t_start < self.t_end):
             raise ValueError("t_start must be < t_end")
         if self.n_points < 2:

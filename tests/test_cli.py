@@ -1,9 +1,11 @@
 """Config parsing, validation, scenario runs and figure presets."""
 
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,25 @@ scan.t_min = 0
 scan.t_max = 10
 scan.n_points = 11
 """
+
+
+MATCHED_TEXT = """\
+source.kind = exponential_causal
+source.delta_ph = 1
+medium.kind = matched
+medium.gamma = 1
+medium.thickness = 10
+grid.t_start = -4
+grid.t_end = 10
+grid.n_points = 1401
+methods = numeric
+"""
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "config.cfg"
+    path.write_text(text)
+    return path
 
 
 @pytest.fixture
@@ -113,6 +134,37 @@ class TestConfigParsing:
         path.write_text(broken)
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestSchema:
+    """The config keys: each section's are the fields of its dataclass."""
+
+    def test_readme_example_parses_and_validates(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        sc = load_config(_write(tmp_path, example))
+        assert isinstance(sc.medium, EitMedium)
+        assert validate(sc)[0] == []
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [(FIG6A_TEXT, key) for key in (
+            "source.kind", "source.delta_ph", "grid.t_start", "grid.t_end", "grid.n_points",
+            "medium.gamma_total", "medium.gamma_m", "medium.omega", "medium.thickness",
+        )]
+        + [(MATCHED_TEXT, key) for key in ("medium.gamma", "medium.thickness")]
+        + [(SCAN_TEXT, key) for key in (
+            "medium.gamma_total", "medium.thickness", "scan.t_min", "scan.t_max", "scan.n_points",
+        )],
+    )
+    def test_missing_field_exit_1_names_it(self, tmp_path, capsys, text, key):
+        kept = [line for line in text.splitlines() if not line.startswith(f"{key} ")]
+        assert len(kept) == len(text.splitlines()) - 1
+        path = _write(tmp_path, "\n".join(kept) + "\n")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key.split('.')[0]}: ")
+        assert key in err
 
 
 class TestValidate:
@@ -288,6 +340,38 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.out + captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("grid.t_end = 5", "grid.t_end = inf"),
+            ("grid.t_start = -1", "grid.t_start = -inf"),
+            ("grid.t_start = -1\ngrid.t_end = 5", "grid.t_start = -1e308\ngrid.t_end = 1e308"),
+        ],
+        ids=["end", "start", "span"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_infinite_grid_bound_exit_1(self, tmp_path, capsys, command, old, new):
+        path = _write(tmp_path, SCAN_TEXT.replace(old, new))
+        out = tmp_path / "out"
+        args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(args) == 1
+        assert "error: grid: t_start, t_end and their span must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("medium.thickness = 10", "medium.thickness = 1e6"), ("grid.t_end = 10", "grid.t_end = 1e300")],
+        ids=["thick", "long"],
+    )
+    def test_unbounded_direct_summation_exit_3(self, tmp_path, capsys, old, new):
+        # both pass validate; the direct summation would need > 2**22 frequencies
+        path = _write(tmp_path, MATCHED_TEXT.replace(old, new))
+        assert main(["validate", str(path)]) == 0
+        start = time.perf_counter()
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert time.perf_counter() - start < 10.0
+        assert "error: direct summation needs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run", "figure"])
     def test_oversized_grid_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, command):

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import multiprocessing
 import os
+import re
+import time
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +18,6 @@ from slowphoton._rational import eval_pole_terms
 from slowphoton.errors import ConvergenceError, UnsupportedWaveformError, ValidityError
 from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params
 from slowphoton.propagate import (
-    _SUBTRACT_ORDERS,
     TimeSeries,
     _beat_integral,
     _remainder_direct,
@@ -367,8 +369,8 @@ class TestPropagateNumeric:
         assert conv["strategy"] == "fft"
         nu_max, period = _window_defaults(w, medium, grid)
         scale = 2 ** conv["iterations"]
-        rem, _ = _remainder_direct(w, medium, grid, _SUBTRACT_ORDERS, nu_max * scale, period * scale)
-        closed = eval_pole_terms(_subtraction_terms(w, medium, _SUBTRACT_ORDERS), tau)
+        rem, _ = _remainder_direct(w, medium, grid, nu_max * scale, period * scale)
+        closed = eval_pole_terms(_subtraction_terms(w, medium), tau)
         assert np.abs(out.amplitude - (time_amplitude(w, tau) + closed + rem)).max() <= 1e-6
         if isinstance(medium, MatchedLine):
             b_s, b_a = analytic_parts_matched(1.0, medium.thickness, tau)
@@ -408,10 +410,10 @@ class TestPropagateNumeric:
         integrand = propagate._remainder_integrand
         calls = itertools.count()
 
-        def failing(w, a, nu, orders):
+        def failing(w, a, nu):
             if next(calls) == 2:
                 raise FloatingPointError("slice 2 failed")
-            return integrand(w, a, nu, orders)
+            return integrand(w, a, nu)
 
         monkeypatch.setattr(propagate, "_remainder_integrand", failing)
         with pytest.raises(FloatingPointError, match="slice 2 failed"):
@@ -427,6 +429,46 @@ class TestPropagateNumeric:
         else:
             usable = os.cpu_count() or 1
         assert 1 <= propagate._fill_pool()._max_workers <= usable
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+    )
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_builds_its_own_fill_pool(self, causal_unit):
+        # the child inherits the parent's running pool without its threads
+        med = MatchedLine(1.0, 10.0)
+        grid = TimeGrid(-4.0, 10.0, 1401)
+        base = propagate_numeric(causal_unit, med, grid)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(propagate_numeric, (causal_unit, med, grid)).get(timeout=60)
+        assert np.array_equal(child.amplitude, base.amplitude)
+
+    @pytest.mark.parametrize(
+        "med, grid",
+        [
+            # the window alone asks for 5.9e8 frequencies at level 0
+            (MatchedLine(1.0, 1e6), TimeGrid(-4.0, 10.0, 1401)),
+            # the period alone overflows any lattice
+            (MatchedLine(1.0, 10.0), TimeGrid(-4.0, 1e300, 1401)),
+        ],
+        ids=["thick", "long"],
+    )
+    def test_unbounded_direct_summation_is_refused(self, causal_unit, med, grid):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=r"needs \d+ frequencies x 1401 points") as info:
+            propagate_numeric(causal_unit, med, grid)
+        assert time.perf_counter() - start < 5.0
+        assert int(re.search(r"needs (\d+)", str(info.value)).group(1)) > propagate._MAX_FFT_SAMPLES
+        assert f"{propagate._MAX_FFT_SAMPLES} frequencies" in str(info.value)
+        assert f"{propagate._MAX_DIRECT_WORK} products" in str(info.value)
+
+    def test_direct_summation_work_cap(self, causal_unit, monkeypatch):
+        # the fine grid below needs 3.3e7 products at its accepted level
+        med = MatchedLine(1.0, 10.0)
+        zoom = TimeGrid(-1e-3, 1e-3, 2001)
+        monkeypatch.setattr(propagate, "_MAX_DIRECT_WORK", 10**7)
+        with pytest.raises(ConvergenceError, match="10000000 products"):
+            propagate_numeric(causal_unit, med, zoom)
 
     def test_fine_grid_falls_back_to_direct_summation(self, causal_unit):
         # many points at micro spacing: FFT alignment would need > 2**22
