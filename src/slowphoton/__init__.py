@@ -36,7 +36,6 @@ from .observables import (
     u_matched,
 )
 from .propagate import (
-    TimeSeries,
     adiabatic_eit,
     analytic_matched,
     analytic_parts_broad,
@@ -47,6 +46,8 @@ from .propagate import (
     propagate_numeric,
     total_eit,
 )
-from .waveforms import PhotonWaveform, TimeGrid, WaveformKind, sample, spectral_amplitude, time_amplitude
+from .waveforms import (
+    PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, sample, spectral_amplitude, time_amplitude,
+)
 
 __version__ = "0.1.0"

@@ -47,7 +47,6 @@ from .observables import (
     thickness_scan,
 )
 from .propagate import (
-    TimeSeries,
     _check_broad,
     _check_nonadiabatic,
     _gaussian_eta,
@@ -61,7 +60,7 @@ from .propagate import (
     propagate_numeric,
     total_eit,
 )
-from .waveforms import PART_WEIGHTS, PhotonWaveform, TimeGrid, WaveformKind, sample
+from .waveforms import PART_WEIGHTS, PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, sample
 
 __all__ = [
     "Scenario",
@@ -127,9 +126,9 @@ class Method:
     check: Optional[Callable] = None
 
 
-def _closed(provenance: str, amplitude: Callable) -> Callable[..., TimeSeries]:
+def _closed(amplitude: Callable) -> Callable[..., TimeSeries]:
     """compute() wrapping amplitude(source, medium, tau) in a TimeSeries."""
-    return lambda w, a, grid: TimeSeries(grid, amplitude(w, a, grid.times()), provenance, w, a)
+    return lambda w, a, grid: TimeSeries(grid, amplitude(w, a, grid.times()))
 
 
 def _check_matched(w, a):
@@ -170,23 +169,22 @@ METHODS: dict[str, Method] = {
     "numeric": Method(None, ALL_SOURCES, lambda w, a, grid: propagate_numeric(w, a, grid)),
     "analytic_matched": Method(
         (MatchedLine,), CAUSAL,
-        _closed("analytic_matched", lambda w, a, t: analytic_matched(w.delta_ph, a.thickness, t)),
+        _closed(lambda w, a, t: analytic_matched(w.delta_ph, a.thickness, t)),
         _check_matched,
     ),
     "analytic_parts": Method(
         (MatchedLine, BroadLine), DECOMPOSABLE,
-        _closed("analytic_parts", _parts),
+        _closed(_parts),
         _check_parts,
     ),
     "approx_broad": Method(
         (BroadLine,), CAUSAL,
-        _closed("approx_broad",
-                lambda w, a, t: approx_broad(w.delta_ph, a.gamma_total, a.alpha0_l, t)),
+        _closed(lambda w, a, t: approx_broad(w.delta_ph, a.gamma_total, a.alpha0_l, t)),
         lambda w, a: _check_broad(w.delta_ph, a.gamma_total),
     ),
     "adiabatic_eit": Method(
         (EitMedium,), CAUSAL,
-        _closed("adiabatic_eit", lambda w, a, t: adiabatic_eit(w, a, t)),
+        _closed(lambda w, a, t: adiabatic_eit(w, a, t)),
         _check_eit,
     ),
     "total_eit": Method(
@@ -196,18 +194,17 @@ METHODS: dict[str, Method] = {
     ),
     "gaussian_approx": Method(
         (BroadLine,), frozenset({WaveformKind.GAUSSIAN}),
-        _closed("gaussian_approx",
-                lambda w, a, t: gaussian_broad(w.delta_ph, a.gamma_total, a.thickness, t)),
+        _closed(lambda w, a, t: gaussian_broad(w.delta_ph, a.gamma_total, a.thickness, t)),
         lambda w, a: _gaussian_eta(w.delta_ph, a.gamma_total, a.thickness),
     ),
     "phi_plus": Method(
         (EitMedium,), ALL_SOURCES,
-        _closed("phi_plus", lambda w, a, t: phi_plus(w.delta_ph, eit_params(a), t)),
+        _closed(lambda w, a, t: phi_plus(w.delta_ph, eit_params(a), t)),
         _check_eit,
     ),
     "phi_plus_zero": Method(
         (EitMedium,), ALL_SOURCES,
-        _closed("phi_plus", lambda w, a, t: phi_plus(0.0, eit_params(a), t)),
+        _closed(lambda w, a, t: phi_plus(0.0, eit_params(a), t)),
         _check_eit,
     ),
 }
@@ -353,6 +350,9 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     kind = sc.source.kind
     d = sc.source.delta_ph
 
+    # the name prefixes every output file, which must stay in the output directory
+    if sc.name in ("", ".", "..") or any(c and c in sc.name for c in ("/", os.sep, os.altsep, "\0")):
+        errors.append(f"name {sc.name!r} must be a plain file name")
     needs_trace = any(o in ("time_trace", "areas_and_energies") for o in sc.outputs)
     if needs_trace and not sc.methods:
         errors.append("methods must be nonempty for time_trace outputs")
@@ -488,8 +488,8 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
                 raise ValueError(_unknown_method(method))
             ts = METHODS[method].compute(sc.source, sc.medium, sc.grid)
             traces[method] = ts
-            if "convergence" in ts.extras:
-                manifest["convergence"][method] = ts.extras["convergence"]
+            if ts.convergence is not None:
+                manifest["convergence"][method] = ts.convergence
 
     for output in sc.outputs:
         if output == "time_trace":

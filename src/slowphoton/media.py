@@ -44,9 +44,11 @@ def _positive(x, name):
         raise ValueError(f"{name} must be a positive finite rate, got {x}")
 
 
-def _thickness(x):
-    if not (x >= 0 and math.isfinite(x)):
-        raise ValueError(f"effective thickness must be >= 0, got {x}")
+def _thickness(a):
+    if not (a.thickness >= 0 and math.isfinite(a.thickness)):
+        raise ValueError(f"effective thickness must be >= 0, got {a.thickness}")
+    if not math.isfinite(a.alpha0_l):
+        raise ValueError(f"alpha0*l = {a.thickness} * {a.linewidth} overflows")
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class MatchedLine:
 
     def __post_init__(self):
         _positive(self.gamma, "gamma")
-        _thickness(self.thickness)
+        _thickness(self)
 
     @property
     def alpha0_l(self) -> float:
@@ -78,7 +80,7 @@ class BroadLine:
 
     def __post_init__(self):
         _positive(self.gamma_total, "gamma_total")
-        _thickness(self.thickness)
+        _thickness(self)
 
     @property
     def alpha0_l(self) -> float:
@@ -102,7 +104,9 @@ class EitMedium:
         _positive(self.gamma_total, "gamma_total")
         _positive(self.gamma_m, "gamma_m")
         _positive(self.omega, "omega")
-        _thickness(self.thickness)
+        _thickness(self)
+        if not math.isfinite(self.omega * self.omega):
+            raise ValueError(f"omega**2 must be finite (got omega = {self.omega})")
         if not self.gamma_total > self.gamma_m:
             raise ValueError(
                 "EitMedium requires gamma_total > gamma_m "

@@ -22,7 +22,8 @@ from scipy.integrate import quad  # noqa: F401 -- unused; the benchmark tracer w
 
 from .errors import TruncatedSupportWarning
 from .media import EitParams
-from .propagate import TimeSeries, _check_broad, _depth_rule, _gaussian_eta, _row_blocks
+from .propagate import _check_broad, _depth_rule, _gaussian_eta, _row_blocks
+from .waveforms import TimeSeries
 
 __all__ = [
     "pulse_area",
@@ -172,16 +173,6 @@ class ThicknessScan:
     u_total: np.ndarray
     beer_reference: np.ndarray
     normalization: str = "U0(0)/2"
-
-    def rows(self):
-        for i, t in enumerate(self.thickness_values):
-            yield {
-                "thickness": float(t),
-                "u_s": float(self.u_s[i]),
-                "u_a": float(self.u_a[i]),
-                "u_total": float(self.u_total[i]),
-                "beer_reference": float(self.beer_reference[i]),
-            }
 
 
 def thickness_scan(kind: str, delta_ph: float, gamma_total, t_values) -> ThicknessScan:

@@ -33,7 +33,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -55,6 +54,7 @@ from .waveforms import (
     PART_WEIGHTS,
     PhotonWaveform,
     TimeGrid,
+    TimeSeries,
     WaveformKind,
     _step,
     spectral_amplitude,
@@ -76,6 +76,10 @@ __all__ = [
 
 # Orders of the medium expansion subtracted in closed form before the FFT.
 _SUBTRACT_ORDERS = 2
+# propagate_numeric doubles the window and period up to _MAX_DOUBLINGS times,
+# until successive levels agree to _DRIFT_TOL in max-abs.
+_DRIFT_TOL = 1e-5
+_MAX_DOUBLINGS = 3
 # Window scale: truncating the remainder tail ~ (alpha0*l/nu)**3/nu at
 # nu_max = _WINDOW_PER_ALPHA0L * alpha0*l bounds the error by ~1e-6.
 _WINDOW_PER_ALPHA0L = 26.0
@@ -100,23 +104,6 @@ _DEPTH_SPAN = 40.0
 # Entries of a row x node matrix (J0 of the beat integral, i0e of the
 # thickness scan) evaluated at once.
 _RULE_BLOCK = 2**16
-
-
-@dataclass
-class TimeSeries:
-    """Complex envelope samples on a uniform local-time grid."""
-
-    grid: TimeGrid
-    amplitude: np.ndarray
-    provenance: str
-    source_meta: Optional[PhotonWaveform] = None
-    medium_meta: Optional[AbsorberSpec] = None
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.amplitude = np.asarray(self.amplitude, dtype=complex)
-        if self.amplitude.shape != (self.grid.n_points,):
-            raise ValueError("amplitude length does not match the grid")
 
 
 # ---------------------------------------------------------------------------
@@ -297,63 +284,47 @@ def _remainder_direct(w, a, grid, nu_max, period):
     return values, info
 
 
-def propagate_numeric(
-    w: PhotonWaveform,
-    a: Optional[AbsorberSpec],
-    grid: TimeGrid,
-    *,
-    tol: float = 1e-5,
-    max_doublings: int = 3,
-) -> TimeSeries:
+def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid) -> TimeSeries:
     """Numerically propagate the envelope through the absorber.
 
     Evaluates the spectral integral with analytic tail subtraction and a
     self-convergence check: the frequency window and period are doubled
-    until successive evaluations agree to `tol` in max-abs, else
-    ConvergenceError is raised.  A missing medium or zero thickness
-    reproduces the sampled input exactly.
+    until successive evaluations agree to _DRIFT_TOL in max-abs, else
+    ConvergenceError is raised after _MAX_DOUBLINGS doublings.  A missing
+    medium or zero thickness reproduces the sampled input exactly.
     """
     tau = grid.times()
     free = time_amplitude(w, tau)
     if a is None or a.thickness == 0.0:
-        return TimeSeries(
-            grid=grid,
-            amplitude=free,
-            provenance="numeric",
-            source_meta=w,
-            medium_meta=a,
-            extras={"convergence": {"drift": 0.0, "iterations": 0}},
-        )
+        return TimeSeries(grid, free, {"drift": 0.0, "iterations": 0})
     nu_max, period = _window_defaults(w, a, grid)
+    # bounds every level's window, period and lattice size (~ period x
+    # max(nu_max, 1/spacing), x4 per doubling), so that none overflows
+    rate = max(nu_max, 1.0 / grid.spacing, 1.0)
+    if not math.isfinite(2.0 * 4**_MAX_DOUBLINGS * rate * max(period, 1.0)):
+        raise ConvergenceError(f"spectral lattice overflows: window {nu_max:.3g}, period {period:.3g}")
     mdiv = max(1, math.ceil(grid.spacing * nu_max / math.pi))
     prev = None
     drift = math.inf
     # level k doubles the window and the period k times
-    for level in range(max_doublings + 1):
+    for level in range(_MAX_DOUBLINGS + 1):
         scale = 1 << level
         cur, info = (_remainder_fft(w, a, grid, mdiv * scale, period * scale)
                      or _remainder_direct(w, a, grid, nu_max * scale, period * scale))
         if prev is not None:
             drift = float(np.max(np.abs(cur - prev)))
-            if drift <= tol:
+            if drift <= _DRIFT_TOL:
                 break
         prev = cur
     else:
         raise ConvergenceError(
-            f"spectral quadrature drift {drift:.3e} > {tol:.1e} after "
-            f"{max_doublings} refinements"
+            f"spectral quadrature drift {drift:.3e} > {_DRIFT_TOL:.1e} after "
+            f"{_MAX_DOUBLINGS} refinements"
         )
     info = dict(info)
-    info.update({"drift": drift, "iterations": level, "tol": tol})
+    info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL})
     closed = eval_pole_terms(_subtraction_terms(w, a), tau)
-    return TimeSeries(
-        grid=grid,
-        amplitude=free + closed + cur,
-        provenance="numeric",
-        source_meta=w,
-        medium_meta=a,
-        extras={"convergence": info},
-    )
+    return TimeSeries(grid, free + closed + cur, info)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +590,7 @@ def total_eit(w: PhotonWaveform, a: EitMedium, grid: TimeGrid) -> TimeSeries:
     tau = grid.times()
     c_p, c_m = _exponential_weights(w.kind)
     adiabatic = c_p * _r_pm(+1, w.delta_ph, p, tau) + c_m * _r_pm(-1, w.delta_ph, p, tau)
-    amplitude = adiabatic + _nonadiabatic(w, a, tau)
-    return TimeSeries(grid, amplitude, "total_eit", w, a)
+    return TimeSeries(grid, adiabatic + _nonadiabatic(w, a, tau))
 
 
 # ---------------------------------------------------------------------------

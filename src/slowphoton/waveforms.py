@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "PART_WEIGHTS",
     "PhotonWaveform",
     "TimeGrid",
+    "TimeSeries",
     "time_amplitude",
     "spectral_amplitude",
     "sample",
@@ -97,6 +99,20 @@ class TimeGrid:
         return np.linspace(self.t_start, self.t_end, self.n_points)
 
 
+@dataclass
+class TimeSeries:
+    """Complex envelope samples on a grid, with the oracle's convergence record."""
+
+    grid: TimeGrid
+    amplitude: np.ndarray
+    convergence: Optional[dict] = None
+
+    def __post_init__(self):
+        self.amplitude = np.asarray(self.amplitude, dtype=complex)
+        if self.amplitude.shape != (self.grid.n_points,):
+            raise ValueError("amplitude length does not match the grid")
+
+
 def _step(t):
     """Heaviside step with the midpoint convention Theta(0) = 1/2."""
     return np.heaviside(t, 0.5)
@@ -146,16 +162,6 @@ def spectral_amplitude(w: PhotonWaveform, nu):
     return out if np.ndim(nu) else complex(out)
 
 
-def sample(w: PhotonWaveform, grid: TimeGrid):
+def sample(w: PhotonWaveform, grid: TimeGrid) -> TimeSeries:
     """Sample the free-space envelope on a grid, as a TimeSeries."""
-    from .propagate import TimeSeries  # deferred: propagate imports this module
-
-    tau = grid.times()
-    return TimeSeries(
-        grid=grid,
-        amplitude=time_amplitude(w, tau),
-        provenance="input",
-        source_meta=w,
-        medium_meta=None,
-        extras={"delta_ph": w.delta_ph, "kind": w.kind.value},
-    )
+    return TimeSeries(grid, time_amplitude(w, grid.times()))

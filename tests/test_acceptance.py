@@ -182,7 +182,7 @@ def test_criterion_6_area_conservation():
     p = eit_params(EIT_EXAMPLE)
     grid = TimeGrid(-2.0, 15.0, 3401)
     amp = np.asarray(adiabatic_eit(CAUSAL, EIT_EXAMPLE, grid.times()))
-    ts = TimeSeries(grid, amp, "adiabatic_eit", CAUSAL, EIT_EXAMPLE)
+    ts = TimeSeries(grid, amp)
     area = pulse_area(ts)
     want = math.exp(-p.t_eit) / CAUSAL.delta_ph
     assert abs(area.real - want) / want <= 1e-3

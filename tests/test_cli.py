@@ -373,6 +373,55 @@ class TestMainEntry:
         assert time.perf_counter() - start < 10.0
         assert "error: direct summation needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, validate_code, run_code, message",
+        [
+            # alpha0*l = 10 * 1e308 is inf
+            (MATCHED_TEXT.replace("medium.gamma = 1", "medium.gamma = 10")
+             .replace("medium.thickness = 10", "medium.thickness = 1e308"),
+             1, 1, "error: medium: alpha0*l = 1e+308 * 10.0 overflows"),
+            (FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 1e200"),
+             1, 1, "error: medium: omega**2 must be finite"),
+            # the oracle's period 50/delta_ph is inf
+            (MATCHED_TEXT.replace("source.delta_ph = 1", "source.delta_ph = 1e-310"),
+             0, 3, "error: spectral lattice overflows"),
+        ],
+        ids=["alpha0_l", "omega", "period"],
+    )
+    def test_overflowing_rates_exit_without_traceback(
+        self, tmp_path, capsys, text, validate_code, run_code, message
+    ):
+        path = _write(tmp_path, text)
+        assert main(["validate", str(path)]) == validate_code
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == run_code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "sub/escaped", "nul\0escaped"])
+    @pytest.mark.parametrize("form", ["flat", "json"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_name_must_stay_in_the_output_directory(self, tmp_path, capsys, command, form, name):
+        if form == "flat":
+            text = f"name = {name}\n" + MATCHED_TEXT
+        else:
+            text = json.dumps({
+                "name": name,
+                "source": {"kind": "exponential_causal", "delta_ph": 1},
+                "medium": {"kind": "matched", "gamma": 1, "thickness": 10},
+                "grid": {"t_start": -4, "t_end": 10, "n_points": 1401},
+                "methods": ["numeric"],
+            })
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        path = _write(cfg_dir, text)
+        out = tmp_path / "work" / "out"
+        args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert f"error: name {name!r} must be a plain file name" in captured.out + captured.err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "config.cfg"]
+
     @pytest.mark.parametrize("command", ["validate", "run", "figure"])
     def test_oversized_grid_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, command):
         path = tmp_path / "huge_grid.cfg"

@@ -148,3 +148,5 @@ def test_accepted_combination_runs(tmp_path, method, med, kind):
     sc = scenario(method, MEDIA[med], kind)
     manifest = run_scenario(sc, tmp_path)
     assert (tmp_path / manifest["files"]["time_trace"]).exists()
+    # only the oracle records a convergence block
+    assert set(manifest["convergence"]) == ({"numeric"} if method == "numeric" else set())

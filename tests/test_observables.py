@@ -78,8 +78,8 @@ def _mp_broad(delta_ph, gamma_total, t_b):
         return float(u_s), float(u_a)
 
 
-def series(grid, amplitude, w=None, med=None):
-    return TimeSeries(grid, amplitude, "numeric", w, med)
+def series(grid, amplitude):
+    return TimeSeries(grid, amplitude)
 
 
 class TestPulseArea:
@@ -392,10 +392,9 @@ class TestThicknessScan:
 
     def test_rows_are_consistent(self):
         scan = thickness_scan("broad", 1.0, 10.0, [0.0, 1.0, 2.0])
-        rows = list(scan.rows())
-        assert len(rows) == 3
-        assert rows[1]["thickness"] == 1.0
-        assert rows[1]["beer_reference"] == pytest.approx(math.exp(-2.0))
+        assert len(scan.thickness_values) == len(scan.beer_reference) == 3
+        assert scan.thickness_values[1] == 1.0
+        assert scan.beer_reference[1] == pytest.approx(math.exp(-2.0))
 
     def test_nonincreasing_values_rejected(self):
         with pytest.raises(ValueError):

@@ -180,9 +180,6 @@ class TestSample:
         ts = sample(causal_unit, grid)
         t = grid.times()
         assert np.all(ts.amplitude[t < 0] == 0)
-        assert ts.provenance == "input"
-        assert ts.extras["kind"] == "exponential_causal"
-        assert ts.extras["delta_ph"] == 1.0
 
     def test_parts_sum_pointwise(self, causal_unit, sym_unit, anti_unit):
         grid = TimeGrid(-2.0, 6.0, 801)  # tau = 0 on the grid
