@@ -77,14 +77,18 @@ def partial_fractions(coef, poles):
     return terms
 
 
-def eval_pole_terms(terms, tau):
+def eval_pole_terms(terms, tau, magnitude=None):
     """Evaluate the inverse transform of sum c/(s - z)^j on a tau grid.
 
     Uses the midpoint convention Theta(0) = 1/2, so first-order terms
-    contribute c/2 (causal) or -c/2 (anticausal) at tau == 0.
+    contribute c/2 (causal) or -c/2 (anticausal) at tau == 0.  A real
+    array magnitude of tau's shape, if given, gains the modulus of every
+    term added at each tau: the scale of the sum's round-off.
     """
     tau = np.asarray(tau, dtype=float)
     out = np.zeros(tau.shape, dtype=complex)
+    if magnitude is None:
+        magnitude = np.zeros(tau.shape)
     pos = tau > 0
     neg = tau < 0
     zero = tau == 0
@@ -96,7 +100,10 @@ def eval_pole_terms(terms, tau):
         else:
             raise ValueError(f"pole on the frequency axis: {z}")
         t = tau[mask]
-        out[mask] += sign * c * t ** (j - 1) * np.exp(z * t) / math.factorial(j - 1)
+        term = sign * c * t ** (j - 1) * np.exp(z * t) / math.factorial(j - 1)
+        out[mask] += term
+        magnitude[mask] += np.abs(term)
         if j == 1 and np.any(zero):
             out[zero] += 0.5 * sign * c
+            magnitude[zero] += 0.5 * abs(c)
     return out

@@ -12,7 +12,7 @@ Subcommands: ``run <config>``, ``figure <preset> [--out DIR]``,
 ``eit-params <config>``, ``validate <config>``.  The default output
 directory can be overridden with the SLOWPHOTON_OUTDIR environment
 variable.  Exit codes: 1 config parse error, 2 validation error,
-3 numerical non-convergence or a spectral sum beyond its size caps.
+3 numerical non-convergence, including round-off or a spectral sum past its caps.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .media import (
     AbsorberSpec,
     BroadLine,
     EitMedium,
+    EitParams,
     MatchedLine,
     eit_params,
     fe57_siderite,
@@ -74,6 +75,7 @@ __all__ = [
 ]
 
 OUTPUT_KINDS = ("time_trace", "thickness_scan", "eit_params", "areas_and_energies")
+TRACE_OUTPUTS = ("time_trace", "areas_and_energies")  # the outputs that run the methods
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,14 @@ def _check_eit(w, a):
 def _check_total_eit(w, a):
     eit_params(a)
     _check_nonadiabatic(w.delta_ph, a.gamma_total)
+
+
+def _open_window(medium) -> Optional[EitParams]:
+    """EIT filter numbers of an EIT medium whose window is open, else None."""
+    try:
+        return eit_params(medium) if isinstance(medium, EitMedium) else None
+    except ValidityError:
+        return None
 
 
 def _parts(w, a, tau):
@@ -353,8 +363,7 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     # the name prefixes every output file, which must stay in the output directory
     if sc.name in ("", ".", "..") or any(c and c in sc.name for c in ("/", os.sep, os.altsep, "\0")):
         errors.append(f"name {sc.name!r} must be a plain file name")
-    needs_trace = any(o in ("time_trace", "areas_and_energies") for o in sc.outputs)
-    if needs_trace and not sc.methods:
+    if any(o in TRACE_OUTPUTS for o in sc.outputs) and not sc.methods:
         errors.append("methods must be nonempty for time_trace outputs")
     for o in sc.outputs:
         if o not in OUTPUT_KINDS:
@@ -403,8 +412,14 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
                     _check_broad(d, med.linewidth)
                 except ValidityError as exc:
                     errors.append(f"thickness_scan: {exc}")
-    if "eit_params" in sc.outputs and not isinstance(med, EitMedium):
-        errors.append("eit_params output requires an EIT medium")
+    if "eit_params" in sc.outputs:
+        if not isinstance(med, EitMedium):
+            errors.append("eit_params output requires an EIT medium")
+        else:
+            try:  # the EIT methods' guard, so the refusal names its cause
+                _check_eit(sc.source, med)
+            except ValidityError as exc:
+                errors.append(f"eit_params output: {exc}")
 
     # grid advice samples the grid, so an oversized one is refused first
     if sc.grid.n_points > MAX_GRID_POINTS:
@@ -413,19 +428,13 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     tau = sc.grid.times()
     if sc.grid.t_start < 0 < sc.grid.t_end and min(abs(tau)) > 1e-12 * max(1.0, sc.grid.spacing):
         warnings.append("tau = 0 is not a grid sample; jump values will be offset")
-    if isinstance(med, EitMedium):
-        try:
-            p = eit_params(med)
-        except ValidityError:
-            pass  # closed window: no group delay to advise on
-        else:
-            needed = p.t_d + 2.0 / p.delta_eff
-            if sc.grid.t_end < needed:
-                warnings.append(
-                    f"grid ends at {sc.grid.t_end:g} before the delayed envelope "
-                    f"(group delay t_d = {p.t_d:.4g}, edge width 2/delta_eff); "
-                    f"extend t_end beyond {needed:.4g}"
-                )
+    p = _open_window(med)
+    if p is not None and sc.grid.t_end < (needed := p.t_d + 2.0 / p.delta_eff):
+        warnings.append(
+            f"grid ends at {sc.grid.t_end:g} before the delayed envelope "
+            f"(group delay t_d = {p.t_d:.4g}, edge width 2/delta_eff); "
+            f"extend t_end beyond {needed:.4g}"
+        )
     tail = math.exp(-d * max(sc.grid.t_end, 0.0))
     if tail > 1e-3 and kind is not WaveformKind.GAUSSIAN:
         warnings.append(
@@ -470,8 +479,8 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
         "convergence": {},
         "files": {},
     }
-    if isinstance(sc.medium, EitMedium):
-        p = eit_params(sc.medium)
+    p = _open_window(sc.medium)
+    if p is not None:
         manifest["derived"]["eit_params"] = dataclasses.asdict(p)
         manifest["derived"]["delta_eff_over_delta_ph"] = p.delta_eff / sc.source.delta_ph
         manifest["derived"]["t_d_over_tau_life"] = p.t_d / sc.source.tau_life
@@ -482,7 +491,7 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
             manifest["derived"]["t_minus"] = sc.medium.alpha0_l / (g - d)
 
     traces: dict[str, TimeSeries] = {}
-    if any(o in ("time_trace", "areas_and_energies") for o in sc.outputs):
+    if any(o in TRACE_OUTPUTS for o in sc.outputs):
         for method in sc.methods:
             if method not in METHODS:
                 raise ValueError(_unknown_method(method))
@@ -494,13 +503,10 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
     for output in sc.outputs:
         if output == "time_trace":
             path = out_dir / f"{sc.name}_trace.csv"
-            header = ["tau"]
-            for m in sc.methods:
-                header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
-            tau = sc.grid.times()
-            cols = [tau]
+            header, cols = ["tau"], [sc.grid.times()]
             for m in sc.methods:
                 amp = traces[m].amplitude
+                header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
                 cols += [amp.real, amp.imag, np.abs(amp)]
             _write_csv(path, header, zip(*cols))
             manifest["files"]["time_trace"] = path.name
@@ -549,121 +555,57 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
 
 PRESET_NAMES = ("fig2", "fig3a", "fig3b", "fig5", "fig6a", "fig6b", "fig7", "fe57")
 
-_EIT_EXAMPLE = dict(gamma_total=10.0, gamma_m=1.0, omega=20.0, thickness=30.0)
+
+def _panel(name, kind, delta_ph, medium, grid, methods, outputs=("time_trace",), scan=None):
+    """One preset Scenario; its reference rate is gamma_m for an EIT medium, else delta_ph."""
+    return Scenario(
+        name=name,
+        reference_rate_label="gamma_m" if isinstance(medium, EitMedium) else "delta_ph",
+        source=PhotonWaveform(kind, delta_ph),
+        medium=medium,
+        grid=grid,
+        methods=list(methods),
+        outputs=list(outputs),
+        scan=scan,
+    )
 
 
 def figure_preset(name: str) -> list[Scenario]:
     """Scenarios reproducing the published figure panels (one per CSV)."""
-    eit = EitMedium(**_EIT_EXAMPLE)
+    causal = WaveformKind.EXPONENTIAL_CAUSAL
+    parts = (("symmetric", WaveformKind.SYMMETRIC_PART),
+             ("antisymmetric", WaveformKind.ANTISYMMETRIC_PART))
+    eit = EitMedium(gamma_total=10.0, gamma_m=1.0, omega=20.0, thickness=30.0)
     eit_grid = TimeGrid(-2.0, 15.0, 1701)
+    broad = BroadLine(gamma_total=10.0, thickness=10.0)
     if name == "fig2":
-        med = MatchedLine(gamma=1.0, thickness=10.0)
-        grid = TimeGrid(-4.0, 10.0, 1401)
-        return [
-            Scenario(
-                name=f"fig2_{label}",
-                reference_rate_label="delta_ph",
-                source=PhotonWaveform(kind, 1.0),
-                medium=med,
-                grid=grid,
-                methods=["input", "analytic_parts", "numeric"],
-                outputs=["time_trace"],
-            )
-            for label, kind in (
-                ("symmetric", WaveformKind.SYMMETRIC_PART),
-                ("antisymmetric", WaveformKind.ANTISYMMETRIC_PART),
-            )
-        ]
+        med, grid = MatchedLine(gamma=1.0, thickness=10.0), TimeGrid(-4.0, 10.0, 1401)
+        methods = ["input", "analytic_parts", "numeric"]
+        return [_panel(f"fig2_{label}", kind, 1.0, med, grid, methods) for label, kind in parts]
     if name == "fig3a":
-        med = BroadLine(gamma_total=10.0, thickness=10.0)
         grid = TimeGrid(-0.5, 2.5, 1501)
         return [
-            Scenario(
-                name="fig3a_total",
-                reference_rate_label="delta_ph",
-                source=PhotonWaveform(WaveformKind.EXPONENTIAL_CAUSAL, 1.0),
-                medium=med,
-                grid=grid,
-                methods=["input", "numeric", "approx_broad"],
-                outputs=["time_trace"],
-            ),
-            Scenario(
-                name="fig3a_antisymmetric",
-                reference_rate_label="delta_ph",
-                source=PhotonWaveform(WaveformKind.ANTISYMMETRIC_PART, 1.0),
-                medium=med,
-                grid=grid,
-                methods=["input", "analytic_parts", "numeric"],
-                outputs=["time_trace"],
-            ),
+            _panel("fig3a_total", causal, 1.0, broad, grid, ["input", "numeric", "approx_broad"]),
+            _panel("fig3a_antisymmetric", WaveformKind.ANTISYMMETRIC_PART, 1.0, broad, grid,
+                   ["input", "analytic_parts", "numeric"]),
         ]
     if name == "fig3b":
-        return [
-            Scenario(
-                name="fig3b",
-                reference_rate_label="delta_ph",
-                source=PhotonWaveform(WaveformKind.EXPONENTIAL_CAUSAL, 1.0),
-                medium=BroadLine(gamma_total=10.0, thickness=10.0),
-                grid=TimeGrid(-1.0, 1.0, 11),
-                methods=[],
-                outputs=["thickness_scan"],
-                scan=ScanSpec(kind="broad", t_min=0.0, t_max=10.0, n_points=41),
-            )
-        ]
+        return [_panel("fig3b", causal, 1.0, broad, TimeGrid(-1.0, 1.0, 11), [], ["thickness_scan"],
+                       ScanSpec(kind="broad", t_min=0.0, t_max=10.0, n_points=41))]
     if name == "fig5":
-        p = eit_params(eit)
-        return [
-            Scenario(
-                name="fig5",
-                reference_rate_label="gamma_m",
-                source=PhotonWaveform(WaveformKind.EXPONENTIAL_CAUSAL, 0.1 * p.delta_eff),
-                medium=eit,
-                grid=TimeGrid(-0.5, 2.5, 1201),
-                methods=["phi_plus", "phi_plus_zero"],
-                outputs=["time_trace"],
-            )
-        ]
+        delta_ph = 0.1 * eit_params(eit).delta_eff
+        return [_panel("fig5", causal, delta_ph, eit, TimeGrid(-0.5, 2.5, 1201),
+                       ["phi_plus", "phi_plus_zero"])]
     if name in ("fig6a", "fig6b"):
-        delta = 1.0 if name == "fig6a" else 10.0
-        return [
-            Scenario(
-                name=name,
-                reference_rate_label="gamma_m",
-                source=PhotonWaveform(WaveformKind.EXPONENTIAL_CAUSAL, delta),
-                medium=eit,
-                grid=eit_grid,
-                methods=["input", "numeric", "total_eit", "adiabatic_eit"],
-                outputs=["time_trace", "eit_params", "areas_and_energies"],
-            )
-        ]
+        return [_panel(name, causal, 1.0 if name == "fig6a" else 10.0, eit, eit_grid,
+                       ["input", "numeric", "total_eit", "adiabatic_eit"],
+                       ["time_trace", "eit_params", "areas_and_energies"])]
     if name == "fig7":
-        return [
-            Scenario(
-                name=f"fig7_{label}",
-                reference_rate_label="gamma_m",
-                source=PhotonWaveform(kind, 1.0),
-                medium=eit,
-                grid=eit_grid,
-                methods=["input", "numeric", "total_eit"],
-                outputs=["time_trace"],
-            )
-            for label, kind in (
-                ("symmetric", WaveformKind.SYMMETRIC_PART),
-                ("antisymmetric", WaveformKind.ANTISYMMETRIC_PART),
-            )
-        ]
+        return [_panel(f"fig7_{label}", kind, 1.0, eit, eit_grid, ["input", "numeric", "total_eit"])
+                for label, kind in parts]
     if name == "fe57":
-        return [
-            Scenario(
-                name="fe57",
-                reference_rate_label="gamma_m",
-                source=PhotonWaveform(WaveformKind.EXPONENTIAL_CAUSAL, 1.0),
-                medium=fe57_siderite(),
-                grid=eit_grid,
-                methods=["input", "numeric", "total_eit"],
-                outputs=["time_trace", "eit_params"],
-            )
-        ]
+        return [_panel("fe57", causal, 1.0, fe57_siderite(), eit_grid,
+                       ["input", "numeric", "total_eit"], ["time_trace", "eit_params"])]
     raise ValueError(
         f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
     )

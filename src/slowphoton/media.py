@@ -183,14 +183,24 @@ def eit_params(a: EitMedium) -> EitParams:
 
     Exact rational expressions from the expansion of the EIT response to
     second order around line center; valid when the transparency hole is
-    actually open, Omega**2 >= gamma_m*Gamma.
+    actually open, Omega**2 >= gamma_m*Gamma, in a medium of nonzero
+    thickness whose numbers are finite floats.
     """
     _require_adiabatic(a)
     g, gm, om2, tb = a.gamma_total, a.gamma_m, a.omega**2, a.thickness
+    if tb == 0.0:
+        raise ValidityError("EIT filter numbers need thickness > 0 (delta_eff ~ 1/sqrt(T_b))")
     q = om2 + gm * g
-    t_eit = tb * gm * g / q
-    t_d = tb * g * (om2 - gm**2) / q**2
-    delta_eff = math.sqrt(q**3 / (tb * g * (om2 * (g + 2 * gm) - gm**3)))
+    try:  # float ** raises OverflowError where * gives inf
+        t_eit = tb * gm * g / q
+        t_d = tb * g * (om2 - gm**2) / q**2
+        delta_eff = math.sqrt(q**3 / (tb * g * (om2 * (g + 2 * gm) - gm**3)))
+    except OverflowError:
+        t_eit = t_d = delta_eff = math.inf
+    if not (all(map(math.isfinite, (t_eit, t_d, delta_eff))) and delta_eff > 0.0):
+        raise ValidityError(
+            f"EIT filter numbers overflow (Omega**2 = {om2:g}, alpha0*l = {a.alpha0_l:g})"
+        )
     return EitParams(
         t_eit=t_eit, t_d=t_d, delta_eff=delta_eff, delta_eit=a.delta_eit
     )

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -181,35 +180,24 @@ def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
     return nu_max, period
 
 
-def _forget_fill_pool():
-    global _fill_pool_lock, _fill_pool_executor
-    _fill_pool_lock = threading.Lock()
-    _fill_pool_executor = None
+def _build_fill_pool():
+    """Build _FILL_POOL, the thread pool filling the FFT lattice, one worker per usable CPU.
 
-
-_forget_fill_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool without its threads, and would wait on it
-    os.register_at_fork(after_in_child=_forget_fill_pool)
-
-
-def _fill_pool() -> ThreadPoolExecutor:
-    """Thread pool filling the FFT lattice, one worker per usable CPU.
-
-    Created on first use, so importing the module starts no thread; one pool
-    serves the process, and a forked child builds its own.
+    A ThreadPoolExecutor starts no thread before its first task, so importing
+    the module starts none.  One pool serves the process; a forked child
+    inherits it without its threads, and would wait on it, so builds its own.
     """
-    global _fill_pool_executor
-    with _fill_pool_lock:
-        if _fill_pool_executor is None:
-            if hasattr(os, "sched_getaffinity"):
-                workers = len(os.sched_getaffinity(0))
-            else:
-                workers = os.cpu_count() or 1
-            _fill_pool_executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="slowphoton-fill"
-            )
-        return _fill_pool_executor
+    global _FILL_POOL
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    _FILL_POOL = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="slowphoton-fill")
+
+
+_build_fill_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_build_fill_pool)
 
 
 def _remainder_fft(w, a, grid, mdiv, period):
@@ -218,7 +206,7 @@ def _remainder_fft(w, a, grid, mdiv, period):
     The FFT time step is grid.spacing/mdiv, so scenario samples land
     exactly on FFT samples; the frequency window is pi/dtau.  The spectrum
     is filled in _FFT_CHUNK slices, concurrently on the usable CPUs
-    (`_fill_pool`; the elementwise numpy work releases the GIL), each
+    (`_FILL_POOL`; the elementwise numpy work releases the GIL), each
     worker writing its own disjoint slice, then transformed in place.
     Every element is computed as it would be serially, so the result does
     not depend on the CPU count.  Memory grows by one slice's temporaries
@@ -245,7 +233,7 @@ def _remainder_fft(w, a, grid, mdiv, period):
         spect[start:stop] = h * np.exp(-1j * dnu * tau0 * k)
 
     # reading every result re-raises a slice's error here
-    for _ in _fill_pool().map(fill, range(0, n, _FFT_CHUNK)):
+    for _ in _FILL_POOL.map(fill, range(0, n, _FFT_CHUNK)):
         pass
     r_fft = np.fft.fft(spect, out=spect)
     j = np.arange(grid.n_points) * mdiv
@@ -290,8 +278,11 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     Evaluates the spectral integral with analytic tail subtraction and a
     self-convergence check: the frequency window and period are doubled
     until successive evaluations agree to _DRIFT_TOL in max-abs, else
-    ConvergenceError is raised after _MAX_DOUBLINGS doublings.  A missing
-    medium or zero thickness reproduces the sampled input exactly.
+    ConvergenceError is raised after _MAX_DOUBLINGS doublings.  It is also
+    raised when the subtracted pole terms, which cancel near a double pole,
+    could lose more than _DRIFT_TOL to round-off: machine epsilon times their
+    summed moduli.  A missing medium or zero thickness reproduces the sampled
+    input exactly.
     """
     tau = grid.times()
     free = time_amplitude(w, tau)
@@ -323,7 +314,14 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
         )
     info = dict(info)
     info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL})
-    closed = eval_pole_terms(_subtraction_terms(w, a), tau)
+    magnitude = np.zeros(tau.shape)
+    closed = eval_pole_terms(_subtraction_terms(w, a), tau, magnitude)
+    roundoff = np.finfo(float).eps * float(magnitude.max(initial=0.0))
+    if roundoff > _DRIFT_TOL:
+        raise ConvergenceError(
+            f"pole subtraction round-off bound {roundoff:.3e} > {_DRIFT_TOL:.1e}: "
+            "its terms nearly cancel"
+        )
     return TimeSeries(grid, free + closed + cur, info)
 
 

@@ -385,8 +385,13 @@ class TestMainEntry:
             # the oracle's period 50/delta_ph is inf
             (MATCHED_TEXT.replace("source.delta_ph = 1", "source.delta_ph = 1e-310"),
              0, 3, "error: spectral lattice overflows"),
+            # q**3 in eit_params overflows from Omega ~ 1e52
+            (FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 1e100"),
+             2, 2, "error: eit_params output: EIT filter numbers overflow"),
+            (FIG6A_TEXT.replace("medium.thickness = 30.0", "medium.thickness = 0"),
+             2, 2, "error: eit_params output: EIT filter numbers need thickness > 0"),
         ],
-        ids=["alpha0_l", "omega", "period"],
+        ids=["alpha0_l", "omega", "period", "eit_omega", "eit_thickness"],
     )
     def test_overflowing_rates_exit_without_traceback(
         self, tmp_path, capsys, text, validate_code, run_code, message
@@ -396,6 +401,85 @@ class TestMainEntry:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == run_code
         captured = capsys.readouterr()
         assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("medium.omega = 20.0", "medium.omega = 1e100", "EIT filter numbers overflow"),
+            ("medium.thickness = 30.0", "medium.thickness = 0",
+             "EIT filter numbers need thickness > 0"),
+        ],
+        ids=["omega", "thickness"],
+    )
+    def test_eit_params_subcommand_refuses_without_traceback(
+        self, tmp_path, capsys, old, new, message
+    ):
+        assert main(["eit-params", str(_write(tmp_path, FIG6A_TEXT.replace(old, new)))]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("medium", ["closed", "zero_thickness"])
+    def test_eit_traces_run_without_the_filter_numbers(self, tmp_path, capsys, medium):
+        # input and numeric need no EIT filter numbers, so the manifest skips them
+        old, new = {
+            "closed": ("medium.omega = 20.0", "medium.omega = 2.0"),
+            "zero_thickness": ("medium.thickness = 30.0", "medium.thickness = 0"),
+        }[medium]
+        text = FIG6A_TEXT.replace(old, new).replace("grid.n_points = 1701", "grid.n_points = 171")
+        text = text.replace("methods = input, numeric, total_eit", "methods = input, numeric")
+        text = text.replace("outputs = time_trace, eit_params", "outputs = time_trace")
+        out = tmp_path / "out"
+        assert main(["run", str(_write(tmp_path, text)), "--out", str(out)]) == 0
+        manifest = json.loads((out / "fig6a_custom_manifest.json").read_text())
+        assert "eit_params" not in manifest["derived"]
+        assert "Traceback" not in "".join(capsys.readouterr())
+        if medium == "zero_thickness":
+            data = np.genfromtxt(out / "fig6a_custom_trace.csv", delimiter=",", names=True)
+            for part in ("re", "im"):
+                assert np.array_equal(data[f"{part}_numeric"], data[f"{part}_input"])
+
+    @pytest.mark.parametrize(
+        "old, new, methods, message",
+        [
+            ("medium.thickness = 30.0", "medium.thickness = 0", "total_eit",
+             "method 'total_eit': EIT filter numbers need thickness > 0"),
+            ("medium.omega = 20.0", "medium.omega = 2.0", "",
+             "eit_params output: adiabatic expansion invalid: requires Omega**2 >= gamma_m*Gamma"),
+            ("medium.thickness = 30.0", "medium.thickness = 0", "",
+             "eit_params output: EIT filter numbers need thickness > 0"),
+        ],
+        ids=["zero_thickness_total_eit", "closed_output", "zero_thickness_output"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_eit_filter_numbers_refused_exit_2(
+        self, tmp_path, capsys, command, old, new, methods, message
+    ):
+        text = FIG6A_TEXT.replace(old, new)
+        text = text.replace("methods = input, numeric, total_eit", f"methods = {methods}")
+        if not methods:
+            text = text.replace("outputs = time_trace, eit_params", "outputs = eit_params")
+        out = tmp_path / "out"
+        path = _write(tmp_path, text)
+        args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+    def test_near_double_pole_exit_3(self, tmp_path, capsys):
+        # Gamma = delta_ph*(1 + 1e-7): the pole subtraction's terms cancel
+        # to ~1e-16 * 1e16, so the oracle refuses instead of returning ~1
+        path = _write(tmp_path, MATCHED_TEXT.replace(
+            "medium.kind = matched\nmedium.gamma = 1\nmedium.thickness = 10",
+            "medium.kind = broad\nmedium.gamma_total = 1.0000001\nmedium.thickness = 9.999999",
+        ))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert "error: pole subtraction round-off bound" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "sub/escaped", "nul\0escaped"])

@@ -1,0 +1,66 @@
+"""Which outputs validate accepts, and that every accepted one runs.
+
+The output preconditions (an EIT medium with an open window for
+eit_params, scan.* keys and, for a broad scan, a broad-line medium for
+thickness_scan) are frozen here, as test_methods.py freezes the methods.
+"""
+
+import pytest
+
+from slowphoton.cli import Scenario, ScanSpec, run_scenario, validate
+from slowphoton.media import BroadLine, EitMedium, MatchedLine
+from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind
+
+MEDIA = {
+    "none": None,
+    "matched": MatchedLine(gamma=1.0, thickness=2.0),
+    "broad": BroadLine(gamma_total=10.0, thickness=2.0),
+    "closed_eit": EitMedium(gamma_total=10.0, gamma_m=1.0, omega=2.0, thickness=5.0),
+    "open_eit": EitMedium(gamma_total=10.0, gamma_m=1.0, omega=20.0, thickness=5.0),
+}
+SCANS = {
+    "none": None,
+    "matched": ScanSpec(kind="matched", t_min=0.0, t_max=10.0, n_points=11),
+    "broad": ScanSpec(kind="broad", t_min=0.0, t_max=10.0, n_points=11),
+}
+NOT_EIT = "eit_params output requires an EIT medium"
+NOT_BROAD = "broad thickness scan needs a broad-line medium for Gamma"
+# (output, medium, scan) -> None if accepted, else a substring of the refusal
+CASES = {
+    ("eit_params", "none", "none"): NOT_EIT,
+    ("eit_params", "matched", "none"): NOT_EIT,
+    ("eit_params", "broad", "none"): NOT_EIT,
+    ("eit_params", "closed_eit", "none"): "eit_params output: adiabatic expansion invalid: "
+    "requires Omega**2 >= gamma_m*Gamma",
+    ("eit_params", "open_eit", "none"): None,
+    ("thickness_scan", "broad", "none"): "thickness_scan output requires scan.* keys",
+    ("thickness_scan", "none", "matched"): None,
+    ("thickness_scan", "none", "broad"): NOT_BROAD,
+    ("thickness_scan", "matched", "broad"): NOT_BROAD,
+    ("thickness_scan", "broad", "broad"): None,
+    ("thickness_scan", "open_eit", "broad"): None,
+    ("warp_field", "none", "none"): "unknown output 'warp_field'; valid: time_trace, "
+    "thickness_scan, eit_params, areas_and_energies",
+}
+
+
+@pytest.mark.parametrize("case", CASES, ids=["-".join(case) for case in CASES])
+def test_output_preconditions_are_frozen(tmp_path, case):
+    output, medium, scan = case
+    sc = Scenario(
+        name="out",
+        reference_rate_label="delta_ph",
+        source=PhotonWaveform(WaveformKind.EXPONENTIAL_CAUSAL, 1.0),
+        medium=MEDIA[medium],
+        grid=TimeGrid(-1.0, 8.0, 91),
+        methods=[],
+        outputs=[output],
+        scan=SCANS[scan],
+    )
+    errors, _ = validate(sc)
+    needle = CASES[case]
+    if needle is None:
+        assert errors == []
+        assert (tmp_path / run_scenario(sc, tmp_path)["files"][output]).exists()
+    else:
+        assert len(errors) == 1 and needle in errors[0], errors

@@ -397,7 +397,7 @@ class TestPropagateNumeric:
     def test_parallel_fill_equals_serial_fill_bitwise(self, causal_unit, medium, monkeypatch):
         grid = TimeGrid(-1.0, 6.0, 601)
         parallel = propagate_numeric(causal_unit, medium, grid)
-        monkeypatch.setattr(propagate._fill_pool(), "map", map)
+        monkeypatch.setattr(propagate._FILL_POOL, "map", map)
         serial = propagate_numeric(causal_unit, medium, grid)
         assert np.array_equal(parallel.amplitude, serial.amplitude)
         assert parallel.convergence == serial.convergence
@@ -406,7 +406,7 @@ class TestPropagateNumeric:
         grid = TimeGrid(-1.0, 6.0, 601)
         med = MatchedLine(1.0, 5.0)
         base = propagate_numeric(causal_unit, med, grid)
-        pool = propagate._fill_pool()
+        pool = propagate._FILL_POOL
         integrand = propagate._remainder_integrand
         calls = itertools.count()
 
@@ -420,7 +420,7 @@ class TestPropagateNumeric:
             propagate_numeric(causal_unit, med, grid)
         monkeypatch.setattr(propagate, "_remainder_integrand", integrand)
         again = propagate_numeric(causal_unit, med, grid)
-        assert propagate._fill_pool() is pool
+        assert propagate._FILL_POOL is pool
         assert np.array_equal(again.amplitude, base.amplitude)
 
     def test_fill_pool_uses_the_usable_cpus(self):
@@ -428,7 +428,7 @@ class TestPropagateNumeric:
             usable = len(os.sched_getaffinity(0))
         else:
             usable = os.cpu_count() or 1
-        assert 1 <= propagate._fill_pool()._max_workers <= usable
+        assert 1 <= propagate._FILL_POOL._max_workers <= usable
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
@@ -495,6 +495,19 @@ class TestPropagateNumeric:
         assert np.abs(b).max() <= 1.0
         energy_in = np.trapezoid(np.abs(sample(causal_unit, grid).amplitude) ** 2, dx=grid.spacing)
         assert np.trapezoid(np.abs(b) ** 2, dx=grid.spacing) <= energy_in
+
+    @pytest.mark.parametrize(
+        "med, grid",
+        [(BroadLine(1.0 + eps, 10.0 / (1.0 + eps)), TimeGrid(-4.0, 10.0, 1401))
+         for eps in (1e-5, 1e-7, 1e-9)]
+        + [(EitMedium(10.0, 1.0, 4.5, 30.0), TimeGrid(-2.0, 15.0, 1701))],
+        ids=["eps_1e-5", "eps_1e-7", "eps_1e-9", "critical_eit"],
+    )
+    def test_near_double_pole_round_off_is_refused(self, causal_unit, med, grid):
+        # the partial-fraction terms cancel; off from analytic_matched by
+        # 9.8e-5, 1.13 and 8.2e3 for the three eps, with a drift of 5e-7
+        with pytest.raises(ConvergenceError, match=r"pole subtraction round-off bound \S+ > 1\.0e-05"):
+            propagate_numeric(causal_unit, med, grid)
 
     def test_convergence_diagnostics_recorded(self, causal_unit):
         grid = TimeGrid(-1.0, 5.0, 1501)

@@ -75,3 +75,13 @@ def test_midpoint_convention_at_zero():
 def test_pole_on_axis_rejected():
     with pytest.raises(ValueError, match="frequency axis"):
         eval_pole_terms([(0.0j, 1, 1.0)], np.array([1.0]))
+
+
+def test_magnitude_sums_the_moduli_of_cancelling_terms():
+    tau = np.array([-1.0, 0.0, 0.5, 2.0])
+    terms = [(-1.0 + 0j, 1, 1e8 + 0j), (-1.0 + 0j, 1, -1e8 + 0j), (1.0 + 0j, 2, 3.0 + 0j)]
+    magnitude = np.zeros(tau.shape)
+    got = eval_pole_terms(terms, tau, magnitude)
+    assert np.array_equal(got, eval_pole_terms(terms, tau))
+    expected = [3.0 * np.exp(-1.0), 1e8, 2e8 * np.exp(-0.5), 2e8 * np.exp(-2.0)]
+    assert np.allclose(magnitude, expected, rtol=1e-15)
