@@ -8,10 +8,13 @@ invert as
     1/(s - z)^j  -> -tau^(j-1) exp(z*tau)/(j-1)! * Theta(-tau)   (Re z > 0)
 
 The numeric propagator uses this to subtract the first orders of the
-medium response (products of a few simple poles) in closed form, leaving a
-fast-decaying spectral remainder for the FFT.  Pole counts are tiny (<= 5)
-and poles are well separated, so a local Taylor expansion gives the
-partial-fraction coefficients accurately.
+medium response (products of a few poles) in closed form, leaving a
+fast-decaying spectral remainder for the FFT.  Pole counts are tiny (<= 5).
+Poles within a relative _MERGE_RTOL of each other become one pole of
+higher order, whose partial-fraction coefficients a local Taylor expansion
+gives.  The remaining near-coincident poles give large terms that nearly
+cancel: propagate_numeric bounds that round-off and refuses such a case
+with a ConvergenceError (exit 3).
 """
 
 from __future__ import annotations
@@ -22,14 +25,17 @@ import numpy as np
 
 __all__ = ["merge_poles", "partial_fractions", "eval_pole_terms"]
 
+# merge_poles treats poles closer than _MERGE_RTOL times the largest modulus as one
+_MERGE_RTOL = 1e-9
 
-def merge_poles(zs, rtol=1e-9):
+
+def merge_poles(zs):
     """Collapse a list of pole locations into [(z, multiplicity)] pairs."""
     scale = max(abs(z) for z in zs) or 1.0
     merged: list[list] = []
     for z in zs:
         for entry in merged:
-            if abs(z - entry[0]) <= rtol * scale:
+            if abs(z - entry[0]) <= _MERGE_RTOL * scale:
                 entry[1] += 1
                 break
         else:

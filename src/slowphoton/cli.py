@@ -43,6 +43,7 @@ from .media import (
 from .observables import (
     MAX_GRID_POINTS,
     MAX_SCAN_POINTS,
+    SCAN_NORMALIZATION,
     integrated_intensity,
     pulse_area,
     thickness_scan,
@@ -525,7 +526,7 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
                 zip(scan.thickness_values, scan.u_s, scan.u_a, scan.u_total, scan.beer_reference),
             )
             manifest["files"]["thickness_scan"] = path.name
-            manifest["derived"]["scan_normalization"] = scan.normalization
+            manifest["derived"]["scan_normalization"] = SCAN_NORMALIZATION
         elif output == "areas_and_energies":
             path = out_dir / f"{sc.name}_areas.csv"
             header = ["method", "area_re", "area_im", "area_abs", "energy"]

@@ -235,15 +235,17 @@ def fe57_siderite(omega_over_gamma: float = 2.0, thickness: float = 30.0) -> Eit
     )
 
 
-def medium_poles(a: AbsorberSpec) -> list[tuple[complex, complex]]:
-    """First-order pole decomposition of A(s)*l with s = -i*nu.
+def medium_poles(a: AbsorberSpec) -> list[tuple[complex, int, complex]]:
+    """Pole terms of A(s)*l with s = -i*nu.
 
-    Returns [(c_k, z_k)] such that A(s)*l = sum_k c_k / (s - z_k); every
-    pole satisfies Re z_k < 0 (causal, passive medium).  Used by the
+    Returns [(z, j, c)] such that A(s)*l = sum c/(s - z)**j; every pole
+    satisfies Re z < 0 (causal, passive medium).  At critical EIT coupling,
+    Omega = (Gamma - gamma_m)/2, the two poles coincide and the terms are
+    alpha0_l/(s + s1) + alpha0_l*(gamma_m - s1)/(s + s1)**2.  Used by the
     numeric propagator's analytic tail subtraction.
     """
     if isinstance(a, (MatchedLine, BroadLine)):
-        return [(complex(a.alpha0_l), complex(-a.linewidth))]
+        return [(complex(-a.linewidth), 1, complex(a.alpha0_l))]
     if isinstance(a, EitMedium):
         g, gm = a.gamma_total, a.gamma_m
         # roots of s**2 + (Gamma+gamma_m)*s + (Gamma*gamma_m + Omega**2)
@@ -252,13 +254,8 @@ def medium_poles(a: AbsorberSpec) -> list[tuple[complex, complex]]:
         s1 = half + 0.5 * disc
         s2 = half - 0.5 * disc
         if s1 == s2:
-            # critically damped coupling: A*l = alpha0_l*(gm+s)/(s+s1)**2,
-            # split as alpha0_l/(s+s1) + alpha0_l*(gm-s1)/(s+s1)**2; the
-            # second-order pole is handled by returning the pole twice with
-            # split weights only when needed.  In practice the coupling is
-            # never exactly critical; nudge the root pair apart instead.
-            s2 = s1 * (1.0 + 1e-9)
+            return [(-s1, 1, complex(a.alpha0_l)), (-s1, 2, a.alpha0_l * (gm - s1))]
         c1 = a.alpha0_l * (gm - s1) / (s2 - s1)
         c2 = a.alpha0_l * (gm - s2) / (s1 - s2)
-        return [(c1, -s1), (c2, -s2)]
+        return [(-s1, 1, c1), (-s2, 1, c2)]
     raise TypeError(f"not an absorber spec: {a!r}")

@@ -162,17 +162,19 @@ def u_gaussian(delta_ph: float, gamma_total: float, thickness: float) -> float:
     return math.sqrt(2.0 * math.pi) * eta / delta_ph * math.exp(-2.0 * thickness)
 
 
+# every ThicknessScan energy is in units of half the input energy
+SCAN_NORMALIZATION = "U0(0)/2"
+
+
 @dataclass
 class ThicknessScan:
-    """Energies versus thickness, normalized to U0(0)/2 per entry."""
+    """Energies versus thickness, in units of SCAN_NORMALIZATION."""
 
-    kind: str
     thickness_values: np.ndarray
     u_s: np.ndarray
     u_a: np.ndarray
     u_total: np.ndarray
     beer_reference: np.ndarray
-    normalization: str = "U0(0)/2"
 
 
 def thickness_scan(kind: str, delta_ph: float, gamma_total, t_values) -> ThicknessScan:
@@ -202,7 +204,6 @@ def thickness_scan(kind: str, delta_ph: float, gamma_total, t_values) -> Thickne
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
     return ThicknessScan(
-        kind=kind,
         thickness_values=t_values,
         u_s=u_s,
         u_a=u_a,

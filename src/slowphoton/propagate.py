@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -119,38 +118,33 @@ def _exponential_weights(kind: WaveformKind):
     return 0.5 * (w_s + w_a), 0.5 * (w_s - w_a)
 
 
-def _waveform_pole_terms(w: PhotonWaveform):
-    """Spectrum as sum of c/(s - z) terms in s = -i*nu (None for Gaussian)."""
-    if w.kind not in PART_WEIGHTS:
-        return None
-    c_p, c_m = _exponential_weights(w.kind)
-    d = w.delta_ph
-    terms = [(c_p + 0j, complex(-d)), (-c_m + 0j, complex(d))]
-    return [term for term in terms if term[0] != 0]
+def _product_terms(left, right):
+    """Pole terms of the product of two sums of c/(s - z)^j, like (z, j) terms summed."""
+    acc: dict[tuple[complex, int], complex] = {}
+    for z1, j1, c1 in left:
+        for z2, j2, c2 in right:
+            for z, j, c in partial_fractions(c1 * c2, merge_poles([z1] * j1 + [z2] * j2)):
+                acc[z, j] = acc.get((z, j), 0) + c
+    return [(z, j, c) for (z, j), c in acc.items()]
 
 
 def _subtraction_terms(w: PhotonWaveform, a: AbsorberSpec):
-    """Pole terms of b(s) * sum_{k=1.._SUBTRACT_ORDERS} (-A(s)l)^k / k!."""
-    wave = _waveform_pole_terms(w)
-    if wave is None:
+    """Pole terms of b(s) * sum_{k=1.._SUBTRACT_ORDERS} (-A(s)l)^k / k!.
+
+    Order k is order k - 1 times -A(s)l/k, the recurrence that
+    _remainder_integrand runs on the lattice, starting from the source's
+    c_p/(s + d) - c_m/(s - d).
+    """
+    if w.kind not in PART_WEIGHTS:
         return []
+    c_p, c_m = _exponential_weights(w.kind)
+    d = w.delta_ph
+    term = [(z, 1, c) for z, c in ((complex(-d), c_p), (complex(d), -c_m)) if c != 0]
     med = medium_poles(a)
     terms = []
     for k in range(1, _SUBTRACT_ORDERS + 1):
-        for combo in combinations_with_replacement(range(len(med)), k):
-            counts: dict[int, int] = {}
-            for idx in combo:
-                counts[idx] = counts.get(idx, 0) + 1
-            weight = (-1.0) ** k
-            coef_prod = 1.0 + 0j
-            pole_list: list[complex] = []
-            for idx, cnt in counts.items():
-                weight /= math.factorial(cnt)
-                coef_prod *= med[idx][0] ** cnt
-                pole_list.extend([med[idx][1]] * cnt)
-            for cw, zw in wave:
-                poles = merge_poles(pole_list + [zw])
-                terms.extend(partial_fractions(weight * coef_prod * cw, poles))
+        term = [(z, j, -c / k) for z, j, c in _product_terms(term, med)]
+        terms += term
     return terms
 
 
@@ -537,22 +531,13 @@ def _r_pm(sign: int, delta_ph: float, p: EitParams, tau):
     return out
 
 
-def adiabatic_eit(w: PhotonWaveform, a: EitMedium, tau, *, simplified: bool = False):
-    """Adiabatic (window-filtered, delayed) part of the causal envelope.
-
-    With simplified=True returns the reduced form phi_+ * exp(-d*tau) that
-    drops the nearly cancelling residual-absorption and delay-damping
-    exponents (intended for delta_ph == gamma_m).
-    """
+def adiabatic_eit(w: PhotonWaveform, a: EitMedium, tau):
+    """Adiabatic (window-filtered, delayed) part of the causal envelope."""
     if w.kind is not WaveformKind.EXPONENTIAL_CAUSAL:
         raise UnsupportedWaveformError(
             "adiabatic_eit is defined for the causal exponential envelope"
         )
-    p = eit_params(a)
-    out = _r_pm(+1, w.delta_ph, p, tau)
-    if simplified:
-        out = out * math.exp(p.t_eit - w.delta_ph * p.t_d)
-    out = np.asarray(out, dtype=complex)
+    out = np.asarray(_r_pm(+1, w.delta_ph, eit_params(a), tau), dtype=complex)
     return out if np.ndim(tau) else complex(out)
 
 

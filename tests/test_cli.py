@@ -482,6 +482,18 @@ class TestMainEntry:
         assert "error: pole subtraction round-off bound" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    def test_critical_eit_coupling_runs(self, tmp_path, capsys):
+        # Omega = (Gamma - gamma_m)/2: the medium's double pole is subtracted as one
+        text = FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 4.5")
+        text = text.replace("methods = input, numeric, total_eit", "methods = input, numeric")
+        path = _write(tmp_path, text.replace("outputs = time_trace, eit_params", "outputs = time_trace"))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        trace = np.loadtxt(out / "fig6a_custom_trace.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(trace)) and np.abs(trace[:, -1]).max() <= 1.0
+
     @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "sub/escaped", "nul\0escaped"])
     @pytest.mark.parametrize("form", ["flat", "json"])
     @pytest.mark.parametrize("command", ["validate", "run"])

@@ -179,13 +179,14 @@ class TestMediumPoles:
             BroadLine(7.0, 3.0),
             EitMedium(10.0, 1.0, 20.0, 30.0),
             EitMedium(10.0, 1.0, 3.5, 30.0),  # real, distinct roots
+            EitMedium(10.0, 1.0, 4.5, 30.0),  # critical coupling: one double root
         ],
     )
     def test_pole_expansion_reproduces_response(self, med):
         nu = np.linspace(-300.0, 300.0, 601)
         s = -1j * nu
         acc = np.zeros_like(s)
-        for c, z in medium_poles(med):
+        for z, j, c in medium_poles(med):
             assert z.real < 0  # causal
-            acc = acc + c / (s - z)
+            acc = acc + c / (s - z) ** j
         np.testing.assert_allclose(acc, spectral_response(med, nu), rtol=1e-10, atol=1e-12)
