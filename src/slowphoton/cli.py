@@ -12,7 +12,7 @@ Subcommands: ``run <config>``, ``figure <preset> [--out DIR]``,
 ``eit-params <config>``, ``validate <config>``.  The default output
 directory can be overridden with the SLOWPHOTON_OUTDIR environment
 variable.  Exit codes: 1 config parse error, 2 validation error,
-3 numerical non-convergence, including round-off or a spectral sum past its caps.
+3 numerical non-convergence, including round-off or a spectral lattice past its cap.
 """
 
 from __future__ import annotations

@@ -81,19 +81,16 @@ _MAX_DOUBLINGS = 3
 # Window scale: truncating the remainder tail ~ (alpha0*l/nu)**3/nu at
 # nu_max = _WINDOW_PER_ALPHA0L * alpha0*l bounds the error by ~1e-6.
 _WINDOW_PER_ALPHA0L = 26.0
-# Only lattices above _MAX_FFT_SAMPLES (grids finer than ~pi/nu_max) fall back
-# to direct summation, bounded by the same lattice cap and by _MAX_DIRECT_WORK
-# frequency x point products: 2-8 ns each on 2 vCPUs, so 3.5 s for a level of
-# 2**20 frequencies x 1,024 points.  _remainder_fft fills its lattice in
-# _FFT_CHUNK slices, concurrently on the usable CPUs.  Each running slice holds
-# its integrand's temporaries (a few complex arrays of _FFT_CHUNK entries), so
-# the slice size times the worker count bounds the memory the fill adds to the
-# lattice.  On 2 vCPUs, 2**15 adds about 5 MB (3-4%) to the peak RSS of a
-# figure or sweep run; 2**16 added 8-10%, and 2**14 gave up a third of the
-# speed-up.
+# Each level fills one frequency lattice, in _FFT_CHUNK slices concurrently on
+# the usable CPUs, and transforms it by an aligned FFT of at most
+# _MAX_FFT_SAMPLES or, on grids finer than that allows (~pi/nu_max), by a
+# chirp-z zoom of m frequencies onto n points with m + n - 1 <= _MAX_FFT_SAMPLES;
+# above that cap ConvergenceError is raised before any array is allocated.
+# Each running slice holds a few complex arrays of _FFT_CHUNK entries: on
+# 2 vCPUs, 2**15 adds about 5 MB (3-4%) to the peak RSS of a figure or sweep
+# run; 2**16 added 8-10%, and 2**14 gave up a third of the speed-up.
 _MIN_FFT_SAMPLES = 2**18
 _MAX_FFT_SAMPLES = 2**22
-_MAX_DIRECT_WORK = 2**30
 _FFT_CHUNK = 2**15
 # _depth_rule drops depths u > _DEPTH_SPAN/decay below the upper limit, where
 # the weight exp(-decay*u) is below exp(-40): at most exp(-40)/decay =
@@ -152,7 +149,7 @@ def _remainder_integrand(w, a, nu):
     b = spectral_amplitude(w, nu)
     al = spectral_response(a, nu)
     acc = np.exp(-al) - 1.0
-    if w.kind is not WaveformKind.GAUSSIAN:
+    if w.kind in PART_WEIGHTS:
         power = np.ones_like(al)
         for k in range(1, _SUBTRACT_ORDERS + 1):
             power = power * (-al) / k
@@ -194,76 +191,76 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_build_fill_pool)
 
 
-def _remainder_fft(w, a, grid, mdiv, period):
-    """Remainder transform on the scenario grid via an aligned FFT.
+def _zoom(spect, m, n, p):
+    """sum_k spect[k] * exp(-2i*pi*j*k/p) for j < n, by a chirp-z (Bluestein) zoom.
 
-    The FFT time step is grid.spacing/mdiv, so scenario samples land
-    exactly on FFT samples; the frequency window is pi/dtau.  The spectrum
-    is filled in _FFT_CHUNK slices, concurrently on the usable CPUs
-    (`_FILL_POOL`; the elementwise numpy work releases the GIL), each
-    worker writing its own disjoint slice, then transformed in place.
-    Every element is computed as it would be serially, so the result does
-    not depend on the CPU count.  Memory grows by one slice's temporaries
-    per worker, which the slice size keeps small beside the lattice.
+    spect holds m terms, then zeros up to a length >= m + n - 1, and is
+    overwritten.  j*k = (j**2 + k**2 - (j - k)**2)/2 makes the sum a
+    convolution with the chirp exp(-i*pi*t**2/p), done by FFTs.  Each phase
+    reduces t*t mod 2p exactly in float64 (t*t < 2**53 under the lattice
+    cap) before its one rounding, so no platform's long double is needed.
     """
-    h_grid = grid.spacing
-    dtau = h_grid / mdiv
+    chirp = np.fmod(np.arange(max(m, n), dtype=float) ** 2, 2.0 * p) * (-1j * math.pi / p)
+    np.exp(chirp, out=chirp)
+    spect[:m] *= chirp[:m]
+    kernel = np.zeros_like(spect)
+    np.conjugate(chirp[:n], out=kernel[:n])
+    np.conjugate(chirp[m - 1:0:-1], out=kernel[kernel.size - m + 1:])
+    np.fft.fft(spect, out=spect)
+    spect *= np.fft.fft(kernel, out=kernel)
+    return np.fft.ifft(spect, out=spect)[:n] * chirp[:n]
+
+
+def _remainder(w, a, grid, mdiv, nu_max, period):
+    """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid.
+
+    The lattice nu_k = nu_0 + k*dnu holds h(nu_k)*exp(-i*k*dnu*tau_0), filled
+    in _FFT_CHUNK slices on `_FILL_POOL` (numpy releases the GIL), each slice
+    computed as it would be serially, so the result does not depend on the
+    CPU count.  An aligned FFT of time step spacing/mdiv and window pi/dtau,
+    on whose samples the grid lands, transforms it; past _MAX_FFT_SAMPLES,
+    `_zoom` does, over [-nu_max, nu_max] with the period rounded up to p
+    grid steps, so that dnu*spacing = 2pi/p.
+    """
+    n_points = grid.n_points
+    dtau = grid.spacing / mdiv
     n = 1 << max(
         math.ceil(math.log2(period / dtau)),
-        math.ceil(math.log2((grid.n_points + 1) * mdiv)),
+        math.ceil(math.log2((n_points + 1) * mdiv)),
         int(math.log2(_MIN_FFT_SAMPLES)),
     )
-    if n > _MAX_FFT_SAMPLES:
-        return None
-    dnu = 2.0 * math.pi / (n * dtau)
-    nu_half = math.pi / dtau
+    if n <= _MAX_FFT_SAMPLES:
+        strategy, nu_half, m, size = "fft", math.pi / dtau, n, n
+        dnu = 2.0 * math.pi / (n * dtau)
+        j = np.arange(n_points) * mdiv
+    else:
+        strategy, nu_half, dtau = "zoom", nu_max, grid.spacing
+        p = math.ceil(period / dtau)
+        dnu = 2.0 * math.pi / (p * dtau)
+        m = math.ceil(2.0 * nu_max / dnu)
+        if m + n_points - 1 > _MAX_FFT_SAMPLES:
+            raise ConvergenceError(
+                f"chirp-z zoom of {m} frequencies onto {n_points} points needs "
+                f"{m + n_points - 1} samples, above the cap of {_MAX_FFT_SAMPLES}"
+            )
+        size = 1 << (m + n_points - 2).bit_length()
+        j = np.arange(n_points)
     tau0 = grid.t_start
-    spect = np.empty(n, dtype=complex)
+    spect = np.zeros(size, dtype=complex)
 
     def fill(start):
-        stop = min(start + _FFT_CHUNK, n)
+        stop = min(start + _FFT_CHUNK, m)
         k = np.arange(start, stop)
         h = _remainder_integrand(w, a, -nu_half + dnu * k)
         spect[start:stop] = h * np.exp(-1j * dnu * tau0 * k)
 
     # reading every result re-raises a slice's error here
-    for _ in _FILL_POOL.map(fill, range(0, n, _FFT_CHUNK)):
+    for _ in _FILL_POOL.map(fill, range(0, m, _FFT_CHUNK)):
         pass
-    r_fft = np.fft.fft(spect, out=spect)
-    j = np.arange(grid.n_points) * mdiv
+    r = np.fft.fft(spect, out=spect)[j] if strategy == "fft" else _zoom(spect, m, n_points, p)
     tau_j = tau0 + j * dtau
-    values = (dnu / (2.0 * math.pi)) * np.exp(1j * nu_half * tau_j) * r_fft[j]
-    info = {"nu_max": nu_half, "n_freq": n, "strategy": "fft"}
-    return values, info
-
-
-def _remainder_direct(w, a, grid, nu_max, period):
-    """Remainder transform by direct summation, for grids beyond the FFT cap.
-
-    The phase factors exp(-i*nu*tau_j) advance by a constant rotation per
-    grid step, so one rotation vector replaces the full phase matrix.  The
-    m frequencies obey the FFT's lattice cap, and the m*n_points products
-    _MAX_DIRECT_WORK; above either, ConvergenceError is raised before any
-    array is allocated.
-    """
-    dnu = 2.0 * math.pi / period
-    m = math.ceil(2.0 * nu_max / dnu)
-    if m > _MAX_FFT_SAMPLES or m * grid.n_points > _MAX_DIRECT_WORK:
-        raise ConvergenceError(
-            f"direct summation needs {m} frequencies x {grid.n_points} points, above "
-            f"the caps of {_MAX_FFT_SAMPLES} frequencies and {_MAX_DIRECT_WORK} products"
-        )
-    nu = -nu_max + dnu * np.arange(m)
-    h = _remainder_integrand(w, a, nu) * (dnu / (2.0 * math.pi))
-    tau = grid.times()
-    phase = h * np.exp(-1j * nu * tau[0])
-    step = np.exp(-1j * nu * grid.spacing)
-    values = np.empty(tau.shape, dtype=complex)
-    for j in range(tau.size):
-        values[j] = phase.sum()
-        phase *= step
-    info = {"nu_max": nu_max, "n_freq": m, "strategy": "direct"}
-    return values, info
+    values = (dnu / (2.0 * math.pi)) * np.exp(1j * nu_half * tau_j) * r
+    return values, {"nu_max": nu_half, "n_freq": m, "strategy": strategy}
 
 
 def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid) -> TimeSeries:
@@ -275,8 +272,8 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     ConvergenceError is raised after _MAX_DOUBLINGS doublings.  It is also
     raised when the subtracted pole terms, which cancel near a double pole,
     could lose more than _DRIFT_TOL to round-off: machine epsilon times their
-    summed moduli.  A missing medium or zero thickness reproduces the sampled
-    input exactly.
+    summed moduli, recorded as `roundoff`.  A missing medium or zero
+    thickness reproduces the sampled input exactly.
     """
     tau = grid.times()
     free = time_amplitude(w, tau)
@@ -294,8 +291,7 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     # level k doubles the window and the period k times
     for level in range(_MAX_DOUBLINGS + 1):
         scale = 1 << level
-        cur, info = (_remainder_fft(w, a, grid, mdiv * scale, period * scale)
-                     or _remainder_direct(w, a, grid, nu_max * scale, period * scale))
+        cur, info = _remainder(w, a, grid, mdiv * scale, nu_max * scale, period * scale)
         if prev is not None:
             drift = float(np.max(np.abs(cur - prev)))
             if drift <= _DRIFT_TOL:
@@ -306,16 +302,15 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
             f"spectral quadrature drift {drift:.3e} > {_DRIFT_TOL:.1e} after "
             f"{_MAX_DOUBLINGS} refinements"
         )
-    info = dict(info)
-    info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL})
     magnitude = np.zeros(tau.shape)
     closed = eval_pole_terms(_subtraction_terms(w, a), tau, magnitude)
-    roundoff = np.finfo(float).eps * float(magnitude.max(initial=0.0))
+    roundoff = float(np.finfo(float).eps * magnitude.max(initial=0.0))
     if roundoff > _DRIFT_TOL:
         raise ConvergenceError(
             f"pole subtraction round-off bound {roundoff:.3e} > {_DRIFT_TOL:.1e}: "
             "its terms nearly cancel"
         )
+    info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL, "roundoff": roundoff})
     return TimeSeries(grid, free + closed + cur, info)
 
 

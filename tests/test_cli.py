@@ -365,13 +365,13 @@ class TestMainEntry:
         ids=["thick", "long"],
     )
     def test_unbounded_direct_summation_exit_3(self, tmp_path, capsys, old, new):
-        # both pass validate; the direct summation would need > 2**22 frequencies
+        # both pass validate; the chirp-z zoom would need > 2**22 frequencies
         path = _write(tmp_path, MATCHED_TEXT.replace(old, new))
         assert main(["validate", str(path)]) == 0
         start = time.perf_counter()
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert time.perf_counter() - start < 10.0
-        assert "error: direct summation needs" in capsys.readouterr().err
+        assert "error: chirp-z zoom of" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, validate_code, run_code, message",

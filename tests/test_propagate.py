@@ -20,7 +20,7 @@ from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params
 from slowphoton.propagate import (
     TimeSeries,
     _beat_integral,
-    _remainder_direct,
+    _remainder_integrand,
     _subtraction_terms,
     _window_defaults,
     adiabatic_eit,
@@ -37,10 +37,11 @@ from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind, sample,
 
 from conftest import mask_near_zero
 
-C, S, A = (
+C, S, A, G = (
     WaveformKind.EXPONENTIAL_CAUSAL,
     WaveformKind.SYMMETRIC_PART,
     WaveformKind.ANTISYMMETRIC_PART,
+    WaveformKind.GAUSSIAN,
 )
 # (t_eff, decay, rate, tau_max) of the beat integrals behind the presets.
 # A matched line of thickness T calls the rule (T/2, 1, 2*delta_ph): fig2
@@ -59,6 +60,15 @@ BEAT_SETS = [
     (20.0, 1.0, 2.0, 10.0),
 ]
 ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.0, 20.0, 3.0)]
+# Grids finer than ~pi/nu_max whose aligned FFT lattice would exceed the cap,
+# so the chirp-z zoom transforms them; small enough that an exact-phase sum
+# over the same lattice (m frequencies x n points) stays below ~2e7 terms.
+ZOOM_CASES = [
+    (C, MatchedLine(1.0, 10.0), TimeGrid(-1e-3, 1e-3, 2001)),
+    (A, BroadLine(10.0, 10.0), TimeGrid(-2e-4, 2e-4, 401)),
+    (C, EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(0.0, 1e-3, 101)),
+    (G, BroadLine(10.0, 1.0), TimeGrid(-1e-3, 1e-3, 2001)),
+]
 
 J0_FIRST_ROOT = 2.404825557695772768622
 EXP_M5_HALF = math.exp(-5.0) / 2.0  # boundary value at T = 10
@@ -359,7 +369,7 @@ class TestPropagateNumeric:
     @pytest.mark.parametrize("kind", [C, S, A], ids=lambda k: k.value)
     @pytest.mark.parametrize("medium", ROUTING_MEDIA, ids=lambda m: type(m).__name__)
     def test_small_grids_take_the_fft(self, medium, kind, n_points):
-        # small grids take the FFT too; direct summation over the accepted
+        # small grids take the FFT too; a rotation sum over the accepted
         # level's window is the reference it must reproduce
         w = PhotonWaveform(kind, 1.0)
         grid = TimeGrid(-1.0, 6.0, n_points)
@@ -369,7 +379,7 @@ class TestPropagateNumeric:
         assert conv["strategy"] == "fft"
         nu_max, period = _window_defaults(w, medium, grid)
         scale = 2 ** conv["iterations"]
-        rem, _ = _remainder_direct(w, medium, grid, nu_max * scale, period * scale)
+        rem = _rotation_sum(w, medium, grid, nu_max * scale, period * scale)
         closed = eval_pole_terms(_subtraction_terms(w, medium), tau)
         assert np.abs(out.amplitude - (time_amplitude(w, tau) + closed + rem)).max() <= 1e-6
         if isinstance(medium, MatchedLine):
@@ -393,10 +403,17 @@ class TestPropagateNumeric:
             out = propagate_numeric(causal_unit, med, grid)
             assert np.abs(out.amplitude - base.amplitude).max() <= 1e-13
 
+    @pytest.mark.parametrize(
+        "grid, strategy",
+        [(TimeGrid(-1.0, 6.0, 601), "fft"), (TimeGrid(-1e-3, 1e-3, 2001), "zoom")],
+        ids=["fft", "zoom"],
+    )
     @pytest.mark.parametrize("medium", ROUTING_MEDIA, ids=lambda m: type(m).__name__)
-    def test_parallel_fill_equals_serial_fill_bitwise(self, causal_unit, medium, monkeypatch):
-        grid = TimeGrid(-1.0, 6.0, 601)
+    def test_parallel_fill_equals_serial_fill_bitwise(
+        self, causal_unit, medium, grid, strategy, monkeypatch
+    ):
         parallel = propagate_numeric(causal_unit, medium, grid)
+        assert parallel.convergence["strategy"] == strategy
         monkeypatch.setattr(propagate._FILL_POOL, "map", map)
         serial = propagate_numeric(causal_unit, medium, grid)
         assert np.array_equal(parallel.amplitude, serial.amplitude)
@@ -455,28 +472,48 @@ class TestPropagateNumeric:
     )
     def test_unbounded_direct_summation_is_refused(self, causal_unit, med, grid):
         start = time.perf_counter()
-        with pytest.raises(ConvergenceError, match=r"needs \d+ frequencies x 1401 points") as info:
+        with pytest.raises(ConvergenceError, match=r"of \d+ frequencies onto 1401 points") as info:
             propagate_numeric(causal_unit, med, grid)
         assert time.perf_counter() - start < 5.0
         assert int(re.search(r"needs (\d+)", str(info.value)).group(1)) > propagate._MAX_FFT_SAMPLES
-        assert f"{propagate._MAX_FFT_SAMPLES} frequencies" in str(info.value)
-        assert f"{propagate._MAX_DIRECT_WORK} products" in str(info.value)
+        assert f"cap of {propagate._MAX_FFT_SAMPLES}" in str(info.value)
 
-    def test_direct_summation_work_cap(self, causal_unit, monkeypatch):
-        # the fine grid below needs 3.3e7 products at its accepted level
+    @pytest.mark.parametrize("cap, refused", [(18553, True), (18554, False)])
+    def test_zoom_cap_counts_frequencies_plus_points(self, causal_unit, monkeypatch, cap, refused):
+        # the accepted level zooms 16,554 frequencies onto 2,001 points: 18,554 samples
         med = MatchedLine(1.0, 10.0)
         zoom = TimeGrid(-1e-3, 1e-3, 2001)
-        monkeypatch.setattr(propagate, "_MAX_DIRECT_WORK", 10**7)
-        with pytest.raises(ConvergenceError, match="10000000 products"):
-            propagate_numeric(causal_unit, med, zoom)
+        monkeypatch.setattr(propagate, "_MAX_FFT_SAMPLES", cap)
+        if refused:
+            with pytest.raises(ConvergenceError, match="onto 2001 points needs 18554 samples"):
+                propagate_numeric(causal_unit, med, zoom)
+        else:
+            assert propagate_numeric(causal_unit, med, zoom).convergence["n_freq"] == 16554
+
+    @pytest.mark.parametrize(
+        "kind, medium, grid", ZOOM_CASES, ids=["matched", "broad", "eit", "gaussian"]
+    )
+    def test_zoom_matches_exact_phase_sum(self, kind, medium, grid):
+        # level 0's lattice, summed with exact integer phases j*k mod p
+        w = PhotonWaveform(kind, 1.0)
+        nu_max, period = _window_defaults(w, medium, grid)
+        values, info = propagate._remainder(w, medium, grid, 1, nu_max, period)
+        assert info["strategy"] == "zoom"
+        p = math.ceil(period / grid.spacing)
+        dnu = 2.0 * math.pi / (p * grid.spacing)
+        k = np.arange(info["n_freq"])
+        g = _remainder_integrand(w, medium, -nu_max + dnu * k) * np.exp(-1j * dnu * grid.t_start * k)
+        tau = grid.times()
+        exact = (dnu / (2.0 * math.pi)) * np.exp(1j * nu_max * tau) * _exact_phase_sum(g, tau.size, p)
+        assert np.abs(values - exact).max() <= 1e-13
 
     def test_fine_grid_falls_back_to_direct_summation(self, causal_unit):
         # many points at micro spacing: FFT alignment would need > 2**22
-        # samples, so the direct path must take over and stay accurate
+        # samples, so the chirp-z zoom must take over and stay accurate
         med = MatchedLine(1.0, 10.0)
         zoom = TimeGrid(-1e-3, 1e-3, 2001)
         out = propagate_numeric(causal_unit, med, zoom)
-        assert out.convergence["strategy"] == "direct"
+        assert out.convergence["strategy"] == "zoom"
         tau = zoom.times()
         ana = analytic_matched(1.0, 10.0, tau)
         mask = np.abs(tau) > 2 * zoom.spacing
@@ -529,6 +566,25 @@ class TestPropagateNumeric:
             propagate_numeric(causal_unit, MatchedLine(1.0, 10.0), grid)
 
 
+def _rotation_sum(w, a, grid, nu_max, period):
+    """Remainder sum over [-nu_max, nu_max) at step 2pi/period, one phase rotation per grid step."""
+    dnu = 2.0 * math.pi / period
+    nu = -nu_max + dnu * np.arange(math.ceil(2.0 * nu_max / dnu))
+    phase = _remainder_integrand(w, a, nu) * (dnu / (2.0 * math.pi)) * np.exp(-1j * nu * grid.t_start)
+    step = np.exp(-1j * nu * grid.spacing)
+    values = np.empty(grid.n_points, dtype=complex)
+    for j in range(grid.n_points):
+        values[j] = phase.sum()
+        phase *= step
+    return values
+
+
+def _exact_phase_sum(g, n, p):
+    """sum_k g[k] * exp(-2i*pi*j*k/p) for j < n, with j*k reduced mod p in integers."""
+    k = np.arange(g.size, dtype=np.int64)
+    return np.array([g @ np.exp(-2j * np.pi * ((j * k) % p) / p) for j in range(n)])
+
+
 def _assert_parts_match_oracle(kind, delta_ph, medium, b_s, b_a, grid):
     w = PhotonWaveform(kind, delta_ph)
     num = propagate_numeric(w, medium, grid).amplitude
@@ -570,6 +626,40 @@ class TestClosedFormPartsProperties:
         grid = _property_grid(delta_ph)
         b_s, b_a = analytic_parts_broad(delta_ph, gamma, t_b, grid.times())
         _assert_parts_match_oracle(kind, delta_ph, BroadLine(gamma, t_b), b_s, b_a, grid)
+
+
+class TestOracleInvariantsProperties:
+    """The oracle's own invariants over EIT media, near-critical couplings included."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        gamma=st.floats(6.0, 12.0),
+        omega_frac=st.floats(0.0, 1.0),
+        critical=st.one_of(st.none(), st.floats(-8.0, -2.0)),
+        alpha0_l=st.floats(1.0, 300.0),
+        delta_ph=st.floats(1.0, 2.0),
+    )
+    def test_eit(self, gamma, omega_frac, critical, alpha0_l, delta_ph):
+        # gamma_m = 1; Omega from sqrt(gamma_m*Gamma) to 1.5*Gamma, or 1e-8 to
+        # 1e-2 off the critical coupling (Gamma - gamma_m)/2, on either side
+        if critical is None:
+            omega = math.sqrt(gamma) + omega_frac * (1.5 * gamma - math.sqrt(gamma))
+        else:
+            offset = math.copysign(10.0**critical, omega_frac - 0.5)
+            omega = 0.5 * (gamma - 1.0) * (1.0 + offset)
+        medium = EitMedium(gamma, 1.0, omega, alpha0_l / gamma)
+        grid = _property_grid(delta_ph)
+        try:
+            b_c, b_s, b_a = [
+                propagate_numeric(PhotonWaveform(k, delta_ph), medium, grid).amplitude
+                for k in (C, S, A)
+            ]
+        except ConvergenceError:
+            return
+        tau = grid.times()
+        assert np.abs(b_c).max() <= 1.0 + 1e-9
+        assert np.abs(b_c[tau < -2 * grid.spacing]).max() <= 1e-5
+        assert np.abs(b_c - b_s - b_a).max() <= 1e-5
 
 
 class TestAdiabaticEit:
