@@ -12,7 +12,7 @@ Subcommands: ``run <config>``, ``figure <preset> [--out DIR]``,
 ``eit-params <config>``, ``validate <config>``.  The default output
 directory can be overridden with the SLOWPHOTON_OUTDIR environment
 variable.  Exit codes: 1 config parse error, 2 validation error,
-3 numerical non-convergence, including round-off or a spectral lattice past its cap.
+3 numerical non-convergence, including round-off or a refined lattice past its cap.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .propagate import (
     gaussian_broad,
     phi_plus,
     propagate_numeric,
+    spectral_lattice,
     total_eit,
 )
 from .waveforms import PART_WEIGHTS, PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, sample
@@ -117,10 +118,11 @@ DECOMPOSABLE = frozenset(PART_WEIGHTS)  # causal and its two parts
 class Method:
     """One trace method: accepted media and sources, precondition, compute.
 
-    media None accepts any medium or none.  check(source, medium) raises
-    ValidityError outside the method's validity regime; compute(source,
-    medium, grid) builds the TimeSeries.  Library functions are looked up
-    when called, so a wrapper set on this module's attribute sees each call.
+    media None accepts any medium or none.  check(source, medium, grid)
+    raises ValidityError outside the method's validity regime, ConvergenceError
+    where it cannot run; compute(source, medium, grid) builds the TimeSeries.
+    Library functions are looked up when called, so a wrapper set on this
+    module's attribute sees each call.
     """
 
     media: Optional[tuple[type, ...]]
@@ -134,7 +136,7 @@ def _closed(amplitude: Callable) -> Callable[..., TimeSeries]:
     return lambda w, a, grid: TimeSeries(grid, amplitude(w, a, grid.times()))
 
 
-def _check_matched(w, a):
+def _check_matched(w, a, grid):
     if not math.isclose(a.gamma, w.delta_ph, rel_tol=1e-12):
         raise ValidityError(
             "assumes the matched condition gamma == delta_ph "
@@ -142,18 +144,18 @@ def _check_matched(w, a):
         )
 
 
-def _check_parts(w, a):
+def _check_parts(w, a, grid):
     if isinstance(a, MatchedLine):
-        _check_matched(w, a)
+        _check_matched(w, a, grid)
     else:
         _check_broad(w.delta_ph, a.gamma_total)
 
 
-def _check_eit(w, a):
+def _check_eit(w, a, grid):
     eit_params(a)
 
 
-def _check_total_eit(w, a):
+def _check_total_eit(w, a, grid):
     eit_params(a)
     _check_nonadiabatic(w.delta_ph, a.gamma_total)
 
@@ -177,7 +179,10 @@ def _parts(w, a, tau):
 
 METHODS: dict[str, Method] = {
     "input": Method(None, ALL_SOURCES, lambda w, a, grid: sample(w, grid)),
-    "numeric": Method(None, ALL_SOURCES, lambda w, a, grid: propagate_numeric(w, a, grid)),
+    "numeric": Method(
+        None, ALL_SOURCES, lambda w, a, grid: propagate_numeric(w, a, grid),
+        lambda w, a, grid: spectral_lattice(w, a, grid, 1),  # levels 0 and 1 always run
+    ),
     "analytic_matched": Method(
         (MatchedLine,), CAUSAL,
         _closed(lambda w, a, t: analytic_matched(w.delta_ph, a.thickness, t)),
@@ -191,7 +196,7 @@ METHODS: dict[str, Method] = {
     "approx_broad": Method(
         (BroadLine,), CAUSAL,
         _closed(lambda w, a, t: approx_broad(w.delta_ph, a.gamma_total, a.alpha0_l, t)),
-        lambda w, a: _check_broad(w.delta_ph, a.gamma_total),
+        lambda w, a, grid: _check_broad(w.delta_ph, a.gamma_total),
     ),
     "adiabatic_eit": Method(
         (EitMedium,), CAUSAL,
@@ -206,7 +211,7 @@ METHODS: dict[str, Method] = {
     "gaussian_approx": Method(
         (BroadLine,), frozenset({WaveformKind.GAUSSIAN}),
         _closed(lambda w, a, t: gaussian_broad(w.delta_ph, a.gamma_total, a.thickness, t)),
-        lambda w, a: _gaussian_eta(w.delta_ph, a.gamma_total, a.thickness),
+        lambda w, a, grid: _gaussian_eta(w.delta_ph, a.gamma_total, a.thickness),
     ),
     "phi_plus": Method(
         (EitMedium,), ALL_SOURCES,
@@ -379,8 +384,8 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
             errors.append(f"method {m!r} requires a {names} medium")
         elif method.check is not None:
             try:
-                method.check(sc.source, med)
-            except ValidityError as exc:
+                method.check(sc.source, med, sc.grid)
+            except (ValidityError, ConvergenceError) as exc:
                 errors.append(f"method {m!r}: {exc}")
         if kind not in method.sources:
             takes = ", ".join(k.value for k in WaveformKind if k in method.sources)
@@ -418,7 +423,7 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
             errors.append("eit_params output requires an EIT medium")
         else:
             try:  # the EIT methods' guard, so the refusal names its cause
-                _check_eit(sc.source, med)
+                _check_eit(sc.source, med, sc.grid)
             except ValidityError as exc:
                 errors.append(f"eit_params output: {exc}")
 

@@ -4,13 +4,12 @@ The numeric route evaluates the propagation integral
 
     b(l, tau) = (1/2pi) * integral b(0, nu) exp(-i*nu*tau - A(nu)*l) dnu
 
-on a uniform frequency grid.  The incident spectra fall off only like
-1/nu, so the integrand is split into pieces with known closed-form
-inverse transforms (the free-space term plus the first two orders of the
-medium response, which are small rational functions of nu) and a fast
-remainder decaying like (alpha0*l/nu)**3 that the FFT handles accurately.
-The split also keeps the oracle independent of the Bessel-function closed
-forms it is used to check.
+on a uniform frequency lattice.  The incident spectra fall off only like
+1/nu, so the free-space term and the first two orders of the medium
+response, small rational functions of nu, are inverted in closed form, and
+the remainder, decaying like (alpha0*l/nu)**3, is folded onto the grid's
+period for one FFT of about period/spacing points.  The split keeps the
+oracle independent of the Bessel-function closed forms it checks.
 
 All closed-form solutions from the transmission analysis live here as
 well: the matched-line dynamical-beat envelope, the thick-broad-line
@@ -36,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import special as _sp
+from scipy.fft import next_fast_len
 from scipy.integrate import quad  # noqa: F401 -- unused; the benchmark tracer wraps propagate.quad
 
 from ._rational import eval_pole_terms, merge_poles, partial_fractions
@@ -62,6 +62,7 @@ from .waveforms import (
 __all__ = [
     "TimeSeries",
     "propagate_numeric",
+    "spectral_lattice",
     "analytic_matched",
     "analytic_parts_matched",
     "analytic_parts_broad",
@@ -81,15 +82,11 @@ _MAX_DOUBLINGS = 3
 # Window scale: truncating the remainder tail ~ (alpha0*l/nu)**3/nu at
 # nu_max = _WINDOW_PER_ALPHA0L * alpha0*l bounds the error by ~1e-6.
 _WINDOW_PER_ALPHA0L = 26.0
-# Each level fills one frequency lattice, in _FFT_CHUNK slices concurrently on
-# the usable CPUs, and transforms it by an aligned FFT of at most
-# _MAX_FFT_SAMPLES or, on grids finer than that allows (~pi/nu_max), by a
-# chirp-z zoom of m frequencies onto n points with m + n - 1 <= _MAX_FFT_SAMPLES;
-# above that cap ConvergenceError is raised before any array is allocated.
-# Each running slice holds a few complex arrays of _FFT_CHUNK entries: on
-# 2 vCPUs, 2**15 adds about 5 MB (3-4%) to the peak RSS of a figure or sweep
-# run; 2**16 added 8-10%, and 2**14 gave up a third of the speed-up.
-_MIN_FFT_SAMPLES = 2**18
+# Each level fills one frequency lattice (`spectral_lattice`) in slices of
+# about _FFT_CHUNK samples, concurrently on the usable CPUs, and folds its at
+# most _MAX_FFT_SAMPLES samples for one FFT of about period/spacing points; a
+# grid finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n
+# points instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
 _MAX_FFT_SAMPLES = 2**22
 _FFT_CHUNK = 2**15
 # _depth_rule drops depths u > _DEPTH_SPAN/decay below the upper limit, where
@@ -163,12 +160,8 @@ def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
         nu_max = max(15.0 * d, 3.0 * a.linewidth)
     else:
         nu_max = max(50.0 * a.linewidth, 50.0 * d, _WINDOW_PER_ALPHA0L * a.alpha0_l)
-    rate_min = min(d, a.linewidth)
-    if isinstance(a, EitMedium):
-        rate_min = min(rate_min, a.gamma_m)
-    span = grid.t_end - grid.t_start
-    period = 1.5 * span + 50.0 / rate_min
-    return nu_max, period
+    rate_min = min(d, a.linewidth, a.gamma_m if isinstance(a, EitMedium) else math.inf)
+    return nu_max, 1.5 * (grid.t_end - grid.t_start) + 50.0 / rate_min
 
 
 def _build_fill_pool():
@@ -191,76 +184,87 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_build_fill_pool)
 
 
-def _zoom(spect, m, n, p):
-    """sum_k spect[k] * exp(-2i*pi*j*k/p) for j < n, by a chirp-z (Bluestein) zoom.
+def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid, level: int):
+    """(strategy, mdiv, p, m, nu_half) of `propagate_numeric`'s lattice at `level`, if any.
 
-    spect holds m terms, then zeros up to a length >= m + n - 1, and is
-    overwritten.  j*k = (j**2 + k**2 - (j - k)**2)/2 makes the sum a
-    convolution with the chirp exp(-i*pi*t**2/p), done by FFTs.  Each phase
-    reduces t*t mod 2p exactly in float64 (t*t < 2**53 under the lattice
-    cap) before its one rounding, so no platform's long double is needed.
+    Level k doubles the window and the period k times.  The period is p grid
+    steps, p >= period/spacing and n_points, so dnu = 2pi/(p*spacing).  The
+    aligned FFT, for which p is 2*3*5-smooth, samples m = mdiv*p frequencies
+    over +-mdiv*pi/spacing, which covers +-nu_max; past _MAX_FFT_SAMPLES the
+    zoom samples [-nu_max, nu_max).
+    ConvergenceError is raised before an overflow and for a zoom past the cap.
     """
-    chirp = np.fmod(np.arange(max(m, n), dtype=float) ** 2, 2.0 * p) * (-1j * math.pi / p)
-    np.exp(chirp, out=chirp)
-    spect[:m] *= chirp[:m]
-    kernel = np.zeros_like(spect)
-    np.conjugate(chirp[:n], out=kernel[:n])
-    np.conjugate(chirp[m - 1:0:-1], out=kernel[kernel.size - m + 1:])
-    np.fft.fft(spect, out=spect)
-    spect *= np.fft.fft(kernel, out=kernel)
-    return np.fft.ifft(spect, out=spect)[:n] * chirp[:n]
+    if a is None or a.thickness == 0.0:
+        return None
+    nu_max, period = _window_defaults(w, a, grid)
+    spacing, scale = grid.spacing, 1 << level
+    # bounds the sizes below (~ period x max(nu_max, 1/spacing)) and t_start/spacing
+    size = 2.0 * 4**level * max(nu_max, 1.0 / spacing, 1.0) * max(period, 1.0)
+    if not math.isfinite(size + abs(grid.t_start) / spacing):
+        raise ConvergenceError(f"spectral lattice overflows: window {nu_max:.3g}, period {period:.3g}")
+    mdiv = max(1, math.ceil(spacing * nu_max / math.pi)) * scale
+    p = max(math.ceil(period * scale / spacing), grid.n_points)
+    p = next_fast_len(p, real=True) if mdiv * p <= _MAX_FFT_SAMPLES else p  # real: 2*3*5-smooth
+    if mdiv * p <= _MAX_FFT_SAMPLES:
+        return "fft", mdiv, p, mdiv * p, mdiv * math.pi / spacing
+    m = math.ceil(nu_max * scale * p * spacing / math.pi)
+    if m + grid.n_points - 1 > _MAX_FFT_SAMPLES:
+        raise ConvergenceError(
+            f"chirp-z zoom of {m} frequencies onto {grid.n_points} points needs "
+            f"{m + grid.n_points - 1} samples, above the cap of {_MAX_FFT_SAMPLES}"
+        )
+    return "zoom", 1, p, m, nu_max * scale
 
 
-def _remainder(w, a, grid, mdiv, nu_max, period):
+def _remainder(w, a, grid, level):
     """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid.
 
-    The lattice nu_k = nu_0 + k*dnu holds h(nu_k)*exp(-i*k*dnu*tau_0), filled
-    in _FFT_CHUNK slices on `_FILL_POOL` (numpy releases the GIL), each slice
-    computed as it would be serially, so the result does not depend on the
-    CPU count.  An aligned FFT of time step spacing/mdiv and window pi/dtau,
-    on whose samples the grid lands, transforms it; past _MAX_FFT_SAMPLES,
-    `_zoom` does, over [-nu_max, nu_max] with the period rounded up to p
-    grid steps, so that dnu*spacing = 2pi/p.
+    nu_k = -nu_half + k*dnu on `spectral_lattice`'s lattice is filled in
+    slices of about _FFT_CHUNK samples on `_FILL_POOL`, each computed as it
+    would be serially, so the result does not depend on the CPU count.  At
+    tau_j = (s0 + f + j)*spacing, s0 an integer and 0 <= f < 1, h_k turns by
+    k*(s0 + j + f)/p, which mod 1 depends on k = q*p + r only through q*f and
+    r: the aligned FFT sums the (mdiv, p) lattice row by row into
+    g_r = sum_q h_k exp(-2i*pi*q*f), and one FFT of g_r*exp(-2i*pi*r*f/p)
+    holds tau_j at bin (j + s0) mod p.  The zoom turns each h_k instead.
     """
-    n_points = grid.n_points
-    dtau = grid.spacing / mdiv
-    n = 1 << max(
-        math.ceil(math.log2(period / dtau)),
-        math.ceil(math.log2((n_points + 1) * mdiv)),
-        int(math.log2(_MIN_FFT_SAMPLES)),
-    )
-    if n <= _MAX_FFT_SAMPLES:
-        strategy, nu_half, m, size = "fft", math.pi / dtau, n, n
-        dnu = 2.0 * math.pi / (n * dtau)
-        j = np.arange(n_points) * mdiv
+    strategy, mdiv, p, m, nu_half = spectral_lattice(w, a, grid, level)
+    n, dnu = grid.n_points, 2.0 * math.pi / (p * grid.spacing)
+    s0, f = divmod(grid.t_start / grid.spacing, 1.0)
+    if strategy == "fft":
+        spect = np.empty(p, dtype=complex)
+        rows = np.exp(-2j * math.pi * f * np.arange(mdiv))[:, None]
+        width, stop = max(1, _FFT_CHUNK // mdiv), p
+
+        def fill(start):
+            r = np.arange(start, min(start + width, p))
+            h = _remainder_integrand(w, a, -nu_half + dnu * (np.arange(0, m, p)[:, None] + r))
+            spect[start:start + r.size] = (rows * h).sum(axis=0) * np.exp(-2j * math.pi * f / p * r)
     else:
-        strategy, nu_half, dtau = "zoom", nu_max, grid.spacing
-        p = math.ceil(period / dtau)
-        dnu = 2.0 * math.pi / (p * dtau)
-        m = math.ceil(2.0 * nu_max / dnu)
-        if m + n_points - 1 > _MAX_FFT_SAMPLES:
-            raise ConvergenceError(
-                f"chirp-z zoom of {m} frequencies onto {n_points} points needs "
-                f"{m + n_points - 1} samples, above the cap of {_MAX_FFT_SAMPLES}"
-            )
-        size = 1 << (m + n_points - 2).bit_length()
-        j = np.arange(n_points)
-    tau0 = grid.t_start
-    spect = np.zeros(size, dtype=complex)
+        spect, kernel = np.zeros((2, next_fast_len(m + n - 1, real=True)), dtype=complex)
+        width, stop = _FFT_CHUNK, m
 
-    def fill(start):
-        stop = min(start + _FFT_CHUNK, m)
-        k = np.arange(start, stop)
-        h = _remainder_integrand(w, a, -nu_half + dnu * k)
-        spect[start:stop] = h * np.exp(-1j * dnu * tau0 * k)
+        def chirp(t):  # exp(-i*pi*t**2/p), t*t mod 2p exact in float64 (< 2**53 under the cap)
+            return np.exp(np.fmod(t.astype(float) ** 2, 2.0 * p) * (-1j * math.pi / p))
 
-    # reading every result re-raises a slice's error here
-    for _ in _FILL_POOL.map(fill, range(0, m, _FFT_CHUNK)):
-        pass
-    r = np.fft.fft(spect, out=spect)[j] if strategy == "fft" else _zoom(spect, m, n_points, p)
-    tau_j = tau0 + j * dtau
-    values = (dnu / (2.0 * math.pi)) * np.exp(1j * nu_half * tau_j) * r
-    return values, {"nu_max": nu_half, "n_freq": m, "strategy": strategy}
+        def fill(start):
+            k = np.arange(start, min(start + width, m))
+            kernel[-k] = np.conjugate(turn := chirp(k))
+            h = _remainder_integrand(w, a, -nu_half + dnu * k)
+            spect[k] = h * turn * np.exp(-1j * dnu * grid.t_start * k)
+
+        np.conjugate(head := chirp(np.arange(n)), out=kernel[:n])
+    list(_FILL_POOL.map(fill, range(0, stop, width)))  # reading each result re-raises its error
+    if strategy == "fft":
+        bins = np.arange(n) + int(s0 % (2 * p))  # = j + s0 mod p and mod 2
+        # exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f))
+        r = np.exp(1j * math.pi * mdiv * f) * (1 - 2 * (mdiv * bins % 2))
+        r *= np.fft.fft(spect, out=spect)[bins % p]
+    else:  # j*k = (j**2 + k**2 - (j - k)**2)/2: a convolution with the chirp
+        np.fft.fft(spect, out=spect)
+        spect *= np.fft.fft(kernel, out=kernel)
+        r = np.exp(1j * nu_half * grid.times()) * np.fft.ifft(spect, out=spect)[:n] * head
+    return (dnu / (2.0 * math.pi)) * r, {"nu_max": nu_half, "n_freq": m, "strategy": strategy}
 
 
 def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid) -> TimeSeries:
@@ -279,19 +283,9 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     free = time_amplitude(w, tau)
     if a is None or a.thickness == 0.0:
         return TimeSeries(grid, free, {"drift": 0.0, "iterations": 0})
-    nu_max, period = _window_defaults(w, a, grid)
-    # bounds every level's window, period and lattice size (~ period x
-    # max(nu_max, 1/spacing), x4 per doubling), so that none overflows
-    rate = max(nu_max, 1.0 / grid.spacing, 1.0)
-    if not math.isfinite(2.0 * 4**_MAX_DOUBLINGS * rate * max(period, 1.0)):
-        raise ConvergenceError(f"spectral lattice overflows: window {nu_max:.3g}, period {period:.3g}")
-    mdiv = max(1, math.ceil(grid.spacing * nu_max / math.pi))
-    prev = None
-    drift = math.inf
-    # level k doubles the window and the period k times
+    prev, drift = None, math.inf
     for level in range(_MAX_DOUBLINGS + 1):
-        scale = 1 << level
-        cur, info = _remainder(w, a, grid, mdiv * scale, nu_max * scale, period * scale)
+        cur, info = _remainder(w, a, grid, level)
         if prev is not None:
             drift = float(np.max(np.abs(cur - prev)))
             if drift <= _DRIFT_TOL:

@@ -364,14 +364,17 @@ class TestMainEntry:
         [("medium.thickness = 10", "medium.thickness = 1e6"), ("grid.t_end = 10", "grid.t_end = 1e300")],
         ids=["thick", "long"],
     )
-    def test_unbounded_direct_summation_exit_3(self, tmp_path, capsys, old, new):
-        # both pass validate; the chirp-z zoom would need > 2**22 frequencies
+    def test_oversized_lattice_exit_2(self, tmp_path, capsys, old, new):
+        # the chirp-z zoom of level 1 would need > 2**22 frequencies, so
+        # validate refuses both, and run before it fills any lattice
         path = _write(tmp_path, MATCHED_TEXT.replace(old, new))
-        assert main(["validate", str(path)]) == 0
+        assert main(["validate", str(path)]) == 2
+        assert "error: method 'numeric': chirp-z zoom of" in capsys.readouterr().out
         start = time.perf_counter()
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 10.0
-        assert "error: chirp-z zoom of" in capsys.readouterr().err
+        assert "error: method 'numeric': chirp-z zoom of" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text, validate_code, run_code, message",
@@ -384,7 +387,7 @@ class TestMainEntry:
              1, 1, "error: medium: omega**2 must be finite"),
             # the oracle's period 50/delta_ph is inf
             (MATCHED_TEXT.replace("source.delta_ph = 1", "source.delta_ph = 1e-310"),
-             0, 3, "error: spectral lattice overflows"),
+             2, 2, "error: method 'numeric': spectral lattice overflows"),
             # q**3 in eit_params overflows from Omega ~ 1e52
             (FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 1e100"),
              2, 2, "error: eit_params output: EIT filter numbers overflow"),

@@ -31,6 +31,7 @@ from slowphoton.propagate import (
     gaussian_broad,
     phi_plus,
     propagate_numeric,
+    spectral_lattice,
     total_eit,
 )
 from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind, sample, time_amplitude
@@ -421,7 +422,10 @@ class TestPropagateNumeric:
 
     def test_slice_error_reaches_caller_and_pool_survives(self, causal_unit, monkeypatch):
         grid = TimeGrid(-1.0, 6.0, 601)
-        med = MatchedLine(1.0, 5.0)
+        med = EitMedium(10.0, 1.0, 20.0, 30.0)
+        # level 0 folds 29 rows of 5,400 columns, 1,129 columns a slice: 5 slices
+        _, mdiv, p, _, _ = spectral_lattice(causal_unit, med, grid, 0)
+        assert -(-p // (propagate._FFT_CHUNK // mdiv)) >= 3
         base = propagate_numeric(causal_unit, med, grid)
         pool = propagate._FILL_POOL
         integrand = propagate._remainder_integrand
@@ -496,16 +500,54 @@ class TestPropagateNumeric:
     def test_zoom_matches_exact_phase_sum(self, kind, medium, grid):
         # level 0's lattice, summed with exact integer phases j*k mod p
         w = PhotonWaveform(kind, 1.0)
-        nu_max, period = _window_defaults(w, medium, grid)
-        values, info = propagate._remainder(w, medium, grid, 1, nu_max, period)
-        assert info["strategy"] == "zoom"
-        p = math.ceil(period / grid.spacing)
+        strategy, _, p, _, nu_max = spectral_lattice(w, medium, grid, 0)
+        values, info = propagate._remainder(w, medium, grid, 0)
+        assert info["strategy"] == strategy == "zoom"
         dnu = 2.0 * math.pi / (p * grid.spacing)
         k = np.arange(info["n_freq"])
         g = _remainder_integrand(w, medium, -nu_max + dnu * k) * np.exp(-1j * dnu * grid.t_start * k)
         tau = grid.times()
         exact = (dnu / (2.0 * math.pi)) * np.exp(1j * nu_max * tau) * _exact_phase_sum(g, tau.size, p)
         assert np.abs(values - exact).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "kind, medium, grid, short_period",
+        [
+            # t_start/spacing = -200, mdiv = 1 at level 0
+            (C, MatchedLine(1.0, 5.0), TimeGrid(-2.0, 15.0, 1701), False),
+            # t_start/spacing = -85.71..., mdiv = 2 at level 0
+            (A, BroadLine(10.0, 2.0), TimeGrid(-1.0, 6.0, 601), False),
+            # t_start/spacing = +30.58..., mdiv = 4 at level 0
+            (S, EitMedium(10.0, 1.0, 20.0, 3.0), TimeGrid(0.37, 4.0, 301), False),
+            # a period of p = n_points steps: the bins (j + s0) mod p wrap
+            (C, BroadLine(10.0, 2.0), TimeGrid(-1.0, 4.99, 600), True),
+        ],
+        ids=["integer_offset", "negative_offset", "positive_offset", "p_is_n"],
+    )
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_fold_matches_exact_phase_sum(self, kind, medium, grid, short_period, level, monkeypatch):
+        # the lattice summed point by point, each phase reduced mod 2p in integers
+        w = PhotonWaveform(kind, 1.0)
+        if short_period:
+            nu_max, _ = _window_defaults(w, medium, grid)
+            monkeypatch.setattr(propagate, "_window_defaults", lambda *_: (nu_max, 1.0))
+        strategy, mdiv, p, m, nu_half = spectral_lattice(w, medium, grid, level)
+        assert strategy == "fft"
+        assert p == grid.n_points if short_period else p > grid.n_points
+        values, info = propagate._remainder(w, medium, grid, level)
+        assert info["n_freq"] == m
+        x = grid.t_start / grid.spacing
+        s0, f = math.floor(x), x - math.floor(x)
+        k = np.arange(m, dtype=np.int64)
+        dnu = 2.0 * math.pi / (p * grid.spacing)
+        h = _remainder_integrand(w, medium, -nu_half + dnu * k)
+        # -nu_k*tau_j = (pi/p)*(mdiv*p - 2k)*(s0 + j + f)
+        turns = mdiv * p - 2 * k
+        exact = [
+            h @ np.exp(1j * math.pi / p * ((turns * (s0 + j)) % (2 * p) + turns * f))
+            for j in range(grid.n_points)
+        ]
+        assert np.abs(values - (dnu / (2.0 * math.pi)) * np.array(exact)).max() <= 1e-13
 
     def test_fine_grid_falls_back_to_direct_summation(self, causal_unit):
         # many points at micro spacing: FFT alignment would need > 2**22
@@ -557,7 +599,8 @@ class TestPropagateNumeric:
         conv = out.convergence
         assert conv["drift"] <= 1e-5
         assert conv["iterations"] >= 1
-        assert conv["n_freq"] >= 2**18
+        _, mdiv, p, _, _ = spectral_lattice(causal_unit, MatchedLine(1.0, 5.0), grid, conv["iterations"])
+        assert conv["n_freq"] == mdiv * p
 
     def test_nonconvergence_raises(self, causal_unit, monkeypatch):
         grid = TimeGrid(-1.0, 5.0, 1501)
