@@ -403,7 +403,7 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
             errors.append(f"scan.n_points must be >= 1 (got {scan.n_points})")
         elif scan.n_points > MAX_SCAN_POINTS:
             errors.append(f"scan.n_points must be <= {MAX_SCAN_POINTS} (got {scan.n_points})")
-        elif scan.n_points > 1 and not scan.t_max > scan.t_min:
+        elif np.any(np.diff(scan.values()) <= 0):  # thickness_scan's own refusal
             errors.append(
                 f"scan.t_max must exceed scan.t_min for {scan.n_points} points "
                 f"(got {scan.t_min}, {scan.t_max})"
@@ -480,6 +480,7 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
             "grid": dataclasses.asdict(sc.grid),
             "methods": list(sc.methods),
             "outputs": list(sc.outputs),
+            "scan": None if sc.scan is None else dataclasses.asdict(sc.scan),
         },
         "derived": {},
         "convergence": {},

@@ -217,22 +217,18 @@ def adiabatic_response(a: EitMedium, nu):
     return out if np.ndim(nu) else complex(out)
 
 
-def fe57_siderite(omega_over_gamma: float = 2.0, thickness: float = 30.0) -> EitMedium:
+def fe57_siderite() -> EitMedium:
     """Named preset for the 57Fe level-mixing scenario in siderite.
 
     The g-e line is broadened by electron-spin fluctuations while the g-m
     line keeps its natural width; no measured Gamma/gamma_m ratio is
     available for FeCO3, so the ratio 10 is a documented placeholder
-    (same as the worked EIT example).  Rates are in units of gamma_m.
+    (same as the worked EIT example), with the mixing Omega = 2*Gamma and
+    thickness 30.  Rates are in units of gamma_m.
     """
     gamma_m = 1.0
     gamma_total = 10.0 * gamma_m
-    return EitMedium(
-        gamma_total=gamma_total,
-        gamma_m=gamma_m,
-        omega=omega_over_gamma * gamma_total,
-        thickness=thickness,
-    )
+    return EitMedium(gamma_total=gamma_total, gamma_m=gamma_m, omega=2.0 * gamma_total, thickness=30.0)
 
 
 def medium_poles(a: AbsorberSpec) -> list[tuple[complex, int, complex]]:

@@ -21,6 +21,8 @@ Gamma = delta_ph is its limit, and the EIT medium's nonadiabatic part
 reuses it.  Its inner beat integrals and the broad-line thickness scan
 share one Gauss-Legendre rule placed in depth below the upper limit
 (`_depth_rule`), whose size does not grow with the effective thickness.
+The beat integrals run only on tau <= 40/Gamma, past which their term is
+below exp(-40), so the rule does not grow with the grid's last tau either.
 
 Local time tau = t - l/c; jumps at tau = 0 take the midpoint value
 (Theta(0) = 1/2), consistent with the waveform module.
@@ -82,20 +84,19 @@ _MAX_DOUBLINGS = 3
 # Window scale: truncating the remainder tail ~ (alpha0*l/nu)**3/nu at
 # nu_max = _WINDOW_PER_ALPHA0L * alpha0*l bounds the error by ~1e-6.
 _WINDOW_PER_ALPHA0L = 26.0
-# Each level fills one frequency lattice (`spectral_lattice`) in slices of
-# about _FFT_CHUNK samples, concurrently on the usable CPUs, and folds its at
-# most _MAX_FFT_SAMPLES samples for one FFT of about period/spacing points; a
-# grid finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n
-# points instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
+# Each level fills one frequency lattice (`spectral_lattice`) in `_row_blocks`
+# slices, on a thread pool that lives for that call, and folds its at most
+# _MAX_FFT_SAMPLES samples for one FFT of about period/spacing points; a grid
+# finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n points
+# instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
 _MAX_FFT_SAMPLES = 2**22
-_FFT_CHUNK = 2**15
 # _depth_rule drops depths u > _DEPTH_SPAN/decay below the upper limit, where
 # the weight exp(-decay*u) is below exp(-40): at most exp(-40)/decay =
 # 4e-18/decay for an integrand bounded by 1 (J0, i0e).
 _DEPTH_SPAN = 40.0
 # Entries of a row x node matrix (J0 of the beat integral, i0e of the
-# thickness scan) evaluated at once.
-_RULE_BLOCK = 2**16
+# thickness scan, a slice of the frequency lattice) evaluated at once.
+_RULE_BLOCK = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +165,6 @@ def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
     return nu_max, 1.5 * (grid.t_end - grid.t_start) + 50.0 / rate_min
 
 
-def _build_fill_pool():
-    """Build _FILL_POOL, the thread pool filling the FFT lattice, one worker per usable CPU.
-
-    A ThreadPoolExecutor starts no thread before its first task, so importing
-    the module starts none.  One pool serves the process; a forked child
-    inherits it without its threads, and would wait on it, so builds its own.
-    """
-    global _FILL_POOL
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    _FILL_POOL = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="slowphoton-fill")
-
-
-_build_fill_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_build_fill_pool)
-
-
 def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid, level: int):
     """(strategy, mdiv, p, m, nu_half) of `propagate_numeric`'s lattice at `level`, if any.
 
@@ -220,13 +201,14 @@ def _remainder(w, a, grid, level):
     """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid.
 
     nu_k = -nu_half + k*dnu on `spectral_lattice`'s lattice is filled in
-    slices of about _FFT_CHUNK samples on `_FILL_POOL`, each computed as it
-    would be serially, so the result does not depend on the CPU count.  At
-    tau_j = (s0 + f + j)*spacing, s0 an integer and 0 <= f < 1, h_k turns by
-    k*(s0 + j + f)/p, which mod 1 depends on k = q*p + r only through q*f and
-    r: the aligned FFT sums the (mdiv, p) lattice row by row into
-    g_r = sum_q h_k exp(-2i*pi*q*f), and one FFT of g_r*exp(-2i*pi*r*f/p)
-    holds tau_j at bin (j + s0) mod p.  The zoom turns each h_k instead.
+    `_row_blocks` slices on a pool of one thread per usable CPU that lives for
+    this call, each slice computed as it would be serially, so the result does
+    not depend on the CPU count.  At tau_j = (s0 + f + j)*spacing, s0 an
+    integer and 0 <= f < 1, h_k turns by k*(s0 + j + f)/p, which mod 1 depends
+    on k = q*p + r only through q*f and r: the aligned FFT sums the (mdiv, p)
+    lattice row by row into g_r = sum_q h_k exp(-2i*pi*q*f), and one FFT of
+    g_r*exp(-2i*pi*r*f/p) holds tau_j at bin (j + s0) mod p.  The zoom turns
+    each h_k instead.
     """
     strategy, mdiv, p, m, nu_half = spectral_lattice(w, a, grid, level)
     n, dnu = grid.n_points, 2.0 * math.pi / (p * grid.spacing)
@@ -234,27 +216,29 @@ def _remainder(w, a, grid, level):
     if strategy == "fft":
         spect = np.empty(p, dtype=complex)
         rows = np.exp(-2j * math.pi * f * np.arange(mdiv))[:, None]
-        width, stop = max(1, _FFT_CHUNK // mdiv), p
+        index, blocks = np.arange(p), _row_blocks(p, mdiv)
 
-        def fill(start):
-            r = np.arange(start, min(start + width, p))
+        def fill(cols):
+            r = index[cols]
             h = _remainder_integrand(w, a, -nu_half + dnu * (np.arange(0, m, p)[:, None] + r))
-            spect[start:start + r.size] = (rows * h).sum(axis=0) * np.exp(-2j * math.pi * f / p * r)
+            spect[cols] = (rows * h).sum(axis=0) * np.exp(-2j * math.pi * f / p * r)
     else:
         spect, kernel = np.zeros((2, next_fast_len(m + n - 1, real=True)), dtype=complex)
-        width, stop = _FFT_CHUNK, m
+        index, blocks = np.arange(m), _row_blocks(m, 1)
 
         def chirp(t):  # exp(-i*pi*t**2/p), t*t mod 2p exact in float64 (< 2**53 under the cap)
             return np.exp(np.fmod(t.astype(float) ** 2, 2.0 * p) * (-1j * math.pi / p))
 
-        def fill(start):
-            k = np.arange(start, min(start + width, m))
+        def fill(blk):
+            k = index[blk]
             kernel[-k] = np.conjugate(turn := chirp(k))
             h = _remainder_integrand(w, a, -nu_half + dnu * k)
             spect[k] = h * turn * np.exp(-1j * dnu * grid.t_start * k)
 
         np.conjugate(head := chirp(np.arange(n)), out=kernel[:n])
-    list(_FILL_POOL.map(fill, range(0, stop, width)))  # reading each result re-raises its error
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(cpus, thread_name_prefix="slowphoton-fill") as pool:
+        list(pool.map(fill, blocks))  # reading each result re-raises its error
     if strategy == "fft":
         bins = np.arange(n) + int(s0 % (2 * p))  # = j + s0 mod p and mod 2
         # exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f))
@@ -405,19 +389,22 @@ def _line_parts(d, g, alpha0_l, tau):
     b_a[neg] = -pre
 
     pos = tv > 0
-    if np.any(pos):
-        tp = tv[pos]
+    if g > d:
+        t_minus = alpha0_l / (g - d)
+        b_s[pos] = b_a[pos] = 0.5 * np.exp(-d * tv[pos] - t_minus)
+    # |g_pm| < 1, so the beat term is below exp(-40) past _DEPTH_SPAN/g: the
+    # rule is sized for, and run on, the earlier tau only
+    near = pos & (tv <= _DEPTH_SPAN / g)
+    if np.any(near):
+        tp = tv[near]
         g_plus = _beat_integral(t_plus, 1.0, g + d, tp)
         if g > d:
-            t_minus = alpha0_l / (g - d)
             g_minus = _beat_integral(t_minus, 1.0, g - d, tp)
-            slow = 0.5 * np.exp(-d * tp - t_minus)
         else:
             g_minus = _sp.j0(2.0 * np.sqrt(alpha0_l * tp))
-            slow = 0.0
         fast = 0.5 * np.exp(-g * tp)
-        b_s[pos] = slow + fast * (g_minus - g_plus)
-        b_a[pos] = slow + fast * (g_minus + g_plus)
+        b_s[near] += fast * (g_minus - g_plus)
+        b_a[near] += fast * (g_minus + g_plus)
 
     zero = tv == 0
     if np.any(zero):

@@ -278,6 +278,16 @@ class TestRunScenario:
         data = np.genfromtxt(trace, delimiter=",", names=True)
         assert data.shape[0] == sc.grid.n_points
 
+    def test_manifest_records_the_scan(self, fig6a_config, tmp_path):
+        sc = load_config(_write(tmp_path, SCAN_TEXT))
+        manifest = run_scenario(sc, tmp_path / "a")
+        run_scenario(sc, tmp_path / "b")
+        scan = {"kind": "broad", "t_min": 0.0, "t_max": 10.0, "n_points": 11}
+        assert manifest["scenario"]["scan"] == scan
+        name = manifest["files"]["manifest"]
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert run_scenario(load_config(fig6a_config), tmp_path / "trace")["scenario"]["scan"] is None
+
     def test_deterministic_output(self, fig6a_config, tmp_path):
         sc = load_config(fig6a_config)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -327,11 +337,18 @@ class TestMainEntry:
             ("scan.n_points", "0", "scan.n_points must be >= 1"),
             ("scan.n_points", "1000000000000", "scan.n_points must be <= 1000000"),
             ("scan.t_max", "0", "scan.t_max must exceed scan.t_min for 11 points"),
+            # t_max > t_min, but np.linspace repeats values between them
+            ("scan.kind scan.t_min scan.t_max scan.n_points", "matched 1.0 1.0000000000000004 10",
+             "scan.t_max must exceed scan.t_min for 10 points"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_scan_bounds_exit_2(self, tmp_path, capsys, command, key, value, message):
-        lines = [f"{key} = {value}" if line.startswith(key) else line for line in SCAN_TEXT.splitlines()]
+        edits = dict(zip(key.split(), value.split()))  # space-separated keys and their values
+        lines = [
+            f"{k} = {edits[k]}" if (k := line.split(" = ")[0]) in edits else line
+            for line in SCAN_TEXT.splitlines()
+        ]
         path = tmp_path / "bad_bounds.cfg"
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"

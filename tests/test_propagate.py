@@ -5,13 +5,16 @@ import math
 import multiprocessing
 import os
 import re
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j0
 
 from slowphoton import propagate
 from slowphoton._rational import eval_pole_terms
@@ -180,6 +183,40 @@ class TestAnalyticPartsBroad:
         b_s, b_a = analytic_parts_broad(1.0, 10.0, 10.0, tau)
         mask = mask_near_zero(tau, grid.spacing)
         assert np.abs(num.amplitude - (b_s + b_a))[mask].max() < 1e-4
+
+
+class TestBeatCut:
+    # (delta_ph, Gamma, alpha0*l): a matched line, cut at tau = 40, and a
+    # broad one, cut at tau = 4
+    LINES = [(1.0, 1.0, 10.0), (1.0, 10.0, 100.0)]
+
+    @pytest.mark.parametrize("d, g, alpha0_l", LINES, ids=["matched", "broad"])
+    def test_past_the_cut_only_exp_minus_40_is_dropped(self, d, g, alpha0_l):
+        tau = 40.0 / g * np.array([1.01, 1.2, 1.5, 3.0])
+        got = propagate._line_parts(d, g, alpha0_l, tau)
+        g_plus = _beat_integral(alpha0_l / (g + d), 1.0, g + d, tau)
+        if g > d:
+            t_minus = alpha0_l / (g - d)
+            g_minus = _beat_integral(t_minus, 1.0, g - d, tau)
+            slow = 0.5 * np.exp(-d * tau - t_minus)
+        else:
+            g_minus, slow = j0(2.0 * np.sqrt(alpha0_l * tau)), 0.0
+        fast = 0.5 * np.exp(-g * tau)
+        for part, sign in zip(got, (-1.0, 1.0)):
+            assert np.abs(part - (slow + fast * (g_minus + sign * g_plus))).max() <= math.exp(-40.0)
+
+    @pytest.mark.parametrize(
+        "analytic_parts",
+        [lambda t: analytic_parts_matched(1.0, 10.0, t), lambda t: analytic_parts_broad(1.0, 10.0, 10.0, t)],
+        ids=["matched", "broad"],
+    )
+    def test_rule_is_bounded_in_tau(self, analytic_parts):
+        # a rule sized from the largest tau took 34 s at t_end = 1e8
+        tau = TimeGrid(-1.0, 1e12, 1401).times()
+        start = time.perf_counter()
+        parts = analytic_parts(tau)
+        assert time.perf_counter() - start < 5.0
+        assert all(np.all(np.isfinite(part)) for part in parts)
 
 
 def _mp_beat(t_eff, decay, rate, tau):
@@ -399,8 +436,8 @@ class TestPropagateNumeric:
         base = propagate_numeric(causal_unit, med, grid)
         n_freq = base.convergence["n_freq"]
         # 1,000 divides no lattice size (short last slice); n_freq is one slice per level
-        for chunk in (1000, n_freq):
-            monkeypatch.setattr(propagate, "_FFT_CHUNK", chunk)
+        for block in (1000, n_freq):
+            monkeypatch.setattr(propagate, "_RULE_BLOCK", block)
             out = propagate_numeric(causal_unit, med, grid)
             assert np.abs(out.amplitude - base.amplitude).max() <= 1e-13
 
@@ -415,19 +452,14 @@ class TestPropagateNumeric:
     ):
         parallel = propagate_numeric(causal_unit, medium, grid)
         assert parallel.convergence["strategy"] == strategy
-        monkeypatch.setattr(propagate._FILL_POOL, "map", map)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = propagate_numeric(causal_unit, medium, grid)
         assert np.array_equal(parallel.amplitude, serial.amplitude)
         assert parallel.convergence == serial.convergence
 
-    def test_slice_error_reaches_caller_and_pool_survives(self, causal_unit, monkeypatch):
-        grid = TimeGrid(-1.0, 6.0, 601)
-        med = EitMedium(10.0, 1.0, 20.0, 30.0)
-        # level 0 folds 29 rows of 5,400 columns, 1,129 columns a slice: 5 slices
-        _, mdiv, p, _, _ = spectral_lattice(causal_unit, med, grid, 0)
-        assert -(-p // (propagate._FFT_CHUNK // mdiv)) >= 3
-        base = propagate_numeric(causal_unit, med, grid)
-        pool = propagate._FILL_POOL
+    @staticmethod
+    def _failing_slice(monkeypatch):
+        """Make the third integrand call, a slice of level 0's fill, raise."""
         integrand = propagate._remainder_integrand
         calls = itertools.count()
 
@@ -437,26 +469,66 @@ class TestPropagateNumeric:
             return integrand(w, a, nu)
 
         monkeypatch.setattr(propagate, "_remainder_integrand", failing)
-        with pytest.raises(FloatingPointError, match="slice 2 failed"):
-            propagate_numeric(causal_unit, med, grid)
-        monkeypatch.setattr(propagate, "_remainder_integrand", integrand)
+
+    def test_slice_error_reaches_caller_and_pool_survives(self, causal_unit, monkeypatch):
+        grid = TimeGrid(-1.0, 6.0, 601)
+        med = EitMedium(10.0, 1.0, 20.0, 30.0)
+        # level 0 folds 29 rows of 5,400 columns, 1,129 columns a slice: 5 slices
+        _, mdiv, p, _, _ = spectral_lattice(causal_unit, med, grid, 0)
+        assert len(propagate._row_blocks(p, mdiv)) >= 3
+        base = propagate_numeric(causal_unit, med, grid)
+        with monkeypatch.context() as patch:
+            self._failing_slice(patch)
+            with pytest.raises(FloatingPointError, match="slice 2 failed"):
+                propagate_numeric(causal_unit, med, grid)
         again = propagate_numeric(causal_unit, med, grid)
-        assert propagate._FILL_POOL is pool
         assert np.array_equal(again.amplitude, base.amplitude)
 
-    def test_fill_pool_uses_the_usable_cpus(self):
-        if hasattr(os, "sched_getaffinity"):
-            usable = len(os.sched_getaffinity(0))
+    def test_no_fill_thread_outlives_the_call(self, causal_unit, monkeypatch):
+        def fill_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("slowphoton-fill")]
+
+        grid = TimeGrid(-1.0, 6.0, 601)
+        med = EitMedium(10.0, 1.0, 20.0, 30.0)
+        propagate_numeric(causal_unit, med, grid)
+        assert fill_threads() == []
+        self._failing_slice(monkeypatch)
+        with pytest.raises(FloatingPointError, match="slice 2 failed"):
+            propagate_numeric(causal_unit, med, grid)
+        assert fill_threads() == []
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, workers",
+        [(True, None, None), (False, 3, 3), (False, None, 1)],
+        ids=["sched_getaffinity", "cpu_count", "no_count"],
+    )
+    def test_fill_pool_uses_the_usable_cpus(
+        self, causal_unit, monkeypatch, affinity, cpu_count, workers
+    ):
+        if affinity:
+            if not hasattr(os, "sched_getaffinity"):
+                pytest.skip("no sched_getaffinity")
+            workers = len(os.sched_getaffinity(0))
         else:
-            usable = os.cpu_count() or 1
-        assert 1 <= propagate._FILL_POOL._max_workers <= usable
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(propagate, "ThreadPoolExecutor", Recording)
+        propagate_numeric(causal_unit, MatchedLine(1.0, 10.0), TimeGrid(-1.0, 6.0, 601))
+        assert sizes and set(sizes) == {workers}
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
     )
     @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
     def test_forked_child_builds_its_own_fill_pool(self, causal_unit):
-        # the child inherits the parent's running pool without its threads
+        # a forked child fills its lattice on threads of its own
         med = MatchedLine(1.0, 10.0)
         grid = TimeGrid(-4.0, 10.0, 1401)
         base = propagate_numeric(causal_unit, med, grid)
