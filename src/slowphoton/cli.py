@@ -49,6 +49,7 @@ from .observables import (
     thickness_scan,
 )
 from .propagate import (
+    _check_beat_work,
     _check_broad,
     _check_nonadiabatic,
     _gaussian_eta,
@@ -145,10 +146,13 @@ def _check_matched(w, a, grid):
 
 
 def _check_parts(w, a, grid):
+    d = w.delta_ph
     if isinstance(a, MatchedLine):
         _check_matched(w, a, grid)
+        _check_beat_work(d, d, a.thickness * d, grid)
     else:
-        _check_broad(w.delta_ph, a.gamma_total)
+        _check_broad(d, a.gamma_total)
+        _check_beat_work(d, a.gamma_total, a.thickness * a.gamma_total, grid)
 
 
 def _check_eit(w, a, grid):
@@ -158,6 +162,7 @@ def _check_eit(w, a, grid):
 def _check_total_eit(w, a, grid):
     eit_params(a)
     _check_nonadiabatic(w.delta_ph, a.gamma_total)
+    _check_beat_work(w.delta_ph, a.gamma_total, a.alpha0_l, grid)
 
 
 def _open_window(medium) -> Optional[EitParams]:
@@ -453,16 +458,11 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
 # execution
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal for a float."""
-    return repr(float(x))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def _write_csv(path: Path, header: list[str], cols) -> None:
+    """Write equal-length columns: a list of str as it is, a float array as shortest round-trip decimals."""
+    cells = [col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
+             for col in cols]
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n", newline="\n")
 
 
 def run_scenario(sc: Scenario, out_dir) -> dict:
@@ -515,7 +515,7 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
                 amp = traces[m].amplitude
                 header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
                 cols += [amp.real, amp.imag, np.abs(amp)]
-            _write_csv(path, header, zip(*cols))
+            _write_csv(path, header, cols)
             manifest["files"]["time_trace"] = path.name
         elif output == "thickness_scan":
             scan = thickness_scan(
@@ -527,9 +527,7 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
             path = out_dir / f"{sc.name}_scan.csv"
             header = ["thickness", "u_s", "u_a", "u_total", "beer_reference"]
             _write_csv(
-                path,
-                header,
-                zip(scan.thickness_values, scan.u_s, scan.u_a, scan.u_total, scan.beer_reference),
+                path, header, [scan.thickness_values, scan.u_s, scan.u_a, scan.u_total, scan.beer_reference]
             )
             manifest["files"]["thickness_scan"] = path.name
             manifest["derived"]["scan_normalization"] = SCAN_NORMALIZATION
@@ -538,9 +536,9 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
             header = ["method", "area_re", "area_im", "area_abs", "energy"]
             rows = []
             for m in sc.methods:
-                area = pulse_area(traces[m])
-                rows.append((m, area.real, area.imag, abs(area), integrated_intensity(traces[m])))
-            _write_csv(path, header, rows)
+                area = pulse_area(traces[m])  # abs() of a Python complex: np.abs can differ in the last bit
+                rows.append((area.real, area.imag, abs(area), integrated_intensity(traces[m])))
+            _write_csv(path, header, [list(sc.methods), *np.array(rows).T])
             manifest["files"]["areas_and_energies"] = path.name
         elif output == "eit_params":
             path = out_dir / f"{sc.name}_eit_params.json"

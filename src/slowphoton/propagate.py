@@ -8,7 +8,10 @@ on a uniform frequency lattice.  The incident spectra fall off only like
 1/nu, so the free-space term and the first two orders of the medium
 response, small rational functions of nu, are inverted in closed form, and
 the remainder, decaying like (alpha0*l/nu)**3, is folded onto the grid's
-period for one FFT of about period/spacing points.  The split keeps the
+period for one FFT of about period/spacing points.  Every source envelope
+and impulse response is real, so h(-nu) = conj h(nu): the folded lattice
+is evaluated for half its columns and mirrored into the rest, and the
+transmitted envelope comes out real to round-off.  The split keeps the
 oracle independent of the Bessel-function closed forms it checks.
 
 All closed-form solutions from the transmission analysis live here as
@@ -86,9 +89,11 @@ _MAX_DOUBLINGS = 3
 _WINDOW_PER_ALPHA0L = 26.0
 # Each level fills one frequency lattice (`spectral_lattice`) in `_row_blocks`
 # slices, on a thread pool that lives for that call, and folds its at most
-# _MAX_FFT_SAMPLES samples for one FFT of about period/spacing points; a grid
-# finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n points
-# instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
+# _MAX_FFT_SAMPLES samples for one FFT of about period/spacing points; the
+# integrand is evaluated on columns 0..p/2 only, whose slices also write the
+# mirrored columns p - r.  A grid finer than ~pi/nu_max takes a chirp-z zoom
+# of m frequencies onto n points instead, with m + n - 1 <= _MAX_FFT_SAMPLES,
+# else ConvergenceError.
 _MAX_FFT_SAMPLES = 2**22
 # _depth_rule drops depths u > _DEPTH_SPAN/decay below the upper limit, where
 # the weight exp(-decay*u) is below exp(-40): at most exp(-40)/decay =
@@ -97,6 +102,9 @@ _DEPTH_SPAN = 40.0
 # Entries of a row x node matrix (J0 of the beat integral, i0e of the
 # thickness scan, a slice of the frequency lattice) evaluated at once.
 _RULE_BLOCK = 2**15
+# J0 evaluations (rule nodes x tau) that `_check_beat_work` lets one
+# `_line_parts` call make, about half a second; a preset makes at most 1.2e5.
+_MAX_BEAT_WORK = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +217,13 @@ def _remainder(w, a, grid, level):
     lattice row by row into g_r = sum_q h_k exp(-2i*pi*q*f), and one FFT of
     g_r*exp(-2i*pi*r*f/p) holds tau_j at bin (j + s0) mod p.  The zoom turns
     each h_k instead.
+
+    The aligned FFT evaluates h at nu_k = (k - m/2)*dnu, so nu_{m-k} = -nu_k
+    exactly, and only on columns r = 0..p/2: k = q*p + r pairs with
+    m - k = (mdiv - 1 - q)*p + (p - r), so for 0 < r < p/2 column p - r is
+    column r conjugated with its rows reversed.  The unpaired point
+    nu_0 = -nu_half takes half of itself and half of its alias +nu_half,
+    conj(h_0)*exp(-2i*pi*mdiv*f) on this grid, so the sum is real to round-off.
     """
     strategy, mdiv, p, m, nu_half = spectral_lattice(w, a, grid, level)
     n, dnu = grid.n_points, 2.0 * math.pi / (p * grid.spacing)
@@ -216,12 +231,21 @@ def _remainder(w, a, grid, level):
     if strategy == "fft":
         spect = np.empty(p, dtype=complex)
         rows = np.exp(-2j * math.pi * f * np.arange(mdiv))[:, None]
-        index, blocks = np.arange(p), _row_blocks(p, mdiv)
+        index, blocks = np.arange(p // 2 + 1), _row_blocks(p // 2 + 1, mdiv)
+
+        def fold(h, r):
+            spect[r] = (rows * h).sum(axis=0) * np.exp(-2j * math.pi * f / p * r)
 
         def fill(cols):
             r = index[cols]
-            h = _remainder_integrand(w, a, -nu_half + dnu * (np.arange(0, m, p)[:, None] + r))
-            spect[cols] = (rows * h).sum(axis=0) * np.exp(-2j * math.pi * f / p * r)
+            h = _remainder_integrand(w, a, dnu * (np.arange(0, m, p)[:, None] + r - m / 2))
+            if r[0] == 0:  # nu = -nu_half, half of it and half of its alias +nu_half
+                h[0, 0] = 0.5 * (h[0, 0] + np.conjugate(h[0, 0]) * np.exp(-2j * math.pi * mdiv * f))
+            fold(h, r)
+            # k = q*p + r and m - k = (mdiv - 1 - q)*p + (p - r): column p - r
+            # is column r conjugated with its rows reversed
+            pair = (r > 0) & (2 * r < p)
+            fold(np.conjugate(h[::-1, pair]), p - r[pair])
     else:
         spect, kernel = np.zeros((2, next_fast_len(m + n - 1, real=True)), dtype=complex)
         index, blocks = np.arange(m), _row_blocks(m, 1)
@@ -340,6 +364,30 @@ def _beat_order(t_eff, decay, rate, tau_max):
     """
     n = 16 + math.ceil(math.sqrt(t_eff * rate * tau_max))
     return n + math.ceil(4.0 * math.sqrt(min(decay * t_eff, _DEPTH_SPAN)))
+
+
+def _check_beat_work(d, g, alpha0_l, grid: TimeGrid):
+    """Raise ConvergenceError if `_line_parts(d, g, alpha0_l, grid.times())` is too costly.
+
+    Its beat rules, sized for the last tau they run on, take `_beat_order`
+    nodes each for every grid tau in (0, _DEPTH_SPAN/g]; more than
+    _MAX_BEAT_WORK J0 evaluations in all are refused.  Found from the grid's
+    ends, without sampling it.
+    """
+    last = min(grid.t_end, _DEPTH_SPAN / g)
+    count = min(grid.n_points, math.floor((last - max(grid.t_start, 0.0)) / grid.spacing) + 1)
+    if count <= 0:  # also every last < 0
+        return
+    rules = [(alpha0_l / (g + d), g + d)] + ([(alpha0_l / (g - d), g - d)] if g > d else [])
+    try:
+        nodes = sum(_beat_order(t_eff, 1.0, rate, last) for t_eff, rate in rules)
+    except OverflowError:  # an infinite node count
+        nodes = math.inf
+    if nodes * count > _MAX_BEAT_WORK:
+        raise ConvergenceError(
+            f"closed-form beat rules of {nodes} nodes on {count} tau need {nodes * count} "
+            f"J0 evaluations, above the cap of {_MAX_BEAT_WORK}"
+        )
 
 
 def _beat_integral(t_eff, decay, rate, tau_values):

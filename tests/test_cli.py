@@ -394,6 +394,32 @@ class TestMainEntry:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "text, method, nodes",
+        [
+            (MATCHED_TEXT.replace("medium.thickness = 10", "medium.thickness = 1e10")
+             .replace("methods = numeric", "methods = analytic_parts"), "analytic_parts", 316270),
+            (FIG6A_TEXT.replace("medium.thickness = 30.0", "medium.thickness = 1e9")
+             .replace("methods = input, numeric, total_eit", "methods = total_eit"), "total_eit", 400084),
+            # alpha0*l*tau overflows the node count
+            (MATCHED_TEXT.replace("medium.thickness = 10", "medium.thickness = 1e308")
+             .replace("methods = numeric", "methods = analytic_parts"), "analytic_parts", "inf"),
+        ],
+        ids=["analytic_parts", "total_eit", "overflow"],
+    )
+    def test_oversized_beat_rule_exit_2(self, tmp_path, capsys, text, method, nodes):
+        # the closed forms' beat rules grow like sqrt(alpha0*l*tau): validate
+        # refuses a rule past the cap, and run before any method runs
+        path = _write(tmp_path, text)
+        message = f"error: method '{method}': closed-form beat rules of {nodes} nodes"
+        start = time.perf_counter()
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().out
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 10.0
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "text, validate_code, run_code, message",
         [
             # alpha0*l = 10 * 1e308 is inf

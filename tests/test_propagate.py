@@ -218,6 +218,23 @@ class TestBeatCut:
         assert time.perf_counter() - start < 5.0
         assert all(np.all(np.isfinite(part)) for part in parts)
 
+    @pytest.mark.parametrize("d, g, alpha0_l", LINES, ids=["matched", "broad"])
+    @pytest.mark.parametrize(
+        "grid", [TimeGrid(-4.0, 10.0, 1401), TimeGrid(0.3, 60.0, 777)], ids=["across_zero", "after_zero"]
+    )
+    def test_checked_work_bounds_the_rules_j0_evaluations(self, d, g, alpha0_l, grid, monkeypatch):
+        monkeypatch.setattr(propagate, "_MAX_BEAT_WORK", 0)
+        with pytest.raises(ConvergenceError, match=r"need (\d+) J0 evaluations") as info:
+            propagate._check_beat_work(d, g, alpha0_l, grid)
+        checked = int(re.search(r"need (\d+)", str(info.value)).group(1))
+        rule_j0 = []  # the tau x node matrices of the beat rules, not the matched line's own J0
+        bessel = propagate._sp.j0
+        monkeypatch.setattr(propagate._sp, "j0", lambda x: rule_j0.append(x.size * (x.ndim == 2)) or bessel(x))
+        propagate._line_parts(d, g, alpha0_l, grid.times())
+        assert 0 < sum(rule_j0) <= checked
+        monkeypatch.setattr(propagate, "_MAX_BEAT_WORK", checked)
+        propagate._check_beat_work(d, g, alpha0_l, grid)
+
 
 def _mp_beat(t_eff, decay, rate, tau):
     """The beat integral by mpmath Gauss-Legendre at 30 digits over 40 panels."""
@@ -593,26 +610,32 @@ class TestPropagateNumeric:
             (S, EitMedium(10.0, 1.0, 20.0, 3.0), TimeGrid(0.37, 4.0, 301), False),
             # a period of p = n_points steps: the bins (j + s0) mod p wrap
             (C, BroadLine(10.0, 2.0), TimeGrid(-1.0, 4.99, 600), True),
+            # odd p = 675: no self-mirrored column p/2
+            (C, BroadLine(10.0, 2.0), TimeGrid(-1.0, 5.74, 675), True),
+            # odd m = 3*675 at level 0: no lattice point at nu = 0
+            (S, BroadLine(10.0, 2.0), TimeGrid(-1.0, 9.11, 675), True),
         ],
-        ids=["integer_offset", "negative_offset", "positive_offset", "p_is_n"],
+        ids=["integer_offset", "negative_offset", "positive_offset", "p_is_n", "odd_p", "odd_m"],
     )
     @pytest.mark.parametrize("level", [0, 1])
     def test_fold_matches_exact_phase_sum(self, kind, medium, grid, short_period, level, monkeypatch):
-        # the lattice summed point by point, each phase reduced mod 2p in integers
+        # the lattice and its closing point nu = +nu_half summed point by point,
+        # the two ends at half weight, each phase reduced mod 2p in integers
         w = PhotonWaveform(kind, 1.0)
         if short_period:
             nu_max, _ = _window_defaults(w, medium, grid)
             monkeypatch.setattr(propagate, "_window_defaults", lambda *_: (nu_max, 1.0))
-        strategy, mdiv, p, m, nu_half = spectral_lattice(w, medium, grid, level)
+        strategy, mdiv, p, m, _ = spectral_lattice(w, medium, grid, level)
         assert strategy == "fft"
         assert p == grid.n_points if short_period else p > grid.n_points
         values, info = propagate._remainder(w, medium, grid, level)
         assert info["n_freq"] == m
         x = grid.t_start / grid.spacing
         s0, f = math.floor(x), x - math.floor(x)
-        k = np.arange(m, dtype=np.int64)
+        k = np.arange(m + 1, dtype=np.int64)
         dnu = 2.0 * math.pi / (p * grid.spacing)
-        h = _remainder_integrand(w, medium, -nu_half + dnu * k)
+        h = _remainder_integrand(w, medium, dnu * (k - m / 2))
+        h[[0, m]] *= 0.5
         # -nu_k*tau_j = (pi/p)*(mdiv*p - 2k)*(s0 + j + f)
         turns = mdiv * p - 2 * k
         exact = [
@@ -620,6 +643,33 @@ class TestPropagateNumeric:
             for j in range(grid.n_points)
         ]
         assert np.abs(values - (dnu / (2.0 * math.pi)) * np.array(exact)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "grid", [TimeGrid(-2.0, 15.0, 1701), TimeGrid(-1.0, 6.0, 601)], ids=["integer_offset", "offset"]
+    )
+    @pytest.mark.parametrize("medium", ROUTING_MEDIA, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("kind", [C, S, A, G], ids=lambda k: k.value)
+    def test_folded_oracle_is_real(self, kind, medium, grid):
+        # real sources through real impulse responses: each lattice point
+        # but nu = -nu_half has its conjugate at -nu, and that one is paired
+        # with its alias +nu_half, so only round-off is left in Im b
+        out = propagate_numeric(PhotonWaveform(kind, 1.0), medium, grid)
+        assert out.convergence["strategy"] == "fft"
+        assert np.abs(out.amplitude.imag).max() <= 1e-13
+
+    def test_fig6a_period_doubling_is_stable(self, monkeypatch):
+        # fig6a's level 1 moved by 4.0e-11 at tau = 0.39 when its period
+        # doubled while the lattice was filled at -nu_half + k*dnu
+        w = PhotonWaveform(C, 1.0)
+        medium, grid = EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(-2.0, 15.0, 1701)
+        base, _ = propagate._remainder(w, medium, grid, 1)
+        window = propagate._window_defaults
+        monkeypatch.setattr(
+            propagate, "_window_defaults", lambda *args: (window(*args)[0], 2.0 * window(*args)[1])
+        )
+        doubled, info = propagate._remainder(w, medium, grid, 1)
+        assert info["strategy"] == "fft"
+        assert np.abs(doubled - base).max() <= 1e-12
 
     def test_fine_grid_falls_back_to_direct_summation(self, causal_unit):
         # many points at micro spacing: FFT alignment would need > 2**22
@@ -764,17 +814,24 @@ class TestOracleInvariantsProperties:
             omega = 0.5 * (gamma - 1.0) * (1.0 + offset)
         medium = EitMedium(gamma, 1.0, omega, alpha0_l / gamma)
         grid = _property_grid(delta_ph)
+        tau = grid.times()
+        sources = [PhotonWaveform(k, delta_ph) for k in (C, S, A)]
+        thin = EitMedium(gamma, 1.0, omega, 0.0)
+        for w in sources:
+            assert np.array_equal(propagate_numeric(w, thin, grid).amplitude, time_amplitude(w, tau))
         try:
-            b_c, b_s, b_a = [
-                propagate_numeric(PhotonWaveform(k, delta_ph), medium, grid).amplitude
-                for k in (C, S, A)
-            ]
+            out_c, out_s, out_a = [propagate_numeric(w, medium, grid) for w in sources]
         except ConvergenceError:
             return
-        tau = grid.times()
+        b_c, b_s, b_a = out_c.amplitude, out_s.amplitude, out_a.amplitude
         assert np.abs(b_c).max() <= 1.0 + 1e-9
         assert np.abs(b_c[tau < -2 * grid.spacing]).max() <= 1e-5
         assert np.abs(b_c - b_s - b_a).max() <= 1e-5
+        # Im b is round-off, which the FFT makes in proportion to its lattice's l1 norm
+        _, _, p, m, _ = spectral_lattice(sources[0], medium, grid, out_c.convergence["iterations"])
+        dnu = 2.0 * math.pi / (p * grid.spacing)
+        h = _remainder_integrand(sources[0], medium, dnu * (np.arange(m) - m / 2))
+        assert np.abs(b_c.imag).max() <= 1e-13 * max(1.0, np.abs(h).sum() * dnu / (2.0 * math.pi))
 
 
 class TestAdiabaticEit:
