@@ -17,7 +17,6 @@ EitMedium    -- three-level absorber: g-e line of halfwidth Gamma with the
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -231,27 +230,20 @@ def fe57_siderite() -> EitMedium:
     return EitMedium(gamma_total=gamma_total, gamma_m=gamma_m, omega=2.0 * gamma_total, thickness=30.0)
 
 
-def medium_poles(a: AbsorberSpec) -> list[tuple[complex, int, complex]]:
-    """Pole terms of A(s)*l with s = -i*nu.
+def medium_system(a: AbsorberSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, B, C) with A(s)*l = C @ inv(s*I - M) @ B, s = -i*nu.
 
-    Returns [(z, j, c)] such that A(s)*l = sum c/(s - z)**j; every pole
-    satisfies Re z < 0 (causal, passive medium).  At critical EIT coupling,
-    Omega = (Gamma - gamma_m)/2, the two poles coincide and the terms are
-    alpha0_l/(s + s1) + alpha0_l*(gamma_m - s1)/(s + s1)**2.  Used by the
-    numeric propagator's analytic tail subtraction.
+    M holds only the medium's own rates: [[-Gamma]] for a line and
+    [[-Gamma, -Omega], [Omega, -gamma_m]] for EIT, so coincident poles (the
+    critical EIT coupling Omega = (Gamma - gamma_m)/2) need no special case.
+    B = e_1 is a column and C = alpha0_l * e_1 a row.  Used by the numeric
+    propagator's closed-form subtraction.
     """
     if isinstance(a, (MatchedLine, BroadLine)):
-        return [(complex(-a.linewidth), 1, complex(a.alpha0_l))]
-    if isinstance(a, EitMedium):
-        g, gm = a.gamma_total, a.gamma_m
-        # roots of s**2 + (Gamma+gamma_m)*s + (Gamma*gamma_m + Omega**2)
-        half = 0.5 * (g + gm)
-        disc = cmath.sqrt(complex((g - gm) ** 2 - 4.0 * a.omega**2))
-        s1 = half + 0.5 * disc
-        s2 = half - 0.5 * disc
-        if s1 == s2:
-            return [(-s1, 1, complex(a.alpha0_l)), (-s1, 2, a.alpha0_l * (gm - s1))]
-        c1 = a.alpha0_l * (gm - s1) / (s2 - s1)
-        c2 = a.alpha0_l * (gm - s2) / (s1 - s2)
-        return [(-s1, 1, c1), (-s2, 1, c2)]
-    raise TypeError(f"not an absorber spec: {a!r}")
+        m = np.array([[-a.linewidth]])
+    elif isinstance(a, EitMedium):
+        m = np.array([[-a.gamma_total, -a.omega], [a.omega, -a.gamma_m]])
+    else:
+        raise TypeError(f"not an absorber spec: {a!r}")
+    b = np.eye(len(m), 1)
+    return m, b, a.alpha0_l * b.T

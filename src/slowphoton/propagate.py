@@ -6,7 +6,8 @@ The numeric route evaluates the propagation integral
 
 on a uniform frequency lattice.  The incident spectra fall off only like
 1/nu, so the free-space term and the first two orders of the medium
-response, small rational functions of nu, are inverted in closed form, and
+response, small rational functions of nu, are inverted in closed form (as
+the impulse response of one small linear system, `_subtraction`), and
 the remainder, decaying like (alpha0*l/nu)**3, is folded onto the grid's
 period for one FFT of about period/spacing points.  Every source envelope
 and impulse response is real, so h(-nu) = conj h(nu): the folded lattice
@@ -43,14 +44,13 @@ from scipy import special as _sp
 from scipy.fft import next_fast_len
 from scipy.integrate import quad  # noqa: F401 -- unused; the benchmark tracer wraps propagate.quad
 
-from ._rational import eval_pole_terms, merge_poles, partial_fractions
 from .errors import ConvergenceError, UnsupportedWaveformError, ValidityError
 from .media import (
     AbsorberSpec,
     EitMedium,
     EitParams,
     eit_params,
-    medium_poles,
+    medium_system,
     spectral_response,
 )
 from .waveforms import (
@@ -63,6 +63,9 @@ from .waveforms import (
     spectral_amplitude,
     time_amplitude,
 )
+
+# unused: perfbench's tracing.wrap_table wraps these names too, as it does quad
+medium_poles = merge_poles = partial_fractions = eval_pole_terms = None
 
 __all__ = [
     "TimeSeries",
@@ -121,34 +124,68 @@ def _exponential_weights(kind: WaveformKind):
     return 0.5 * (w_s + w_a), 0.5 * (w_s - w_a)
 
 
-def _product_terms(left, right):
-    """Pole terms of the product of two sums of c/(s - z)^j, like (z, j) terms summed."""
-    acc: dict[tuple[complex, int], complex] = {}
-    for z1, j1, c1 in left:
-        for z2, j2, c2 in right:
-            for z, j, c in partial_fractions(c1 * c2, merge_poles([z1] * j1 + [z2] * j2)):
-                acc[z, j] = acc.get((z, j), 0) + c
-    return [(z, j, c) for (z, j), c in acc.items()]
+def _expm(a):
+    """exp(a) of a small matrix: a degree-18 Taylor series of a/2^s, ||a/2^s||_1 < 1/2, squared s times.
 
-
-def _subtraction_terms(w: PhotonWaveform, a: AbsorberSpec):
-    """Pole terms of b(s) * sum_{k=1.._SUBTRACT_ORDERS} (-A(s)l)^k / k!.
-
-    Order k is order k - 1 times -A(s)l/k, the recurrence that
-    _remainder_integrand runs on the lattice, starting from the source's
-    c_p/(s + d) - c_m/(s - d).
+    Numpy only: scipy.linalg.expm's Pade step waits ~8 ms on multithreaded OpenBLAS calls on 2 CPUs.
     """
+    s = max(0, math.frexp(float(np.abs(a).sum(axis=0).max()))[1] + 1)
+    out = term = np.eye(len(a))
+    for k in range(1, 19):
+        out = out + (term := term @ a / (k * 2.0**s))
+    return np.linalg.matrix_power(out, 2**s)
+
+
+def _subtraction(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
+    """(signal, roundoff): b(s) * sum_{k=1.._SUBTRACT_ORDERS} (-A(s)l)^k / k! on the grid.
+
+    With `medium_system`'s A(s)l = C(sI - M)^(-1)B, order k is the source's
+    causal state (rate -d) in series with k medium blocks fed by B*C: one
+    block lower-bidiagonal chain matrix, whose coincident poles are a Jordan
+    block.  For tau > 0 the orders read C off exp(chain*tau) @ x0, x0 being
+    c_p on the source state plus c_m*(d - chain)^(-1)B on the medium blocks:
+    what the medium carries past tau = 0 of the anticausal c_m*exp(d*tau).
+    For tau <= 0 order k is c_m*exp(d*tau)*G^k/k!, G = -A(d)l, the same
+    readout of x0, so the orders are continuous at tau = 0.  The tau > 0
+    columns are stepped by doubling from exp(spacing*chain), never an
+    exponential at a large tau, then moved to linspace's tau to first order.
+    roundoff is eps times the largest summed moduli of the orders, the
+    round-off of adding them to the free term and the remainder.
+    """
+    tau = grid.times()
     if w.kind not in PART_WEIGHTS:
-        return []
+        return np.zeros(tau.shape), 0.0
     c_p, c_m = _exponential_weights(w.kind)
     d = w.delta_ph
-    term = [(z, 1, c) for z, c in ((complex(-d), c_p), (complex(d), -c_m)) if c != 0]
-    med = medium_poles(a)
-    terms = []
-    for k in range(1, _SUBTRACT_ORDERS + 1):
-        term = [(z, j, -c / k) for z, j, c in _product_terms(term, med)]
-        terms += term
-    return terms
+    m, b, c = medium_system(a)
+    q, gain = len(m), a.alpha0_l
+    n = 1 + _SUBTRACT_ORDERS * q
+    # block k holds its state over gain**k, so the couplings B*C/gain are of
+    # the medium's own size and order k + 1 reads gain**k back
+    chain, read = np.zeros((n, n)), np.zeros((_SUBTRACT_ORDERS, n))
+    chain[0, 0] = -d
+    for k in range(_SUBTRACT_ORDERS):
+        blk = slice(1 + k * q, 1 + (k + 1) * q)
+        chain[blk, blk] = m
+        chain[blk, max(blk.start - q, 0):blk.start] = b @ c / gain if k else b
+        read[k, blk] = -(-gain) ** k / math.factorial(k + 1) * c[0]
+    x0 = np.zeros(n)
+    x0[0] = c_p
+    x0[1:] = c_m * np.linalg.solve(d * np.eye(n - 1) - chain[1:, 1:], chain[1:, 0])
+    orders = np.outer(read @ x0, np.exp(d * np.minimum(tau, 0.0)))
+    pos = np.flatnonzero(tau > 0)
+    if pos.size:
+        h = grid.spacing
+        shift, f = divmod(float(tau[pos[0]]), h)  # column j is x at f + (shift + j)*h
+        power = _expm(h * chain)
+        cols = (np.linalg.matrix_power(power, int(shift)) @ _expm(f * chain) @ x0)[:, None]
+        while cols.shape[1] < pos.size:
+            cols, power = np.hstack([cols, power @ cols]), power @ power
+        cols = cols[:, :pos.size]
+        cols += (chain @ cols) * (tau[pos] - (f + (shift + np.arange(pos.size)) * h))
+        orders[:, pos] = read @ cols
+    roundoff = float(np.finfo(float).eps * np.abs(orders).sum(axis=0).max(initial=0.0))
+    return orders.sum(axis=0), roundoff
 
 
 def _remainder_integrand(w, a, nu):
@@ -281,11 +318,13 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     Evaluates the spectral integral with analytic tail subtraction and a
     self-convergence check: the frequency window and period are doubled
     until successive evaluations agree to _DRIFT_TOL in max-abs, else
-    ConvergenceError is raised after _MAX_DOUBLINGS doublings.  It is also
-    raised when the subtracted pole terms, which cancel near a double pole,
-    could lose more than _DRIFT_TOL to round-off: machine epsilon times their
-    summed moduli, recorded as `roundoff`.  A missing medium or zero
-    thickness reproduces the sampled input exactly.
+    ConvergenceError is raised after _MAX_DOUBLINGS doublings.  The orders
+    subtracted in closed form come from one matrix exponential, exact at
+    coincident poles (critical EIT coupling, Gamma = delta_ph) and near them;
+    adding them to the free term and the remainder, which cancel them, can
+    lose machine epsilon times their summed moduli, recorded as `roundoff`.
+    ConvergenceError is also raised if that exceeds _DRIFT_TOL.  A missing
+    medium or zero thickness reproduces the sampled input exactly.
     """
     tau = grid.times()
     free = time_amplitude(w, tau)
@@ -304,13 +343,11 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
             f"spectral quadrature drift {drift:.3e} > {_DRIFT_TOL:.1e} after "
             f"{_MAX_DOUBLINGS} refinements"
         )
-    magnitude = np.zeros(tau.shape)
-    closed = eval_pole_terms(_subtraction_terms(w, a), tau, magnitude)
-    roundoff = float(np.finfo(float).eps * magnitude.max(initial=0.0))
+    closed, roundoff = _subtraction(w, a, grid)
     if roundoff > _DRIFT_TOL:
         raise ConvergenceError(
-            f"pole subtraction round-off bound {roundoff:.3e} > {_DRIFT_TOL:.1e}: "
-            "its terms nearly cancel"
+            f"closed-form subtraction round-off bound {roundoff:.3e} > {_DRIFT_TOL:.1e}: "
+            "its orders nearly cancel the remainder"
         )
     info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL, "roundoff": roundoff})
     return TimeSeries(grid, free + closed + cur, info)

@@ -515,18 +515,29 @@ class TestMainEntry:
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
 
-    def test_near_double_pole_exit_3(self, tmp_path, capsys):
-        # Gamma = delta_ph*(1 + 1e-7): the pole subtraction's terms cancel
-        # to ~1e-16 * 1e16, so the oracle refuses instead of returning ~1
-        path = _write(tmp_path, MATCHED_TEXT.replace(
-            "medium.kind = matched\nmedium.gamma = 1\nmedium.thickness = 10",
+    @pytest.mark.parametrize(
+        "medium",
+        [
             "medium.kind = broad\nmedium.gamma_total = 1.0000001\nmedium.thickness = 9.999999",
-        ))
+            "medium.kind = eit\nmedium.gamma_total = 10\nmedium.gamma_m = 1\n"
+            "medium.omega = 4.5000000045\nmedium.thickness = 30",
+        ],
+        ids=["broad_gamma_near_delta_ph", "eit_near_critical"],
+    )
+    def test_near_double_pole_runs(self, tmp_path, capsys, medium):
+        # Gamma = delta_ph*(1 + 1e-7), Omega = 4.5*(1 + 1e-9): near-coincident
+        # poles, whose partial fractions cancel to round-off bounds of 2.2 and 2.6
+        text = MATCHED_TEXT.replace(
+            "medium.kind = matched\nmedium.gamma = 1\nmedium.thickness = 10", medium
+        )
+        path = _write(tmp_path, text)
         assert main(["validate", str(path)]) == 0
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert "error: pole subtraction round-off bound" in captured.err
-        assert "Traceback" not in captured.out + captured.err
+        assert "error" not in captured.err
+        manifest = json.loads(next(out.glob("*.json")).read_text())
+        assert manifest["convergence"]["numeric"]["roundoff"] <= 1e-12
 
     def test_critical_eit_coupling_runs(self, tmp_path, capsys):
         # Omega = (Gamma - gamma_m)/2: the medium's double pole is subtracted as one

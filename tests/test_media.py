@@ -13,7 +13,7 @@ from slowphoton.media import (
     adiabatic_response,
     eit_params,
     fe57_siderite,
-    medium_poles,
+    medium_system,
     spectral_response,
 )
 
@@ -171,7 +171,7 @@ class TestAdiabaticResponse:
         np.testing.assert_allclose(adiabatic_response(eit_example, nu), expected, rtol=1e-14)
 
 
-class TestMediumPoles:
+class TestMediumSystem:
     @pytest.mark.parametrize(
         "med",
         [
@@ -182,11 +182,11 @@ class TestMediumPoles:
             EitMedium(10.0, 1.0, 4.5, 30.0),  # critical coupling: one double root
         ],
     )
-    def test_pole_expansion_reproduces_response(self, med):
+    def test_transfer_function_reproduces_response(self, med):
+        # A(s)*l = C (sI - M)^(-1) B with s = -i*nu
+        m, b, c = medium_system(med)
+        assert np.all(np.linalg.eigvals(m).real < 0)  # causal
         nu = np.linspace(-300.0, 300.0, 601)
-        s = -1j * nu
-        acc = np.zeros_like(s)
-        for z, j, c in medium_poles(med):
-            assert z.real < 0  # causal
-            acc = acc + c / (s - z) ** j
-        np.testing.assert_allclose(acc, spectral_response(med, nu), rtol=1e-10, atol=1e-12)
+        eye = np.eye(len(m))
+        got = [(c @ np.linalg.solve(-1j * v * eye - m, b)).item() for v in nu]
+        np.testing.assert_allclose(got, spectral_response(med, nu), rtol=1e-13, atol=1e-15)

@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 from scipy.special import j0
 
 from slowphoton import propagate
-from slowphoton._rational import eval_pole_terms
 from slowphoton.errors import ConvergenceError, UnsupportedWaveformError, ValidityError
 from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params
 from slowphoton.propagate import (
     TimeSeries,
     _beat_integral,
     _remainder_integrand,
-    _subtraction_terms,
+    _subtraction,
     _window_defaults,
     adiabatic_eit,
     analytic_matched,
@@ -435,7 +434,7 @@ class TestPropagateNumeric:
         nu_max, period = _window_defaults(w, medium, grid)
         scale = 2 ** conv["iterations"]
         rem = _rotation_sum(w, medium, grid, nu_max * scale, period * scale)
-        closed = eval_pole_terms(_subtraction_terms(w, medium), tau)
+        closed, _ = _subtraction(w, medium, grid)
         assert np.abs(out.amplitude - (time_amplitude(w, tau) + closed + rem)).max() <= 1e-6
         if isinstance(medium, MatchedLine):
             b_s, b_a = analytic_parts_matched(1.0, medium.thickness, tau)
@@ -708,12 +707,19 @@ class TestPropagateNumeric:
         + [(EitMedium(10.0, 1.0, 4.5 * (1.0 + 1e-7), 30.0), TimeGrid(-2.0, 15.0, 1701))],
         ids=["eps_1e-5", "eps_1e-7", "eps_1e-9", "critical_eit"],
     )
-    def test_near_double_pole_round_off_is_refused(self, causal_unit, med, grid):
-        # the partial-fraction terms cancel; off from analytic_matched by
-        # 9.8e-5, 1.13 and 8.2e3 for the three eps, with a drift of 5e-7.
-        # The EIT poles, 4e-3 apart, stay outside the merge tolerance (bound 2.6e-3)
-        with pytest.raises(ConvergenceError, match=r"pole subtraction round-off bound \S+ > 1\.0e-05"):
-            propagate_numeric(causal_unit, med, grid)
+    def test_near_double_pole_runs(self, causal_unit, med, grid):
+        # near-coincident poles, whose partial fractions cancel to round-off
+        # bounds of 2.2e-4 to 2.2e4; the chain matrix's exponential does not
+        out = propagate_numeric(causal_unit, med, grid)
+        assert out.convergence["roundoff"] <= 1e-12
+        tau = grid.times()
+        if isinstance(med, BroadLine):
+            b_s, b_a = analytic_parts_broad(1.0, med.gamma_total, med.thickness, tau)
+            mask = mask_near_zero(tau, grid.spacing)
+            assert np.abs(out.amplitude - (b_s + b_a))[mask].max() <= 1e-4
+        else:
+            critical = propagate_numeric(causal_unit, EitMedium(10.0, 1.0, 4.5, 30.0), grid)
+            assert np.abs(out.amplitude - critical.amplitude).max() <= 1e-5
 
     def test_convergence_diagnostics_recorded(self, causal_unit):
         grid = TimeGrid(-1.0, 5.0, 1501)
@@ -800,12 +806,12 @@ class TestOracleInvariantsProperties:
     @given(
         gamma=st.floats(6.0, 12.0),
         omega_frac=st.floats(0.0, 1.0),
-        critical=st.one_of(st.none(), st.floats(-8.0, -2.0)),
+        critical=st.one_of(st.none(), st.floats(-12.0, -2.0)),
         alpha0_l=st.floats(1.0, 300.0),
         delta_ph=st.floats(1.0, 2.0),
     )
     def test_eit(self, gamma, omega_frac, critical, alpha0_l, delta_ph):
-        # gamma_m = 1; Omega from sqrt(gamma_m*Gamma) to 1.5*Gamma, or 1e-8 to
+        # gamma_m = 1; Omega from sqrt(gamma_m*Gamma) to 1.5*Gamma, or 1e-12 to
         # 1e-2 off the critical coupling (Gamma - gamma_m)/2, on either side
         if critical is None:
             omega = math.sqrt(gamma) + omega_frac * (1.5 * gamma - math.sqrt(gamma))
@@ -819,10 +825,7 @@ class TestOracleInvariantsProperties:
         thin = EitMedium(gamma, 1.0, omega, 0.0)
         for w in sources:
             assert np.array_equal(propagate_numeric(w, thin, grid).amplitude, time_amplitude(w, tau))
-        try:
-            out_c, out_s, out_a = [propagate_numeric(w, medium, grid) for w in sources]
-        except ConvergenceError:
-            return
+        out_c, out_s, out_a = [propagate_numeric(w, medium, grid) for w in sources]
         b_c, b_s, b_a = out_c.amplitude, out_s.amplitude, out_a.amplitude
         assert np.abs(b_c).max() <= 1.0 + 1e-9
         assert np.abs(b_c[tau < -2 * grid.spacing]).max() <= 1e-5
