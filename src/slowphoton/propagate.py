@@ -5,14 +5,14 @@ The numeric route evaluates the propagation integral
     b(l, tau) = (1/2pi) * integral b(0, nu) exp(-i*nu*tau - A(nu)*l) dnu
 
 on a uniform frequency lattice.  The incident spectra fall off only like
-1/nu, so the free-space term and the first two orders of the medium
+1/nu, so the free-space term and the first three orders of the medium
 response, small rational functions of nu, are inverted in closed form (as
-the impulse response of one small linear system, `_subtraction`), and
-the remainder, decaying like (alpha0*l/nu)**3, is folded onto the grid's
-period for one FFT of about period/spacing points.  Every source envelope
-and impulse response is real, so h(-nu) = conj h(nu): the folded lattice
-is evaluated for half its columns and mirrored into the rest, and the
-transmitted envelope comes out real to round-off.  The split keeps the
+the impulse response of one small linear system, `_subtraction`), and the
+remainder, decaying like (alpha0*l/nu)**4, is cut where its tail is below
+_TAIL_TOL and folded onto the grid's period for one FFT of p ~ period/spacing
+points.  Sources and impulse responses are real, so h(-nu) = conj h(nu):
+the folded lattice is evaluated for half its columns and mirrored into the
+rest, and the envelope comes out real to round-off.  The split keeps the
 oracle independent of the Bessel-function closed forms it checks.
 
 All closed-form solutions from the transmission analysis live here as
@@ -82,14 +82,15 @@ __all__ = [
 ]
 
 # Orders of the medium expansion subtracted in closed form before the FFT.
-_SUBTRACT_ORDERS = 2
+_SUBTRACT_ORDERS = 3
 # propagate_numeric doubles the window and period up to _MAX_DOUBLINGS times,
 # until successive levels agree to _DRIFT_TOL in max-abs.
 _DRIFT_TOL = 1e-5
 _MAX_DOUBLINGS = 3
-# Window scale: truncating the remainder tail ~ (alpha0*l/nu)**3/nu at
-# nu_max = _WINDOW_PER_ALPHA0L * alpha0*l bounds the error by ~1e-6.
-_WINDOW_PER_ALPHA0L = 26.0
+# Window: past +-nu_max, taken past EIT's lines at +-omega, |b0(nu)| <= 1/|nu| and |A(nu)l| <~ alpha0*l/|nu|
+# keep the remainder, b0 times exp(-A(nu)l)'s Taylor remainder |A(nu)l|**k/k!, k = _SUBTRACT_ORDERS + 1,
+# below `_tail_bound` = (alpha0*l/nu_max)**k/(pi*k*k!): _TAIL_TOL at alpha0*l*(pi*k*k!*_TAIL_TOL)**(-1/k).
+_TAIL_TOL = 1e-6
 # Each level fills one frequency lattice (`spectral_lattice`) in `_row_blocks`
 # slices, on a thread pool that lives for that call, and folds its at most
 # _MAX_FFT_SAMPLES samples for one FFT of about period/spacing points; the
@@ -200,12 +201,20 @@ def _remainder_integrand(w, a, nu):
     return b * acc
 
 
+def _tail_bound(w: PhotonWaveform, alpha0_l, nu_max):
+    """Bound on the remainder integral past +-nu_max (see _TAIL_TOL)."""
+    if w.kind is WaveformKind.GAUSSIAN:  # |b0| <= (2*sqrt(pi)/d)*exp(-(nu/d)**2), |exp(-A(nu)l) - 1| <= 2
+        return 2.0 * math.erfc(nu_max / w.delta_ph)
+    return (alpha0_l / nu_max) ** (k := _SUBTRACT_ORDERS + 1) / (math.pi * k * math.factorial(k))
+
+
 def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
     d = w.delta_ph
     if w.kind is WaveformKind.GAUSSIAN:
         nu_max = max(15.0 * d, 3.0 * a.linewidth)
-    else:
-        nu_max = max(50.0 * a.linewidth, 50.0 * d, _WINDOW_PER_ALPHA0L * a.alpha0_l)
+    else:  # _tail_bound, c*(alpha0*l/nu)**k, is _TAIL_TOL at nu = alpha0*l*(c/_TAIL_TOL)**(1/k)
+        tail = (_tail_bound(w, 1.0, 1.0) / _TAIL_TOL) ** (1.0 / (_SUBTRACT_ORDERS + 1)) * a.alpha0_l
+        nu_max = max(50.0 * a.linewidth, 50.0 * d, tail, 2.0 * a.omega if isinstance(a, EitMedium) else 0.0)
     rate_min = min(d, a.linewidth, a.gamma_m if isinstance(a, EitMedium) else math.inf)
     return nu_max, 1.5 * (grid.t_end - grid.t_start) + 50.0 / rate_min
 
@@ -350,6 +359,7 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
             "its orders nearly cancel the remainder"
         )
     info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL, "roundoff": roundoff})
+    info["tail_bound"] = _tail_bound(w, a.alpha0_l, info["nu_max"])
     return TimeSeries(grid, free + closed + cur, info)
 
 

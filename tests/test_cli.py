@@ -378,8 +378,9 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("medium.thickness = 10", "medium.thickness = 1e6"), ("grid.t_end = 10", "grid.t_end = 1e300")],
-        ids=["thick", "long"],
+        [("medium.thickness = 10", "medium.thickness = 1e6"), ("grid.t_end = 10", "grid.t_end = 1e300"),
+         ("medium.thickness = 10", "medium.thickness = 8000")],
+        ids=["thick", "long", "thickness_8000"],
     )
     def test_oversized_lattice_exit_2(self, tmp_path, capsys, old, new):
         # the chirp-z zoom of level 1 would need > 2**22 frequencies, so
@@ -538,6 +539,17 @@ class TestMainEntry:
         assert "error" not in captured.err
         manifest = json.loads(next(out.glob("*.json")).read_text())
         assert manifest["convergence"]["numeric"]["roundoff"] <= 1e-12
+
+    def test_thick_matched_line_runs(self, tmp_path, capsys):
+        # alpha0*l = 4,000: with three orders subtracted, the window of the
+        # accepted level keeps its FFT lattice under the cap
+        path = _write(tmp_path, MATCHED_TEXT.replace("medium.thickness = 10", "medium.thickness = 4000"))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        conv = json.loads(next(out.glob("*.json")).read_text())["convergence"]["numeric"]
+        assert conv["roundoff"] <= 1e-6 and conv["tail_bound"] <= 1e-6
 
     def test_critical_eit_coupling_runs(self, tmp_path, capsys):
         # Omega = (Gamma - gamma_m)/2: the medium's double pole is subtracted as one

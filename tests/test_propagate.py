@@ -488,10 +488,10 @@ class TestPropagateNumeric:
 
     def test_slice_error_reaches_caller_and_pool_survives(self, causal_unit, monkeypatch):
         grid = TimeGrid(-1.0, 6.0, 601)
-        med = EitMedium(10.0, 1.0, 20.0, 30.0)
-        # level 0 folds 29 rows of 5,400 columns, 1,129 columns a slice: 5 slices
+        med = EitMedium(10.0, 1.0, 20.0, 100.0)
+        # level 0 fills columns 0..2,700 of 29 rows, 1,129 columns a slice: 3 slices
         _, mdiv, p, _, _ = spectral_lattice(causal_unit, med, grid, 0)
-        assert len(propagate._row_blocks(p, mdiv)) >= 3
+        assert len(propagate._row_blocks(p // 2 + 1, mdiv)) >= 3
         base = propagate_numeric(causal_unit, med, grid)
         with monkeypatch.context() as patch:
             self._failing_slice(patch)
@@ -505,7 +505,7 @@ class TestPropagateNumeric:
             return [t for t in threading.enumerate() if t.name.startswith("slowphoton-fill")]
 
         grid = TimeGrid(-1.0, 6.0, 601)
-        med = EitMedium(10.0, 1.0, 20.0, 30.0)
+        med = EitMedium(10.0, 1.0, 20.0, 100.0)
         propagate_numeric(causal_unit, med, grid)
         assert fill_threads() == []
         self._failing_slice(monkeypatch)
@@ -570,17 +570,20 @@ class TestPropagateNumeric:
         assert int(re.search(r"needs (\d+)", str(info.value)).group(1)) > propagate._MAX_FFT_SAMPLES
         assert f"cap of {propagate._MAX_FFT_SAMPLES}" in str(info.value)
 
-    @pytest.mark.parametrize("cap, refused", [(18553, True), (18554, False)])
-    def test_zoom_cap_counts_frequencies_plus_points(self, causal_unit, monkeypatch, cap, refused):
-        # the accepted level zooms 16,554 frequencies onto 2,001 points: 18,554 samples
+    @pytest.mark.parametrize("slack, refused", [(-1, True), (0, False)], ids=["below", "at"])
+    def test_zoom_cap_counts_frequencies_plus_points(self, causal_unit, monkeypatch, slack, refused):
+        # a cap of the accepted level's zoom frequencies plus its 2,001 points, or one sample less
         med = MatchedLine(1.0, 10.0)
         zoom = TimeGrid(-1e-3, 1e-3, 2001)
-        monkeypatch.setattr(propagate, "_MAX_FFT_SAMPLES", cap)
+        level = propagate_numeric(causal_unit, med, zoom).convergence["iterations"]
+        strategy, _, _, m, _ = spectral_lattice(causal_unit, med, zoom, level)
+        assert strategy == "zoom"
+        monkeypatch.setattr(propagate, "_MAX_FFT_SAMPLES", m + 2000 + slack)
         if refused:
-            with pytest.raises(ConvergenceError, match="onto 2001 points needs 18554 samples"):
+            with pytest.raises(ConvergenceError, match=f"onto 2001 points needs {m + 2000} samples"):
                 propagate_numeric(causal_unit, med, zoom)
         else:
-            assert propagate_numeric(causal_unit, med, zoom).convergence["n_freq"] == 16554
+            assert propagate_numeric(causal_unit, med, zoom).convergence["n_freq"] == m
 
     @pytest.mark.parametrize(
         "kind, medium, grid", ZOOM_CASES, ids=["matched", "broad", "eit", "gaussian"]
@@ -729,6 +732,48 @@ class TestPropagateNumeric:
         assert conv["iterations"] >= 1
         _, mdiv, p, _, _ = spectral_lattice(causal_unit, MatchedLine(1.0, 5.0), grid, conv["iterations"])
         assert conv["n_freq"] == mdiv * p
+
+    @pytest.mark.parametrize("kind", [C, S, A])
+    @pytest.mark.parametrize(
+        "med",
+        [MatchedLine(1.0, 1.0), MatchedLine(1.0, 10.0), MatchedLine(1.0, 100.0),
+         BroadLine(1.5, 4.0), BroadLine(10.0, 10.0), BroadLine(3.0, 30.0)],
+        ids=["matched_1", "matched_10", "matched_100", "broad_1.5_4", "broad_10_10", "broad_3_30"],
+    )
+    def test_error_within_recorded_tail_bound(self, kind, med):
+        # the closed-form parts are exact, so what is left is the dropped tail
+        # and the round-off of adding the subtracted orders back
+        grid = TimeGrid(-4.0, 10.0, 1401)
+        tau = grid.times()
+        out = propagate_numeric(PhotonWaveform(kind, 1.0), med, grid)
+        conv = out.convergence
+        assert conv["tail_bound"] <= propagate._TAIL_TOL
+        b_s, b_a = propagate._line_parts(1.0, med.linewidth, med.alpha0_l, tau)
+        exact = {C: b_s + b_a, S: b_s, A: b_a}[kind]
+        mask = mask_near_zero(tau, grid.spacing)
+        assert np.abs(out.amplitude - exact)[mask].max() <= conv["tail_bound"] + conv["roundoff"]
+
+    @pytest.mark.parametrize(
+        "med", [MatchedLine(1.0, 100.0), EitMedium(10.0, 1.0, 20.0, 30.0)], ids=["matched", "eit"]
+    )
+    def test_tighter_tail_tolerance_moves_within_the_bound(self, causal_unit, monkeypatch, med):
+        # a wider window adds only the band that the first run dropped
+        grid = TimeGrid(-2.0, 15.0, 1701)
+        out = propagate_numeric(causal_unit, med, grid)
+        monkeypatch.setattr(propagate, "_TAIL_TOL", 1e-9)
+        wide = propagate_numeric(causal_unit, med, grid)
+        bound = sum(r.convergence["tail_bound"] + r.convergence["roundoff"] for r in (out, wide))
+        assert np.abs(out.amplitude - wide.amplitude).max() <= bound
+
+    def test_window_reaches_past_the_eit_lines(self, causal_unit):
+        # Autler-Townes lines at +-2000, past 50*Gamma, the alpha0*l window and,
+        # at level 1, the 0.01 grid's own +-2*pi/spacing; a 0.001 grid covers them
+        med = EitMedium(2.0, 1.0, 2000.0, 1.0)
+        out = propagate_numeric(causal_unit, med, TimeGrid(-2.0, 15.0, 1701))
+        fine = propagate_numeric(causal_unit, med, TimeGrid(-2.0, 15.0, 17001))
+        # both bounds are below 1e-16 here: the FFTs' own round-off, ~1e-16, is the floor
+        bound = sum(r.convergence["tail_bound"] + r.convergence["roundoff"] for r in (out, fine))
+        assert np.abs(out.amplitude - fine.amplitude[::10]).max() <= bound + 1e-15
 
     def test_nonconvergence_raises(self, causal_unit, monkeypatch):
         grid = TimeGrid(-1.0, 5.0, 1501)

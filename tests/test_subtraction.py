@@ -82,15 +82,16 @@ def test_critical_eit_coupling_is_exact(monkeypatch):
     ids=["matched", "critical_eit"],
 )
 def test_anticausal_orders_before_and_at_zero(kind, medium, a_d):
-    # tau <= 0 carries only the anticausal source: c_m*exp(d*tau)*(G + G^2/2), G = -A(d)l
-    # at s = d = 1; the orders are continuous, so tau = 0 takes that value too
+    # tau <= 0 carries only the anticausal source: c_m*exp(d*tau)*sum_k G^k/k!, G = -A(d)l
+    # at s = d = 1, k = 1.._SUBTRACT_ORDERS; the orders are continuous, so tau = 0 takes that value too
     grid = TimeGrid(-3.0, 3.0, 61)
     tau = grid.times()
     c_m, g = (0.5 if kind is S else -0.5), -a_d
+    orders = sum(g**k / math.factorial(k) for k in range(1, propagate._SUBTRACT_ORDERS + 1))
     signal, _ = _subtraction(PhotonWaveform(kind, 1.0), medium, grid)
     before = tau <= 0
     assert tau[30] == 0.0
-    np.testing.assert_allclose(signal[before], c_m * np.exp(tau[before]) * (g + g * g / 2), rtol=1e-14)
+    np.testing.assert_allclose(signal[before], c_m * np.exp(tau[before]) * orders, rtol=1e-14)
 
 
 @pytest.mark.parametrize("kind", [C, S, A])
