@@ -77,10 +77,6 @@ __all__ = [
     "main",
 ]
 
-OUTPUT_KINDS = ("time_trace", "thickness_scan", "eit_params", "areas_and_energies")
-TRACE_OUTPUTS = ("time_trace", "areas_and_energies")  # the outputs that run the methods
-
-
 @dataclass(frozen=True)
 class ScanSpec:
     kind: str
@@ -232,6 +228,101 @@ METHODS: dict[str, Method] = {
 
 
 # ---------------------------------------------------------------------------
+# outputs
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Output:
+    """One output kind: file suffix, whether it runs the methods, text, precondition.
+
+    text(scenario, traces, manifest) returns the file's contents (and may add
+    to the manifest), looking library functions up when called, as METHODS do;
+    check(scenario) returns validate's refusal, None if the output can be written.
+    """
+
+    suffix: str
+    traces: bool
+    text: Callable[..., str]
+    check: Callable[["Scenario"], Optional[str]] = lambda sc: None
+
+
+def _csv(header: list[str], cols) -> str:
+    """Equal-length columns: a list of str as it is, a float array as shortest round-trip decimals."""
+    cells = [col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
+             for col in cols]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _trace_text(sc, traces, manifest) -> str:
+    header, cols = ["tau"], [sc.grid.times()]
+    for m in sc.methods:
+        amp = traces[m].amplitude
+        header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
+        cols += [amp.real, amp.imag, np.abs(amp)]
+    return _csv(header, cols)
+
+
+def _scan_text(sc, traces, manifest) -> str:
+    manifest["derived"]["scan_normalization"] = SCAN_NORMALIZATION
+    gamma = sc.medium.linewidth if sc.medium is not None else None
+    scan = thickness_scan(sc.scan.kind, sc.source.delta_ph, gamma, sc.scan.values())
+    return _csv(["thickness", "u_s", "u_a", "u_total", "beer_reference"],
+                [scan.thickness_values, scan.u_s, scan.u_a, scan.u_total, scan.beer_reference])
+
+
+def _check_scan(sc) -> Optional[str]:
+    scan, med = sc.scan, sc.medium
+    if scan is None:
+        return "thickness_scan output requires scan.* keys"
+    if not (math.isfinite(scan.t_min) and math.isfinite(scan.t_max)):
+        return f"scan.t_min and scan.t_max must be finite (got {scan.t_min}, {scan.t_max})"
+    if scan.t_min < 0:
+        return f"scan.t_min must be >= 0 (got {scan.t_min})"
+    if scan.n_points < 1:
+        return f"scan.n_points must be >= 1 (got {scan.n_points})"
+    if scan.n_points > MAX_SCAN_POINTS:
+        return f"scan.n_points must be <= {MAX_SCAN_POINTS} (got {scan.n_points})"
+    if np.any(np.diff(scan.values()) <= 0):  # thickness_scan's own refusal
+        return (f"scan.t_max must exceed scan.t_min for {scan.n_points} points "
+                f"(got {scan.t_min}, {scan.t_max})")
+    if scan.kind not in ("matched", "broad"):
+        return f"unknown scan.kind {scan.kind!r}"
+    if scan.kind == "broad":
+        if not isinstance(med, (BroadLine, EitMedium)):
+            return "broad thickness scan needs a broad-line medium for Gamma"
+        try:
+            _check_broad(sc.source.delta_ph, med.linewidth)
+        except ValidityError as exc:
+            return f"thickness_scan: {exc}"
+
+
+def _check_eit_output(sc) -> Optional[str]:
+    if not isinstance(sc.medium, EitMedium):
+        return "eit_params output requires an EIT medium"
+    try:  # the EIT methods' guard, so the refusal names its cause
+        _check_eit(sc.source, sc.medium, sc.grid)
+    except ValidityError as exc:
+        return f"eit_params output: {exc}"
+
+
+def _areas_text(sc, traces, manifest) -> str:
+    rows = []
+    for m in sc.methods:
+        area = pulse_area(traces[m])  # abs() of a Python complex: np.abs can differ in the last bit
+        rows.append((area.real, area.imag, abs(area), integrated_intensity(traces[m])))
+    return _csv(["method", "area_re", "area_im", "area_abs", "energy"], [list(sc.methods), *np.array(rows).T])
+
+
+OUTPUTS: dict[str, Output] = {
+    "time_trace": Output("_trace.csv", True, _trace_text),
+    "thickness_scan": Output("_scan.csv", False, _scan_text, _check_scan),
+    "eit_params": Output("_eit_params.json", False, lambda sc, traces, manifest: json.dumps(
+        manifest["derived"]["eit_params"], indent=2, sort_keys=True) + "\n", _check_eit_output),
+    "areas_and_energies": Output("_areas.csv", True, _areas_text),
+}
+
+
+# ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
 
@@ -356,8 +447,12 @@ def load_config(path) -> Scenario:
 # validation
 # ---------------------------------------------------------------------------
 
-def _unknown_method(name: str) -> str:
-    return f"unknown method {name!r}; valid: {', '.join(METHODS)}"
+def _unknown(what: str, name: str, table: dict) -> str:
+    return f"unknown {what} {name!r}; valid: {', '.join(table)}"
+
+
+def _runs_methods(sc: Scenario) -> bool:
+    return any(OUTPUTS[o].traces for o in sc.outputs if o in OUTPUTS)
 
 
 def validate(sc: Scenario) -> tuple[list[str], list[str]]:
@@ -374,15 +469,16 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     # the name prefixes every output file, which must stay in the output directory
     if sc.name in ("", ".", "..") or any(c and c in sc.name for c in ("/", os.sep, os.altsep, "\0")):
         errors.append(f"name {sc.name!r} must be a plain file name")
-    if any(o in TRACE_OUTPUTS for o in sc.outputs) and not sc.methods:
+    if _runs_methods(sc) and not sc.methods:
         errors.append("methods must be nonempty for time_trace outputs")
-    for o in sc.outputs:
-        if o not in OUTPUT_KINDS:
-            errors.append(f"unknown output {o!r}; valid: {', '.join(OUTPUT_KINDS)}")
-    for m in sc.methods:
+    for what, listed in (("method", sc.methods), ("output", sc.outputs)):
+        errors += [f"{what} {n!r} is listed more than once"
+                   for n in dict.fromkeys(listed) if listed.count(n) > 1]
+    errors += [_unknown("output", o, OUTPUTS) for o in dict.fromkeys(sc.outputs) if o not in OUTPUTS]
+    for m in dict.fromkeys(sc.methods):
         method = METHODS.get(m)
         if method is None:
-            errors.append(_unknown_method(m))
+            errors.append(_unknown("method", m, METHODS))
             continue
         if method.media is not None and not isinstance(med, method.media):
             names = " or ".join(cls.__name__ for cls in method.media)
@@ -395,46 +491,13 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
         if kind not in method.sources:
             takes = ", ".join(k.value for k in WaveformKind if k in method.sources)
             errors.append(f"method {m!r} does not take the {kind.value} source (takes {takes})")
+    errors += [e for o, out in OUTPUTS.items() if o in sc.outputs and (e := out.check(sc)) is not None]
 
-    if "thickness_scan" in sc.outputs:
-        scan = sc.scan
-        if scan is None:
-            errors.append("thickness_scan output requires scan.* keys")
-        elif not (math.isfinite(scan.t_min) and math.isfinite(scan.t_max)):
-            errors.append(f"scan.t_min and scan.t_max must be finite (got {scan.t_min}, {scan.t_max})")
-        elif scan.t_min < 0:
-            errors.append(f"scan.t_min must be >= 0 (got {scan.t_min})")
-        elif scan.n_points < 1:
-            errors.append(f"scan.n_points must be >= 1 (got {scan.n_points})")
-        elif scan.n_points > MAX_SCAN_POINTS:
-            errors.append(f"scan.n_points must be <= {MAX_SCAN_POINTS} (got {scan.n_points})")
-        elif np.any(np.diff(scan.values()) <= 0):  # thickness_scan's own refusal
-            errors.append(
-                f"scan.t_max must exceed scan.t_min for {scan.n_points} points "
-                f"(got {scan.t_min}, {scan.t_max})"
-            )
-        elif scan.kind not in ("matched", "broad"):
-            errors.append(f"unknown scan.kind {scan.kind!r}")
-        elif scan.kind == "broad":
-            if not isinstance(med, (BroadLine, EitMedium)):
-                errors.append("broad thickness scan needs a broad-line medium for Gamma")
-            else:
-                try:
-                    _check_broad(d, med.linewidth)
-                except ValidityError as exc:
-                    errors.append(f"thickness_scan: {exc}")
-    if "eit_params" in sc.outputs:
-        if not isinstance(med, EitMedium):
-            errors.append("eit_params output requires an EIT medium")
-        else:
-            try:  # the EIT methods' guard, so the refusal names its cause
-                _check_eit(sc.source, med, sc.grid)
-            except ValidityError as exc:
-                errors.append(f"eit_params output: {exc}")
-
-    # grid advice samples the grid, so an oversized one is refused first
+    # grid advice samples the grid, so an oversized one is refused first;
+    # it is given only where an output runs the methods on the grid
     if sc.grid.n_points > MAX_GRID_POINTS:
         errors.append(f"grid.n_points must be <= {MAX_GRID_POINTS} (got {sc.grid.n_points})")
+    if sc.grid.n_points > MAX_GRID_POINTS or not _runs_methods(sc):
         return errors, warnings
     tau = sc.grid.times()
     if sc.grid.t_start < 0 < sc.grid.t_end and min(abs(tau)) > 1e-12 * max(1.0, sc.grid.spacing):
@@ -457,13 +520,6 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-
-def _write_csv(path: Path, header: list[str], cols) -> None:
-    """Write equal-length columns: a list of str as it is, a float array as shortest round-trip decimals."""
-    cells = [col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
-             for col in cols]
-    path.write_text("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n", newline="\n")
-
 
 def run_scenario(sc: Scenario, out_dir) -> dict:
     """Execute a validated scenario; returns the manifest dictionary."""
@@ -498,58 +554,24 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
             manifest["derived"]["t_minus"] = sc.medium.alpha0_l / (g - d)
 
     traces: dict[str, TimeSeries] = {}
-    if any(o in TRACE_OUTPUTS for o in sc.outputs):
+    if _runs_methods(sc):
         for method in sc.methods:
             if method not in METHODS:
-                raise ValueError(_unknown_method(method))
+                raise ValueError(_unknown("method", method, METHODS))
             ts = METHODS[method].compute(sc.source, sc.medium, sc.grid)
             traces[method] = ts
             if ts.convergence is not None:
                 manifest["convergence"][method] = ts.convergence
 
     for output in sc.outputs:
-        if output == "time_trace":
-            path = out_dir / f"{sc.name}_trace.csv"
-            header, cols = ["tau"], [sc.grid.times()]
-            for m in sc.methods:
-                amp = traces[m].amplitude
-                header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
-                cols += [amp.real, amp.imag, np.abs(amp)]
-            _write_csv(path, header, cols)
-            manifest["files"]["time_trace"] = path.name
-        elif output == "thickness_scan":
-            scan = thickness_scan(
-                sc.scan.kind,
-                sc.source.delta_ph,
-                sc.medium.linewidth if sc.medium is not None else None,
-                sc.scan.values(),
-            )
-            path = out_dir / f"{sc.name}_scan.csv"
-            header = ["thickness", "u_s", "u_a", "u_total", "beer_reference"]
-            _write_csv(
-                path, header, [scan.thickness_values, scan.u_s, scan.u_a, scan.u_total, scan.beer_reference]
-            )
-            manifest["files"]["thickness_scan"] = path.name
-            manifest["derived"]["scan_normalization"] = SCAN_NORMALIZATION
-        elif output == "areas_and_energies":
-            path = out_dir / f"{sc.name}_areas.csv"
-            header = ["method", "area_re", "area_im", "area_abs", "energy"]
-            rows = []
-            for m in sc.methods:
-                area = pulse_area(traces[m])  # abs() of a Python complex: np.abs can differ in the last bit
-                rows.append((area.real, area.imag, abs(area), integrated_intensity(traces[m])))
-            _write_csv(path, header, [list(sc.methods), *np.array(rows).T])
-            manifest["files"]["areas_and_energies"] = path.name
-        elif output == "eit_params":
-            path = out_dir / f"{sc.name}_eit_params.json"
-            path.write_text(
-                json.dumps(manifest["derived"]["eit_params"], indent=2, sort_keys=True)
-                + "\n"
-            )
-            manifest["files"]["eit_params"] = path.name
+        if output not in OUTPUTS:
+            raise ValueError(_unknown("output", output, OUTPUTS))
+        path = out_dir / f"{sc.name}{OUTPUTS[output].suffix}"
+        path.write_text(OUTPUTS[output].text(sc, traces, manifest), newline="\n")
+        manifest["files"][output] = path.name
 
     manifest_path = out_dir / f"{sc.name}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
     manifest["files"]["manifest"] = manifest_path.name
     return manifest
 
@@ -620,10 +642,6 @@ def figure_preset(name: str) -> list[Scenario]:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _default_outdir() -> str:
-    return os.environ.get("SLOWPHOTON_OUTDIR", ".")
-
-
 def _report(errors, warnings, file=None):  # None: the current sys.stdout
     for e in errors:
         print(f"error: {e}", file=file)
@@ -653,7 +671,7 @@ def main(argv=None) -> int:
     p_val.add_argument("config")
 
     args = parser.parse_args(argv)
-    out_dir = getattr(args, "out", None) or _default_outdir()
+    out_dir = getattr(args, "out", None) or os.environ.get("SLOWPHOTON_OUTDIR", ".")
 
     if args.command in ("run", "eit-params", "validate"):
         try:

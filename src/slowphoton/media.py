@@ -50,8 +50,15 @@ def _thickness(a):
         raise ValueError(f"alpha0*l = {a.thickness} * {a.linewidth} overflows")
 
 
+class _Medium:
+    @property
+    def alpha0_l(self) -> float:
+        """Resonant optical depth alpha0*l = thickness * linewidth."""
+        return self.thickness * self.linewidth
+
+
 @dataclass(frozen=True)
-class MatchedLine:
+class MatchedLine(_Medium):
     """Single Lorentzian line whose halfwidth matches the source photon."""
 
     gamma: float
@@ -62,16 +69,12 @@ class MatchedLine:
         _thickness(self)
 
     @property
-    def alpha0_l(self) -> float:
-        return self.thickness * self.gamma
-
-    @property
     def linewidth(self) -> float:
         return self.gamma
 
 
 @dataclass(frozen=True)
-class BroadLine:
+class BroadLine(_Medium):
     """Lorentzian line of total halfwidth Gamma (>= the photon width)."""
 
     gamma_total: float
@@ -82,16 +85,12 @@ class BroadLine:
         _thickness(self)
 
     @property
-    def alpha0_l(self) -> float:
-        return self.thickness * self.gamma_total
-
-    @property
     def linewidth(self) -> float:
         return self.gamma_total
 
 
 @dataclass(frozen=True)
-class EitMedium:
+class EitMedium(_Medium):
     """Broad g-e line with a coupled metastable state opening an EIT window."""
 
     gamma_total: float  # halfwidth Gamma of the unperturbed g-e line
@@ -111,10 +110,6 @@ class EitMedium:
                 "EitMedium requires gamma_total > gamma_m "
                 f"(got Gamma={self.gamma_total}, gamma_m={self.gamma_m})"
             )
-
-    @property
-    def alpha0_l(self) -> float:
-        return self.thickness * self.gamma_total
 
     @property
     def linewidth(self) -> float:

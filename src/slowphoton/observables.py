@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-6
-# _broad_parts' depth rule: its error for exp(-u) on [0, 40] is ~1e-23 at
+# u_broad's depth rule: its error for exp(-u) on [0, 40] is ~1e-23 at
 # 32 nodes, and i0e is entire.
 _BROAD_RULE = _sp.roots_legendre(32)
 # Most thicknesses a scan config may ask of thickness_scan, which bounds its
@@ -93,17 +93,19 @@ def u_matched(thickness):
     return u_s, u_a, u_s + u_a
 
 
-def _broad_parts(delta_ph: float, gamma_total: float, t_values):
-    """(U_s, U_a) behind a broad line for every thickness T_b in t_values.
+def u_broad(delta_ph: float, gamma_total: float, thickness):
+    """Transmitted energies (U_s, U_a) behind a broad line, absolute units.
 
+    thickness is T_b = alpha0*l/Gamma, a float or an array (then U_s and U_a
+    are arrays).  The symmetric part initially follows the Beer-like
+    exp(-2*a*T_b) law while the antisymmetric part decays only algebraically.
     The inner integrals I1 = int_0^T exp(-2a(T-x)) i0e(x) dx and
-    I2 = int_0^T (T-x) exp(-2a(T-x)) i0e(x) dx take the beat integral's
-    depth rule (`propagate._depth_rule`) with the nodes of _BROAD_RULE, one row
-    per thickness; i0e on the thickness x node matrix is filled in the same
-    bounded blocks.
+    I2 = int_0^T (T-x) exp(-2a(T-x)) i0e(x) dx take the beat integral's depth
+    rule (`propagate._depth_rule`) with the nodes of _BROAD_RULE, one row per
+    thickness, filled in bounded blocks.
     """
     _check_broad(delta_ph, gamma_total)
-    tb = np.asarray(t_values, dtype=float)
+    tb = np.atleast_1d(np.asarray(thickness, dtype=float))
     if not np.all(tb >= 0):
         raise ValueError("thickness must be >= 0")
     u0 = 0.5 / delta_ph
@@ -122,21 +124,7 @@ def _broad_parts(delta_ph: float, gamma_total: float, t_values):
     slope = 4.0 * a**2 * ratio**2 * tb
     u_s = beer * (1.0 + slope) - ratio**3 * (u1 - u2)
     u_a = beer * (1.0 - slope) + ratio * u1 - ratio**3 * u2
-    return u_s, u_a
-
-
-def u_broad(delta_ph: float, gamma_total: float, thickness: float):
-    """Transmitted energies (U_s, U_a) behind a broad line, absolute units.
-
-    thickness is T_b = alpha0*l/Gamma.  The symmetric part initially
-    follows the Beer-like exp(-2*a*T_b) law while the antisymmetric part
-    decays only algebraically.  The inner integrals of exp(-2a(T_b - x))
-    times the scaled Bessel function i0e(x) take one fixed 32-node
-    Gauss-Legendre rule on the window where 2a(T_b - x) <= 40; the part
-    below the window is under exp(-40)/(2a).
-    """
-    u_s, u_a = _broad_parts(delta_ph, gamma_total, [thickness])
-    return float(u_s[0]), float(u_a[0])
+    return (u_s, u_a) if np.ndim(thickness) else (float(u_s[0]), float(u_a[0]))
 
 
 def u_eit_adiabatic(delta_ph: float, params: EitParams) -> float:
@@ -198,7 +186,7 @@ def thickness_scan(kind: str, delta_ph: float, gamma_total, t_values) -> Thickne
     elif kind == "broad":
         if gamma_total is None:
             raise ValueError("broad scan needs gamma_total")
-        s, a = _broad_parts(delta_ph, gamma_total, t_values)
+        s, a = u_broad(delta_ph, gamma_total, t_values)
         u0_half = 0.25 / delta_ph
         u_s, u_a = s / u0_half, a / u0_half
     else:

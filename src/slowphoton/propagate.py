@@ -59,6 +59,7 @@ from .waveforms import (
     TimeGrid,
     TimeSeries,
     WaveformKind,
+    _exponential_weights,
     _step,
     spectral_amplitude,
     time_amplitude,
@@ -114,16 +115,6 @@ _MAX_BEAT_WORK = 2**22
 # ---------------------------------------------------------------------------
 # numeric spectral propagator
 # ---------------------------------------------------------------------------
-
-def _exponential_weights(kind: WaveformKind):
-    """(c_p, c_m): the kind as c_p*exp(-d*t)Theta(t) + c_m*exp(d*t)Theta(-t).
-
-    Read off PART_WEIGHTS: the symmetric part is the half-sum of the causal
-    and anticausal exponentials, the antisymmetric part their half-difference.
-    """
-    w_s, w_a = PART_WEIGHTS[kind]
-    return 0.5 * (w_s + w_a), 0.5 * (w_s - w_a)
-
 
 def _expm(a):
     """exp(a) of a small matrix: a degree-18 Taylor series of a/2^s, ||a/2^s||_1 < 1/2, squared s times.

@@ -48,6 +48,16 @@ PART_WEIGHTS = {
 }
 
 
+def _exponential_weights(kind: WaveformKind):
+    """(c_p, c_m): the kind as c_p*exp(-d*t)Theta(t) + c_m*exp(d*t)Theta(-t).
+
+    Read off PART_WEIGHTS: the symmetric part is the half-sum of the causal
+    and anticausal exponentials, the antisymmetric part their half-difference.
+    """
+    w_s, w_a = PART_WEIGHTS[kind]
+    return 0.5 * (w_s + w_a), 0.5 * (w_s - w_a)
+
+
 @dataclass(frozen=True)
 class PhotonWaveform:
     """A source envelope: kind plus spectral halfwidth delta_ph.
@@ -128,17 +138,11 @@ def time_amplitude(w: PhotonWaveform, t):
     tv = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(tv)):
         raise ValueError("t must be finite")
-    if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
-        # exp argument clipped to the causal side; the step zeroes t < 0
-        out = np.exp(-d * np.clip(tv, 0.0, None)) * _step(tv)
-    elif w.kind is WaveformKind.SYMMETRIC_PART:
-        out = 0.5 * np.exp(-d * np.abs(tv))
-    elif w.kind is WaveformKind.ANTISYMMETRIC_PART:
-        out = np.sign(tv) * 0.5 * np.exp(-d * np.abs(tv))
-    elif w.kind is WaveformKind.GAUSSIAN:
+    if w.kind is WaveformKind.GAUSSIAN:
         out = np.exp(-0.25 * d * d * tv * tv)
-    else:  # pragma: no cover
-        raise AssertionError(w.kind)
+    else:
+        c_p, c_m = _exponential_weights(w.kind)
+        out = (c_p * _step(tv) + c_m * _step(-tv)) * np.exp(-d * np.abs(tv))
     out = out.astype(complex)
     return out if np.ndim(t) else complex(out)
 

@@ -8,7 +8,7 @@ import itertools
 
 import pytest
 
-from slowphoton.cli import Scenario, run_scenario, validate
+from slowphoton.cli import Scenario, main, run_scenario, validate
 from slowphoton.media import BroadLine, EitMedium, MatchedLine
 from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind
 
@@ -122,6 +122,29 @@ def test_parameter_edges_accepted(method, medium, kind, delta_ph):
 def test_empty_methods_rejected():
     errors, _ = validate(scenario("input", None, C, methods=[]))
     assert any("methods must be nonempty" in e for e in errors), errors
+
+
+@pytest.mark.parametrize(
+    "methods, repeated",
+    [(["numeric", "input", "numeric"], "numeric"), (["input", "input"], "input")],
+)
+def test_repeated_method_refused(methods, repeated):
+    errors, _ = validate(scenario("input", None, C, methods=methods))
+    assert errors == [f"method {repeated!r} is listed more than once"]
+
+
+def test_repeated_method_exit_2(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text(
+        "source.kind = exponential_causal\nsource.delta_ph = 1\n"
+        "grid.t_start = -1\ngrid.t_end = 8\ngrid.n_points = 91\n"
+        "methods = numeric, input, numeric\n"
+    )
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(command) == 2
+        out, err = capsys.readouterr()
+        assert "error: method 'numeric' is listed more than once" in out + err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_method_lists_the_valid_ones():

@@ -294,6 +294,9 @@ class TestBroadRule:
         for i, t in enumerate(BROAD_THICKNESSES):
             u_s, u_a = u_broad(d, g, t)
             assert (u_s / (0.25 / d), u_a / (0.25 / d)) == (scan.u_s[i], scan.u_a[i])
+        u_s, u_a = u_broad(d, g, BROAD_THICKNESSES)  # the whole array in one call
+        np.testing.assert_array_equal(u_s / (0.25 / d), scan.u_s)
+        np.testing.assert_array_equal(u_a / (0.25 / d), scan.u_a)
 
     def test_matched_scan_is_the_scalar_loop(self):
         t_values = np.linspace(0.0, 3000.0, 3001)

@@ -5,9 +5,12 @@ eit_params, scan.* keys and, for a broad scan, a broad-line medium for
 thickness_scan) are frozen here, as test_methods.py freezes the methods.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
-from slowphoton.cli import Scenario, ScanSpec, run_scenario, validate
+from slowphoton.cli import OUTPUTS, Scenario, ScanSpec, figure_preset, run_scenario, validate
 from slowphoton.media import BroadLine, EitMedium, MatchedLine
 from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind
 
@@ -25,7 +28,7 @@ SCANS = {
 }
 NOT_EIT = "eit_params output requires an EIT medium"
 NOT_BROAD = "broad thickness scan needs a broad-line medium for Gamma"
-# (output, medium, scan) -> None if accepted, else a substring of the refusal
+# (outputs, comma-separated, medium, scan) -> None if accepted, else a substring of the refusal
 CASES = {
     ("eit_params", "none", "none"): NOT_EIT,
     ("eit_params", "matched", "none"): NOT_EIT,
@@ -41,22 +44,27 @@ CASES = {
     ("thickness_scan", "open_eit", "broad"): None,
     ("warp_field", "none", "none"): "unknown output 'warp_field'; valid: time_trace, "
     "thickness_scan, eit_params, areas_and_energies",
+    ("eit_params,eit_params", "open_eit", "none"): "output 'eit_params' is listed more than once",
 }
+
+
+def scenario(outputs, medium=None, scan=None):
+    return Scenario(
+        name="out",
+        reference_rate_label="delta_ph",
+        source=PhotonWaveform(WaveformKind.EXPONENTIAL_CAUSAL, 1.0),
+        medium=medium,
+        grid=TimeGrid(-1.0, 8.0, 91),
+        methods=[],
+        outputs=outputs,
+        scan=scan,
+    )
 
 
 @pytest.mark.parametrize("case", CASES, ids=["-".join(case) for case in CASES])
 def test_output_preconditions_are_frozen(tmp_path, case):
     output, medium, scan = case
-    sc = Scenario(
-        name="out",
-        reference_rate_label="delta_ph",
-        source=PhotonWaveform(WaveformKind.EXPONENTIAL_CAUSAL, 1.0),
-        medium=MEDIA[medium],
-        grid=TimeGrid(-1.0, 8.0, 91),
-        methods=[],
-        outputs=[output],
-        scan=SCANS[scan],
-    )
+    sc = scenario(output.split(","), MEDIA[medium], SCANS[scan])
     errors, _ = validate(sc)
     needle = CASES[case]
     if needle is None:
@@ -64,3 +72,23 @@ def test_output_preconditions_are_frozen(tmp_path, case):
         assert (tmp_path / run_scenario(sc, tmp_path)["files"][output]).exists()
     else:
         assert len(errors) == 1 and needle in errors[0], errors
+
+
+def test_scan_only_preset_gets_no_grid_advice():
+    # fig3b runs no method on its placeholder grid, whose t_end = 1 truncates the tail
+    (sc,) = figure_preset("fig3b")
+    assert validate(sc) == ([], [])
+
+
+def test_readme_table_names_the_outputs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `<name>(\S+)` \| (yes|no) \|", readme, re.M)
+    assert rows == [(name, out.suffix, "yes" if out.traces else "no") for name, out in OUTPUTS.items()]
+
+
+def test_run_scenario_rejects_unknown_output_like_validate(tmp_path):
+    sc = scenario(["warp_field"])
+    (error,) = validate(sc)[0]
+    with pytest.raises(ValueError) as info:
+        run_scenario(sc, tmp_path)
+    assert str(info.value) == error
