@@ -233,17 +233,19 @@ METHODS: dict[str, Method] = {
 
 @dataclass(frozen=True)
 class Output:
-    """One output kind: file suffix, whether it runs the methods, text, precondition.
+    """One output kind: file suffix, whether it runs the methods, text, precondition, advice.
 
     text(scenario, traces, manifest) returns the file's contents (and may add
     to the manifest), looking library functions up when called, as METHODS do;
-    check(scenario) returns validate's refusal, None if the output can be written.
+    check(scenario) returns validate's refusal, None if the output can be written;
+    warn(scenario) returns validate's advice on the scenario's numbers, or None.
     """
 
     suffix: str
     traces: bool
     text: Callable[..., str]
     check: Callable[["Scenario"], Optional[str]] = lambda sc: None
+    warn: Callable[["Scenario"], Optional[str]] = lambda sc: None
 
 
 def _csv(header: list[str], cols) -> str:
@@ -258,7 +260,7 @@ def _trace_text(sc, traces, manifest) -> str:
     for m in sc.methods:
         amp = traces[m].amplitude
         header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
-        cols += [amp.real, amp.imag, np.abs(amp)]
+        cols += [amp, np.zeros(amp.shape), np.abs(amp)]  # im_* stays in the format, always 0
     return _csv(header, cols)
 
 
@@ -308,9 +310,17 @@ def _check_eit_output(sc) -> Optional[str]:
 def _areas_text(sc, traces, manifest) -> str:
     rows = []
     for m in sc.methods:
-        area = pulse_area(traces[m])  # abs() of a Python complex: np.abs can differ in the last bit
-        rows.append((area.real, area.imag, abs(area), integrated_intensity(traces[m])))
+        area = pulse_area(traces[m])
+        rows.append((area, 0.0, abs(area), integrated_intensity(traces[m])))
     return _csv(["method", "area_re", "area_im", "area_abs", "energy"], [list(sc.methods), *np.array(rows).T])
+
+
+def _warn_tail(sc) -> Optional[str]:
+    # the time integrals are the only numbers a short t_end changes: the
+    # oracle sizes its period from the medium, not from the grid
+    tail = math.exp(-sc.source.delta_ph * max(sc.grid.t_end, 0.0))
+    if tail > 1e-3 and sc.source.kind is not WaveformKind.GAUSSIAN:
+        return f"grid truncates the envelope tail (exp(-delta_ph*t_end) = {tail:.2g})"
 
 
 OUTPUTS: dict[str, Output] = {
@@ -318,7 +328,7 @@ OUTPUTS: dict[str, Output] = {
     "thickness_scan": Output("_scan.csv", False, _scan_text, _check_scan),
     "eit_params": Output("_eit_params.json", False, lambda sc, traces, manifest: json.dumps(
         manifest["derived"]["eit_params"], indent=2, sort_keys=True) + "\n", _check_eit_output),
-    "areas_and_energies": Output("_areas.csv", True, _areas_text),
+    "areas_and_energies": Output("_areas.csv", True, _areas_text, warn=_warn_tail),
 }
 
 
@@ -464,7 +474,6 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     warnings: list[str] = []
     med = sc.medium
     kind = sc.source.kind
-    d = sc.source.delta_ph
 
     # the name prefixes every output file, which must stay in the output directory
     if sc.name in ("", ".", "..") or any(c and c in sc.name for c in ("/", os.sep, os.altsep, "\0")):
@@ -509,11 +518,7 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
             f"(group delay t_d = {p.t_d:.4g}, edge width 2/delta_eff); "
             f"extend t_end beyond {needed:.4g}"
         )
-    tail = math.exp(-d * max(sc.grid.t_end, 0.0))
-    if tail > 1e-3 and kind is not WaveformKind.GAUSSIAN:
-        warnings.append(
-            f"grid truncates the envelope tail (exp(-delta_ph*t_end) = {tail:.2g})"
-        )
+    warnings += [a for o, out in OUTPUTS.items() if o in sc.outputs and (a := out.warn(sc)) is not None]
     return errors, warnings
 
 

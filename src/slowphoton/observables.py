@@ -60,14 +60,14 @@ def _warn_truncated(ts: TimeSeries, what: str):
         )
 
 
-def pulse_area(ts: TimeSeries) -> complex:
+def pulse_area(ts: TimeSeries) -> float:
     """Time integral of the envelope (units 1/reference rate).
 
     For the free-space causal exponential this is 1/delta_ph; the EIT
     filter only multiplies it by exp(-T_eit).
     """
     _warn_truncated(ts, "pulse_area")
-    return complex(np.trapezoid(ts.amplitude, dx=ts.grid.spacing))
+    return float(np.trapezoid(ts.amplitude, dx=ts.grid.spacing))
 
 
 def integrated_intensity(ts: TimeSeries) -> float:

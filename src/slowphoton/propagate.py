@@ -11,8 +11,8 @@ the impulse response of one small linear system, `_subtraction`), and the
 remainder, decaying like (alpha0*l/nu)**4, is cut where its tail is below
 _TAIL_TOL and folded onto the grid's period for one FFT of p ~ period/spacing
 points.  Sources and impulse responses are real, so h(-nu) = conj h(nu):
-the folded lattice is evaluated for half its columns and mirrored into the
-rest, and the envelope comes out real to round-off.  The split keeps the
+the folded spectrum is Hermitian, its half goes through one real-output
+FFT, and the envelope is real by construction.  The split keeps the
 oracle independent of the Bessel-function closed forms it checks.
 
 All closed-form solutions from the transmission analysis live here as
@@ -94,11 +94,10 @@ _MAX_DOUBLINGS = 3
 _TAIL_TOL = 1e-6
 # Each level fills one frequency lattice (`spectral_lattice`) in `_row_blocks`
 # slices, on a thread pool that lives for that call, and folds its at most
-# _MAX_FFT_SAMPLES samples for one FFT of about period/spacing points; the
-# integrand is evaluated on columns 0..p/2 only, whose slices also write the
-# mirrored columns p - r.  A grid finer than ~pi/nu_max takes a chirp-z zoom
-# of m frequencies onto n points instead, with m + n - 1 <= _MAX_FFT_SAMPLES,
-# else ConvergenceError.
+# _MAX_FFT_SAMPLES samples, on columns 0..p/2 only, into the Hermitian half
+# spectrum of one real-output FFT of about period/spacing points.  A grid
+# finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n points
+# instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
 _MAX_FFT_SAMPLES = 2**22
 # _depth_rule drops depths u > _DEPTH_SPAN/decay below the upper limit, where
 # the weight exp(-decay*u) is below exp(-40): at most exp(-40)/decay =
@@ -215,9 +214,10 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
 
     Level k doubles the window and the period k times.  The period is p grid
     steps, p >= period/spacing and n_points, so dnu = 2pi/(p*spacing).  The
-    aligned FFT, for which p is 2*3*5-smooth, samples m = mdiv*p frequencies
-    over +-mdiv*pi/spacing, which covers +-nu_max; past _MAX_FFT_SAMPLES the
-    zoom samples [-nu_max, nu_max).
+    lattice is nu_k = (k - m/2)*dnu, k < m, and +-nu_half = +-m*dnu/2 covers
+    +-nu_max: the aligned FFT, for which p is 2*3*5-smooth, samples m = mdiv*p
+    frequencies, nu_half = mdiv*pi/spacing; past _MAX_FFT_SAMPLES the zoom
+    samples m = ceil(2*nu_max/dnu).
     ConvergenceError is raised before an overflow and for a zoom past the cap.
     """
     if a is None or a.thickness == 0.0:
@@ -239,50 +239,41 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
             f"chirp-z zoom of {m} frequencies onto {grid.n_points} points needs "
             f"{m + grid.n_points - 1} samples, above the cap of {_MAX_FFT_SAMPLES}"
         )
-    return "zoom", 1, p, m, nu_max * scale
+    return "zoom", 1, p, m, m * math.pi / (p * spacing)
 
 
 def _remainder(w, a, grid, level):
-    """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid.
+    """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid, a real array.
 
-    nu_k = -nu_half + k*dnu on `spectral_lattice`'s lattice is filled in
+    nu_k = (k - m/2)*dnu on `spectral_lattice`'s lattice is filled in
     `_row_blocks` slices on a pool of one thread per usable CPU that lives for
     this call, each slice computed as it would be serially, so the result does
     not depend on the CPU count.  At tau_j = (s0 + f + j)*spacing, s0 an
     integer and 0 <= f < 1, h_k turns by k*(s0 + j + f)/p, which mod 1 depends
     on k = q*p + r only through q*f and r: the aligned FFT sums the (mdiv, p)
     lattice row by row into g_r = sum_q h_k exp(-2i*pi*q*f), and one FFT of
-    g_r*exp(-2i*pi*r*f/p) holds tau_j at bin (j + s0) mod p.  The zoom turns
-    each h_k instead.
+    S_r = g_r*exp(i*pi*f*(mdiv - 2r/p)) holds tau_j, over (-1)**(mdiv*(j + s0)),
+    at bin (j + s0) mod p.  The zoom turns each h_k instead.
 
-    The aligned FFT evaluates h at nu_k = (k - m/2)*dnu, so nu_{m-k} = -nu_k
-    exactly, and only on columns r = 0..p/2: k = q*p + r pairs with
-    m - k = (mdiv - 1 - q)*p + (p - r), so for 0 < r < p/2 column p - r is
-    column r conjugated with its rows reversed.  The unpaired point
-    nu_0 = -nu_half takes half of itself and half of its alias +nu_half,
-    conj(h_0)*exp(-2i*pi*mdiv*f) on this grid, so the sum is real to round-off.
+    h(-nu) = conj h(nu) and nu_{m-k} = -nu_k: k = q*p + r pairs with
+    m - k = (mdiv - 1 - q)*p + (p - r), column p - r is column r conjugated
+    with its rows reversed, and S_{p-r} = conj S_r.  So S is filled on
+    r = 0..p/2 only, for one real-output FFT.  nu_0 = -nu_half pairs with
+    its alias +nu_half: that FFT drops Im S_0, and the zoom keeps the real
+    part of its sum, either way giving the two ends half weight.
     """
     strategy, mdiv, p, m, nu_half = spectral_lattice(w, a, grid, level)
     n, dnu = grid.n_points, 2.0 * math.pi / (p * grid.spacing)
     s0, f = divmod(grid.t_start / grid.spacing, 1.0)
     if strategy == "fft":
-        spect = np.empty(p, dtype=complex)
+        spect = np.empty(p // 2 + 1, dtype=complex)
         rows = np.exp(-2j * math.pi * f * np.arange(mdiv))[:, None]
         index, blocks = np.arange(p // 2 + 1), _row_blocks(p // 2 + 1, mdiv)
-
-        def fold(h, r):
-            spect[r] = (rows * h).sum(axis=0) * np.exp(-2j * math.pi * f / p * r)
 
         def fill(cols):
             r = index[cols]
             h = _remainder_integrand(w, a, dnu * (np.arange(0, m, p)[:, None] + r - m / 2))
-            if r[0] == 0:  # nu = -nu_half, half of it and half of its alias +nu_half
-                h[0, 0] = 0.5 * (h[0, 0] + np.conjugate(h[0, 0]) * np.exp(-2j * math.pi * mdiv * f))
-            fold(h, r)
-            # k = q*p + r and m - k = (mdiv - 1 - q)*p + (p - r): column p - r
-            # is column r conjugated with its rows reversed
-            pair = (r > 0) & (2 * r < p)
-            fold(np.conjugate(h[::-1, pair]), p - r[pair])
+            spect[r] = (rows * h).sum(axis=0) * np.exp(1j * math.pi * f * (mdiv - 2 * r / p))
     else:
         spect, kernel = np.zeros((2, next_fast_len(m + n - 1, real=True)), dtype=complex)
         index, blocks = np.arange(m), _row_blocks(m, 1)
@@ -293,7 +284,7 @@ def _remainder(w, a, grid, level):
         def fill(blk):
             k = index[blk]
             kernel[-k] = np.conjugate(turn := chirp(k))
-            h = _remainder_integrand(w, a, -nu_half + dnu * k)
+            h = _remainder_integrand(w, a, dnu * (k - m / 2))
             spect[k] = h * turn * np.exp(-1j * dnu * grid.t_start * k)
 
         np.conjugate(head := chirp(np.arange(n)), out=kernel[:n])
@@ -302,13 +293,12 @@ def _remainder(w, a, grid, level):
         list(pool.map(fill, blocks))  # reading each result re-raises its error
     if strategy == "fft":
         bins = np.arange(n) + int(s0 % (2 * p))  # = j + s0 mod p and mod 2
-        # exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f))
-        r = np.exp(1j * math.pi * mdiv * f) * (1 - 2 * (mdiv * bins % 2))
-        r *= np.fft.fft(spect, out=spect)[bins % p]
+        # exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f)), its f part already in spect
+        r = (1 - 2 * (mdiv * bins % 2)) * np.fft.hfft(spect, p)[bins % p]
     else:  # j*k = (j**2 + k**2 - (j - k)**2)/2: a convolution with the chirp
         np.fft.fft(spect, out=spect)
         spect *= np.fft.fft(kernel, out=kernel)
-        r = np.exp(1j * nu_half * grid.times()) * np.fft.ifft(spect, out=spect)[:n] * head
+        r = (np.exp(1j * nu_half * grid.times()) * np.fft.ifft(spect, out=spect)[:n] * head).real
     return (dnu / (2.0 * math.pi)) * r, {"nu_max": nu_half, "n_freq": m, "strategy": strategy}
 
 
@@ -367,8 +357,7 @@ def analytic_matched(delta_ph: float, thickness: float, tau):
     tp = np.clip(tv, 0.0, None)
     out = np.exp(-delta_ph * tp) * _sp.j0(2.0 * np.sqrt(thickness * delta_ph * tp))
     out = out * _step(tv)
-    out = out.astype(complex)
-    return out if np.ndim(tau) else complex(out)
+    return out if np.ndim(tau) else float(out)
 
 
 def _depth_rule(rule, t_eff, decay):
@@ -466,8 +455,8 @@ def _line_parts(d, g, alpha0_l, tau):
     """
     t_plus = alpha0_l / (g + d)
     tv = np.atleast_1d(np.asarray(tau, dtype=float))
-    b_s = np.zeros(tv.shape, dtype=complex)
-    b_a = np.zeros(tv.shape, dtype=complex)
+    b_s = np.zeros(tv.shape)
+    b_a = np.zeros(tv.shape)
 
     neg = tv < 0
     pre = 0.5 * np.exp(d * tv[neg] - t_plus)
@@ -498,7 +487,7 @@ def _line_parts(d, g, alpha0_l, tau):
         b_a[zero] = 0.5 * -math.expm1(-t_plus)
 
     if np.ndim(tau) == 0:
-        return complex(b_s[0]), complex(b_a[0])
+        return float(b_s[0]), float(b_a[0])
     return b_s, b_a
 
 
@@ -548,8 +537,8 @@ def approx_broad(delta_ph: float, gamma_total: float, alpha0_l: float, tau):
     ratio[small] = 0.5 - x[small] ** 2 / 16.0
     ratio[~small] = _sp.j1(x[~small]) / x[~small]
     second = (gamma_total - delta_ph) * tp * 2.0 * ratio
-    out = (np.exp(-gamma_total * tp) * (_sp.j0(x) + second) * _step(tv)).astype(complex)
-    return out if np.ndim(tau) else complex(out[0])
+    out = np.exp(-gamma_total * tp) * (_sp.j0(x) + second) * _step(tv)
+    return out if np.ndim(tau) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +588,8 @@ def adiabatic_eit(w: PhotonWaveform, a: EitMedium, tau):
         raise UnsupportedWaveformError(
             "adiabatic_eit is defined for the causal exponential envelope"
         )
-    out = np.asarray(_r_pm(+1, w.delta_ph, eit_params(a), tau), dtype=complex)
-    return out if np.ndim(tau) else complex(out)
+    out = _r_pm(+1, w.delta_ph, eit_params(a), tau)
+    return out if np.ndim(tau) else float(out)
 
 
 def _check_nonadiabatic(delta_ph, gamma_total):
@@ -663,5 +652,4 @@ def gaussian_broad(delta_ph: float, gamma_total: float, thickness: float, tau):
     tv = np.asarray(tau, dtype=float)
     u = tv + thickness / gamma_total
     out = eta * np.exp(-thickness - 0.25 * (eta * delta_ph * u) ** 2)
-    out = out.astype(complex)
-    return out if np.ndim(tau) else complex(out)
+    return out if np.ndim(tau) else float(out)

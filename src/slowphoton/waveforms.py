@@ -111,14 +111,16 @@ class TimeGrid:
 
 @dataclass
 class TimeSeries:
-    """Complex envelope samples on a grid, with the oracle's convergence record."""
+    """Real envelope samples on a grid, with the oracle's convergence record."""
 
     grid: TimeGrid
     amplitude: np.ndarray
     convergence: Optional[dict] = None
 
     def __post_init__(self):
-        self.amplitude = np.asarray(self.amplitude, dtype=complex)
+        if np.iscomplexobj(self.amplitude):
+            raise TypeError("TimeSeries amplitude must be real, got complex samples")
+        self.amplitude = np.asarray(self.amplitude, dtype=float)
         if self.amplitude.shape != (self.grid.n_points,):
             raise ValueError("amplitude length does not match the grid")
 
@@ -143,8 +145,7 @@ def time_amplitude(w: PhotonWaveform, t):
     else:
         c_p, c_m = _exponential_weights(w.kind)
         out = (c_p * _step(tv) + c_m * _step(-tv)) * np.exp(-d * np.abs(tv))
-    out = out.astype(complex)
-    return out if np.ndim(t) else complex(out)
+    return out if np.ndim(t) else float(out)
 
 
 def spectral_amplitude(w: PhotonWaveform, nu):

@@ -5,6 +5,7 @@ eit_params, scan.* keys and, for a broad scan, a broad-line medium for
 thickness_scan) are frozen here, as test_methods.py freezes the methods.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -78,6 +79,23 @@ def test_scan_only_preset_gets_no_grid_advice():
     # fig3b runs no method on its placeholder grid, whose t_end = 1 truncates the tail
     (sc,) = figure_preset("fig3b")
     assert validate(sc) == ([], [])
+
+
+TAIL_ADVICE = "grid truncates the envelope tail (exp(-delta_ph*t_end) = 0.082)"
+
+
+@pytest.mark.parametrize(
+    "outputs, advice",
+    [(["time_trace"], []), (["time_trace", "areas_and_energies"], [TAIL_ADVICE])],
+    ids=["trace", "areas"],
+)
+def test_tail_advice_only_for_time_integrals(outputs, advice):
+    # t_end = 2.5 cuts the causal tail at 0.082: only the areas' time integrals
+    # see it, the oracle's period does not depend on the grid
+    sc = dataclasses.replace(
+        scenario(outputs, MEDIA["matched"]), grid=TimeGrid(-1.0, 2.5, 36), methods=["input"]
+    )
+    assert validate(sc) == ([], advice)
 
 
 def test_readme_table_names_the_outputs():

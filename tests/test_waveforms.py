@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from slowphoton.waveforms import (
     PhotonWaveform,
     TimeGrid,
+    TimeSeries,
     WaveformKind,
     sample,
     spectral_amplitude,
@@ -75,7 +76,8 @@ class TestTimeAmplitude:
     def test_values_are_real(self):
         t = np.linspace(-3, 3, 101)
         for kind in ALL_KINDS:
-            assert np.all(time_amplitude(make(kind), t).imag == 0.0)
+            assert time_amplitude(make(kind), t).dtype == np.float64
+            assert type(time_amplitude(make(kind), 0.5)) is float
 
     def test_no_overflow_at_large_negative_t(self):
         w = make(WaveformKind.EXPONENTIAL_CAUSAL, 2.0)
@@ -195,3 +197,12 @@ class TestSample:
         ts = sample(causal_unit, grid)
         val = np.trapezoid(np.abs(ts.amplitude) ** 2, dx=grid.spacing)
         assert val == pytest.approx(0.5, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "amplitude", [[1.0, 0.5j, 0.0], np.zeros(3, dtype=complex)], ids=["imaginary", "zero_imag"]
+)
+def test_time_series_refuses_complex_samples(amplitude):
+    # a float cast would drop the imaginary part with only a ComplexWarning
+    with pytest.raises(TypeError, match="must be real"):
+        TimeSeries(TimeGrid(0.0, 1.0, 3), amplitude)
