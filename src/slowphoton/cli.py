@@ -64,7 +64,9 @@ from .propagate import (
     spectral_lattice,
     total_eit,
 )
-from .waveforms import PART_WEIGHTS, PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, sample
+from .waveforms import (
+    PART_WEIGHTS, PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, _from_parts, sample,
+)
 
 __all__ = [
     "Scenario",
@@ -171,11 +173,8 @@ def _open_window(medium) -> Optional[EitParams]:
 
 def _parts(w, a, tau):
     if isinstance(a, MatchedLine):
-        b_s, b_a = analytic_parts_matched(w.delta_ph, a.thickness, tau)
-    else:
-        b_s, b_a = analytic_parts_broad(w.delta_ph, a.gamma_total, a.thickness, tau)
-    w_s, w_a = PART_WEIGHTS[w.kind]
-    return w_s * b_s + w_a * b_a
+        return _from_parts(w.kind, *analytic_parts_matched(w.delta_ph, a.thickness, tau))
+    return _from_parts(w.kind, *analytic_parts_broad(w.delta_ph, a.gamma_total, a.thickness, tau))
 
 
 METHODS: dict[str, Method] = {
@@ -248,19 +247,23 @@ class Output:
     warn: Callable[["Scenario"], Optional[str]] = lambda sc: None
 
 
+def _column(values) -> list[str]:
+    """Shortest round-trip decimal text of each value of a float array."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
 def _csv(header: list[str], cols) -> str:
-    """Equal-length columns: a list of str as it is, a float array as shortest round-trip decimals."""
-    cells = [col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
-             for col in cols]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    """CSV text of equal-length columns of cell strings; format numbers with _column first."""
+    return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
 
 
 def _trace_text(sc, traces, manifest) -> str:
-    header, cols = ["tau"], [sc.grid.times()]
+    header, cols = ["tau"], [_column(sc.grid.times())]
     for m in sc.methods:
-        amp = traces[m].amplitude
+        real = _column(traces[m].amplitude)
         header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
-        cols += [amp, np.zeros(amp.shape), np.abs(amp)]  # im_* stays in the format, always 0
+        # im_* stays in the format, always 0; repr(abs(x)) is repr(x) without its sign
+        cols += [real, ["0.0"] * len(real), [s.removeprefix("-") for s in real]]
     return _csv(header, cols)
 
 
@@ -268,8 +271,8 @@ def _scan_text(sc, traces, manifest) -> str:
     manifest["derived"]["scan_normalization"] = SCAN_NORMALIZATION
     gamma = sc.medium.linewidth if sc.medium is not None else None
     scan = thickness_scan(sc.scan.kind, sc.source.delta_ph, gamma, sc.scan.values())
-    return _csv(["thickness", "u_s", "u_a", "u_total", "beer_reference"],
-                [scan.thickness_values, scan.u_s, scan.u_a, scan.u_total, scan.beer_reference])
+    cols = [scan.thickness_values, scan.u_s, scan.u_a, scan.u_total, scan.beer_reference]
+    return _csv(["thickness", "u_s", "u_a", "u_total", "beer_reference"], map(_column, cols))
 
 
 def _check_scan(sc) -> Optional[str]:
@@ -312,7 +315,8 @@ def _areas_text(sc, traces, manifest) -> str:
     for m in sc.methods:
         area = pulse_area(traces[m])
         rows.append((area, 0.0, abs(area), integrated_intensity(traces[m])))
-    return _csv(["method", "area_re", "area_im", "area_abs", "energy"], [list(sc.methods), *np.array(rows).T])
+    return _csv(["method", "area_re", "area_im", "area_abs", "energy"],
+                [list(sc.methods), *map(_column, np.array(rows).T)])
 
 
 def _warn_tail(sc) -> Optional[str]:

@@ -60,6 +60,7 @@ from .waveforms import (
     TimeSeries,
     WaveformKind,
     _exponential_weights,
+    _from_parts,
     _step,
     spectral_amplitude,
     time_amplitude,
@@ -603,9 +604,7 @@ def _check_nonadiabatic(delta_ph, gamma_total):
 def _nonadiabatic(w: PhotonWaveform, a: EitMedium, tau):
     """Spectrally broad part: transmission through the uncoupled broad line."""
     _check_nonadiabatic(w.delta_ph, a.gamma_total)
-    b_s, b_a = _line_parts(w.delta_ph, a.gamma_total, a.alpha0_l, tau)
-    w_s, w_a = PART_WEIGHTS[w.kind]
-    return w_s * b_s + w_a * b_a
+    return _from_parts(w.kind, *_line_parts(w.delta_ph, a.gamma_total, a.alpha0_l, tau))
 
 
 def total_eit(w: PhotonWaveform, a: EitMedium, grid: TimeGrid) -> TimeSeries:

@@ -48,6 +48,12 @@ PART_WEIGHTS = {
 }
 
 
+def _from_parts(kind: WaveformKind, b_s, b_a):
+    """A decomposable kind's envelope from its symmetric part b_s and antisymmetric part b_a."""
+    w_s, w_a = PART_WEIGHTS[kind]
+    return w_s * b_s + w_a * b_a
+
+
 def _exponential_weights(kind: WaveformKind):
     """(c_p, c_m): the kind as c_p*exp(-d*t)Theta(t) + c_m*exp(d*t)Theta(-t).
 

@@ -174,5 +174,11 @@ def test_accepted_combination_runs(tmp_path, method, med, kind):
     # the envelopes are real: the im_ column stays in the format and reads 0.0
     im = header.split(",").index(f"im_{method}")
     assert {row.split(",")[im] for row in rows} == {"0.0"}
+    # each number reads back to the same text, and abs_ is the text of |re_|
+    re_col, abs_col = (header.split(",").index(f"{part}_{method}") for part in ("re", "abs"))
+    for row in rows:
+        cells = row.split(",")
+        assert all(repr(float(cell)) == cell for cell in cells)
+        assert cells[abs_col] == repr(abs(float(cells[re_col])))
     # only the oracle records a convergence block
     assert set(manifest["convergence"]) == ({"numeric"} if method == "numeric" else set())

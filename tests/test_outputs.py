@@ -3,17 +3,21 @@
 The output preconditions (an EIT medium with an open window for
 eit_params, scan.* keys and, for a broad scan, a broad-line medium for
 thickness_scan) are frozen here, as test_methods.py freezes the methods.
+The trace writer's text is checked against formatting each cell on its own.
 """
 
 import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowphoton.cli import OUTPUTS, Scenario, ScanSpec, figure_preset, run_scenario, validate
 from slowphoton.media import BroadLine, EitMedium, MatchedLine
-from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind
+from slowphoton.waveforms import PhotonWaveform, TimeGrid, TimeSeries, WaveformKind
 
 MEDIA = {
     "none": None,
@@ -110,3 +114,28 @@ def test_run_scenario_rejects_unknown_output_like_validate(tmp_path):
     with pytest.raises(ValueError) as info:
         run_scenario(sc, tmp_path)
     assert str(info.value) == error
+
+
+# signed zeros, subnormals, the ends of the float64 range, and every other float
+AMPLITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(width=64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 30).flatmap(
+    lambda n: st.lists(st.lists(AMPLITUDES, min_size=n, max_size=n), min_size=1, max_size=3)))
+def test_trace_cells_follow_the_per_cell_rule(columns):
+    # the writer formats each number once; its text must be what formatting
+    # every cell on its own gives: repr(x), 0.0 and repr(abs(x))
+    methods = ["input", "numeric", "analytic_parts"][: len(columns)]
+    grid = TimeGrid(-1.0, 8.0, len(columns[0]))
+    sc = dataclasses.replace(scenario(["time_trace"]), grid=grid, methods=methods)
+    traces = {m: TimeSeries(grid, np.array(col)) for m, col in zip(methods, columns)}
+    header = ["tau"] + [f"{part}_{m}" for m in methods for part in ("re", "im", "abs")]
+    rows = [[repr(t)] + [cell for col in columns for cell in (repr(col[i]), "0.0", repr(abs(col[i])))]
+            for i, t in enumerate(grid.times().tolist())]
+    expected = "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+    assert OUTPUTS["time_trace"].text(sc, traces, {}) == expected
