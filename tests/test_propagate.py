@@ -18,7 +18,7 @@ from scipy.special import j0
 
 from slowphoton import propagate
 from slowphoton.errors import ConvergenceError, UnsupportedWaveformError, ValidityError
-from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params
+from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params, spectral_response
 from slowphoton.propagate import (
     TimeSeries,
     _beat_integral,
@@ -36,7 +36,15 @@ from slowphoton.propagate import (
     spectral_lattice,
     total_eit,
 )
-from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind, sample, time_amplitude
+from slowphoton.waveforms import (
+    PhotonWaveform,
+    TimeGrid,
+    WaveformKind,
+    _from_parts,
+    sample,
+    spectral_amplitude,
+    time_amplitude,
+)
 
 from conftest import mask_near_zero
 
@@ -69,7 +77,7 @@ ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.
 ZOOM_CASES = [
     (C, MatchedLine(1.0, 10.0), TimeGrid(-1e-3, 1e-3, 2001)),
     (A, BroadLine(10.0, 10.0), TimeGrid(-2e-4, 2e-4, 401)),
-    (C, EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(0.0, 1e-3, 101)),
+    (C, EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(0.0, 1e-3, 201)),
     (G, BroadLine(10.0, 1.0), TimeGrid(-1e-3, 1e-3, 2001)),
 ]
 
@@ -488,8 +496,8 @@ class TestPropagateNumeric:
 
     def test_slice_error_reaches_caller_and_pool_survives(self, causal_unit, monkeypatch):
         grid = TimeGrid(-1.0, 6.0, 601)
-        med = EitMedium(10.0, 1.0, 20.0, 100.0)
-        # level 0 fills columns 0..2,700 of 29 rows, 1,129 columns a slice: 3 slices
+        med = EitMedium(10.0, 1.0, 20.0, 300.0)
+        # level 0 fills columns 0..1,620 of 85 rows, 385 columns a slice: 5 slices
         _, mdiv, p, _, _ = spectral_lattice(causal_unit, med, grid, 0)
         assert len(propagate._row_blocks(p // 2 + 1, mdiv)) >= 3
         base = propagate_numeric(causal_unit, med, grid)
@@ -505,7 +513,7 @@ class TestPropagateNumeric:
             return [t for t in threading.enumerate() if t.name.startswith("slowphoton-fill")]
 
         grid = TimeGrid(-1.0, 6.0, 601)
-        med = EitMedium(10.0, 1.0, 20.0, 100.0)
+        med = EitMedium(10.0, 1.0, 20.0, 300.0)
         propagate_numeric(causal_unit, med, grid)
         assert fill_threads() == []
         self._failing_slice(monkeypatch)
@@ -877,6 +885,159 @@ class TestOracleInvariantsProperties:
         assert np.abs(b_c).max() <= 1.0 + 1e-9
         assert np.abs(b_c[tau < -2 * grid.spacing]).max() <= 1e-5
         assert np.abs(b_c - b_s - b_a).max() <= 1e-5
+
+
+# h(nu) = b(0, nu)*(exp(x) - sum_{k<=K} x**k/k!), x = -A(nu)*l, K = 3 (0 for the
+# Gaussian): (kind, medium, nu, Re h, Im h) from a 40-digit mpmath evaluation of
+# the waveform and medium formulas, at |A l| >> 1 where the orders cancel, and at
+# +-nu_half of fig6a's level-1 lattice, where h is ~3e-7 of their summed moduli
+INTEGRAND_REFERENCE = [
+    (C, MatchedLine(1.0, 10.0), 0.3, 33.82605611078123, 100.00236761574571),
+    (S, MatchedLine(1.0, 10.0), -2.5, -0.36271764683303637, 0.6600658951994923),
+    (A, MatchedLine(1.0, 10.0), 7.0, 0.016261186604219092, 0.014628692433398477),
+    (C, MatchedLine(1.0, 4000.0), 0.5, -1912488747.4666667, 6547970559.6),
+    (S, MatchedLine(1.0, 4000.0), -30.0, -33.84843178389154, 436.0636937494681),
+    (A, BroadLine(10.0, 10.0), 1.0, -19.77741948950516, 58.64421853364115),
+    (C, BroadLine(10.0, 10.0), -40.0, 0.029832493580346887, -0.004194193566424618),
+    (G, BroadLine(10.0, 1.0), 1.5, -0.2346306335562794, -0.020538729403490847),
+    (C, EitMedium(10.0, 1.0, 20.0, 30.0), 19.5, 47.71099568535181, 143.88979698087465),
+    (S, EitMedium(10.0, 1.0, 20.0, 30.0), -0.2, 0.007961668883141669, 0.007302580814866566),
+    (G, EitMedium(10.0, 1.0, 20.0, 30.0), 2.0, -0.06100247678291892, 0.028423773818857287),
+    (A, EitMedium(10.0, 1.0, 3.2, 30.0), 3.0, 18.34339577755117, 904.1999685059089),
+    (C, EitMedium(10.0, 1.0, 20.0, 30.0), 5026.548245743669, 2.113188102030308e-12, 1.0515500291823022e-10),
+    (A, EitMedium(10.0, 1.0, 20.0, 30.0), -5026.548245743669, 2.0922680960896935e-12, -1.0515541916174243e-10),
+]
+# (kind, delta_ph, medium, grid) whose images the EIT alias test checks: fig6a and
+# fig6b on a coarser grid, an overdamped coupling (poles -2.3 and -8.7), the
+# critical one, a bell delayed to t_d = 13.3 past t_end = 10, a grid wholly
+# before tau = 0 and Autler-Townes lines far past the linewidth
+EIT_IMAGE_CASES = [
+    (C, 1.0, EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(-2.0, 15.0, 171)),
+    (C, 10.0, EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(-2.0, 15.0, 171)),
+    (S, 1.0, EitMedium(10.0, 1.0, 3.2, 30.0), TimeGrid(-1.0, 4.0, 101)),
+    (A, 1.0, EitMedium(10.0, 1.0, 4.5, 30.0), TimeGrid(1.0, 5.0, 81)),
+    (C, 1.0, EitMedium(10.0, 1.0, 4.0, 60.0), TimeGrid(-2.0, 10.0, 121)),
+    (A, 1.0, EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(-12.0, -4.0, 81)),
+    (C, 1.0, EitMedium(2.0, 1.0, 2000.0, 1.0), TimeGrid(-2.0, 15.0, 171)),
+]
+
+
+def _line_images(w, a, grid, period, count=3):
+    """(max_j sum_{0 < |n| <= count} |r(tau_j + n*period)|, its round-off) for the exact remainder behind a line.
+
+    r = _line_parts - time_amplitude - _subtraction on each image grid; the
+    round-off is 4 eps per unit of the pieces' moduli, scaled by
+    1 + linewidth*|tau| for the rounding of exp's arguments, plus the
+    subtraction's own round-off.
+    """
+    total, slack = np.zeros(grid.n_points), 0.0
+    for n in [k for k in range(-count, count + 1) if k]:
+        image = TimeGrid(grid.t_start + n * period, grid.t_end + n * period, grid.n_points)
+        tau = image.times()
+        line = _from_parts(w.kind, *propagate._line_parts(w.delta_ph, a.linewidth, a.alpha0_l, tau))
+        free = time_amplitude(w, tau)
+        orders, roundoff = _subtraction(w, a, image)
+        total += np.abs(line - free - orders)
+        moduli = (1.0 + a.linewidth * np.abs(tau)) * (np.abs(line) + np.abs(free))
+        slack += 4.0 * (np.finfo(float).eps * moduli.max() + roundoff)
+    return total.max(), slack
+
+
+class TestAliasBound:
+    """The period's stated bound on the remainder's images, against exact images."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([C, S, A]),
+        ratio=st.one_of(st.just(1.0), st.floats(1.2, 20.0)),
+        log_alpha0_l=st.floats(-1.0, math.log10(4000.0)),
+        t_start=st.floats(-15.0, 10.0),
+        span=st.floats(3.0, 20.0),
+        n_points=st.integers(31, 301),
+    )
+    def test_line_images_within_bound(self, kind, ratio, log_alpha0_l, t_start, span, n_points):
+        # matched (ratio 1) and broad lines up to alpha0*l = 4,000, on grids
+        # from 3 units long to ones wholly before or after tau = 0
+        w = PhotonWaveform(kind, 1.0)
+        alpha0_l = 10.0**log_alpha0_l
+        med = MatchedLine(1.0, alpha0_l) if ratio == 1.0 else BroadLine(ratio, alpha0_l / ratio)
+        grid = TimeGrid(t_start, t_start + span, n_points)
+        images = propagate._image_model(w, med)
+        for level in (0, 1):
+            period = spectral_lattice(w, med, grid, level)[2] * grid.spacing
+            bound = propagate._alias_bound(images, grid, period)
+            exact, slack = _line_images(w, med, grid, period)
+            assert exact <= bound + slack
+            assert exact <= propagate._ALIAS_TOL + slack
+
+    @pytest.mark.parametrize(
+        "kind, med, grid",
+        [
+            (S, MatchedLine(1.0, 10.0), TimeGrid(-4.0, 10.0, 1401)),  # fig2
+            (A, BroadLine(10.0, 10.0), TimeGrid(-0.5, 2.5, 1501)),  # fig3a
+            (C, MatchedLine(1.0, 1000.0), TimeGrid(-4.0, 10.0, 1401)),
+        ],
+        ids=["fig2", "fig3a", "thick"],
+    )
+    def test_recorded_bound_is_the_accepted_levels(self, kind, med, grid):
+        w = PhotonWaveform(kind, 1.0)
+        conv = propagate_numeric(w, med, grid).convergence
+        period = spectral_lattice(w, med, grid, conv["iterations"])[2] * grid.spacing
+        assert conv["alias_bound"] == propagate._alias_bound(propagate._image_model(w, med), grid, period)
+        assert conv["alias_bound"] <= propagate._ALIAS_TOL
+        exact, slack = _line_images(w, med, grid, period)
+        assert exact <= conv["alias_bound"] + slack
+
+    @pytest.mark.parametrize(
+        "kind, delta_ph, medium, grid",
+        EIT_IMAGE_CASES,
+        ids=["fig6a", "fig6b", "overdamped", "critical", "delayed_bell", "before_zero", "far_lines"],
+    )
+    def test_eit_images_within_bound(self, kind, delta_ph, medium, grid, monkeypatch):
+        # the reference is the remainder on the grid widened by one period each
+        # way, from a lattice of 4x the period with _TAIL_TOL = 1e-10: samples
+        # j and j + 2p are the images n = -1, +1 of tau_j, and its own images
+        # lie 3 periods out
+        w = PhotonWaveform(kind, delta_ph)
+        period = spectral_lattice(w, medium, grid, 0)[2] * grid.spacing
+        bound = propagate._alias_bound(propagate._image_model(w, medium), grid, period)
+        assert bound <= propagate._ALIAS_TOL
+        p = round(period / grid.spacing)
+        wide = TimeGrid(grid.t_start - period, grid.t_end + period, grid.n_points + 2 * p)
+        monkeypatch.setattr(propagate, "_TAIL_TOL", 1e-10)
+        nu_max, _ = _window_defaults(w, medium, wide)
+        ref, info = propagate._remainder(w, medium, wide, 0, (nu_max, 4.0 * period))
+        images = np.abs(ref[: grid.n_points]) + np.abs(ref[2 * p :])
+        # the reference's tail, twice, and its FFT's round-off, ~1e-13
+        allowance = 2.0 * propagate._tail_bound(w, medium.alpha0_l, info["nu_max"]) + 1e-12
+        assert images.max() <= bound + allowance
+
+    def test_images_made_once_per_call(self, causal_unit, monkeypatch):
+        # once a call, not once a level, and not kept between calls
+        calls = []
+        model = propagate._image_model
+        monkeypatch.setattr(propagate, "_image_model", lambda *args: calls.append(args) or model(*args))
+        med, grid = MatchedLine(1.0, 10.0), TimeGrid(-4.0, 10.0, 1401)
+        for expected in (1, 2):
+            assert propagate_numeric(causal_unit, med, grid).convergence["iterations"] >= 1
+            assert len(calls) == expected
+
+    def test_gaussian_keeps_the_period_rule(self):
+        # no bound is stated for the Gaussian source: its period is 1.5*span + 50/rate
+        w, med, grid = PhotonWaveform(G, 1.0), BroadLine(10.0, 1.0), TimeGrid(-4.0, 10.0, 1401)
+        assert _window_defaults(w, med, grid)[1] == 1.5 * 14.0 + 50.0
+        assert propagate_numeric(w, med, grid).convergence["alias_bound"] is None
+
+    @pytest.mark.parametrize("kind, medium, nu, re, im", INTEGRAND_REFERENCE)
+    def test_integrand_matches_frozen_values(self, kind, medium, nu, re, im):
+        # within 2*(orders + 1) roundings per unit of the summed moduli of exp(x) and its orders
+        orders = 0 if kind is G else propagate._SUBTRACT_ORDERS
+        w = PhotonWaveform(kind, 1.0)
+        got = _remainder_integrand(w, medium, np.array([nu]))[0]
+        x = abs(spectral_response(medium, nu))
+        moduli = abs(spectral_amplitude(w, nu)) * (math.exp(-spectral_response(medium, nu).real)
+                                                   + sum(x**k / math.factorial(k) for k in range(orders + 1)))
+        assert abs(got - complex(re, im)) <= 2 * (orders + 1) * np.finfo(float).eps * moduli
 
 
 class TestAdiabaticEit:
