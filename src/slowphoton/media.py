@@ -24,6 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ValidityError
+from .waveforms import _nu_array, _s_plus
 
 __all__ = [
     "MatchedLine",
@@ -145,20 +146,21 @@ def spectral_response(a: AbsorberSpec, nu):
     The real part is the absorption exponent (>= 0 for every passive
     medium here); the imaginary part carries the dispersion.
     """
-    nv = np.asarray(nu, dtype=float)
-    if not np.all(np.isfinite(nv)):
-        raise ValueError("nu must be finite")
-    if isinstance(a, (MatchedLine, BroadLine)):
-        out = a.alpha0_l / (a.linewidth - 1j * nv)
-    elif isinstance(a, EitMedium):
-        gm = a.gamma_m
-        g = a.gamma_total
-        num = a.alpha0_l * (gm - 1j * nv)
-        den = (g - 1j * nv) * (gm - 1j * nv) + a.omega**2
-        out = num / den
+    nv = _nu_array(nu)
+    if isinstance(a, (MatchedLine, BroadLine)):  # alpha0*l/(Gamma + s), s = -i*nu
+        out = _s_plus(a.linewidth, nv)
+        np.divide(a.alpha0_l, out, out=out)
+    elif isinstance(a, EitMedium):  # alpha0*l*(gamma_m + s)/((Gamma + s)*(gamma_m + s) + Omega**2)
+        out = _s_plus(a.gamma_m, nv)
+        den = _s_plus(a.gamma_total, nv)
+        den *= out
+        den += a.omega**2
+        part = out.view(float)  # alpha0*l times a complex number is alpha0*l times each part
+        part *= a.alpha0_l
+        np.divide(out, den, out=out)
     else:
         raise TypeError(f"not an absorber spec: {a!r}")
-    return out if np.ndim(nu) else complex(out)
+    return out if np.ndim(nu) else complex(out[0])
 
 
 def _require_adiabatic(a: EitMedium):

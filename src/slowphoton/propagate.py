@@ -105,7 +105,8 @@ _ALIAS_TOL = 1e-8
 _IMAGE_SIGMAS = (0.5, 0.9)
 _IMAGE_NODES = 64
 # Each level fills one frequency lattice (`spectral_lattice`) in `_row_blocks`
-# slices, on a thread pool that lives for that call, and folds its at most
+# slices, on a thread pool that lives for that call when there are two or more
+# slices and usable CPUs (else on the calling thread), and folds its at most
 # _MAX_FFT_SAMPLES samples, on columns 0..p/2 only, into the Hermitian half
 # spectrum of one real-output FFT of about period/spacing points.  A grid
 # finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n points
@@ -192,11 +193,20 @@ def _subtraction(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
 
 
 def _exp_remainder(x, orders):
-    """exp(x) - sum_{k<=orders} x**k/k! of an array, overwriting x: the orders by Horner, in place."""
+    """exp(x) - sum_{k<=orders} x**k/k! of an array, overwriting x: the orders by Horner, in place.
+
+    A complex x's division by k is a product of both parts with 1/k, the
+    bits of numpy's complex division by k + 0j (Smith's method) at a
+    fraction of its cost; a real x is divided by k.
+    """
     taylor = np.ones_like(x)
+    parts = taylor.view(float) if np.iscomplexobj(x) else None
     for k in range(orders, 0, -1):  # 1 + x*(1 + x/2*(1 + x/3))
         taylor *= x
-        taylor /= k
+        if parts is None:
+            taylor /= k
+        else:
+            parts *= 1.0 / k
         taylor += 1.0
     np.exp(x, out=x)
     x -= taylor
@@ -206,7 +216,8 @@ def _exp_remainder(x, orders):
 def _remainder_integrand(w, a, nu):
     """h(nu) = b(0, nu)*(exp(x) - its orders k <= _SUBTRACT_ORDERS), x = -A(nu)l; the Gaussian's k = 0 only."""
     x = spectral_response(a, nu)
-    np.negative(x, out=x)
+    parts = x.view(float)  # negating both parts, the bits of complex negation at a fifth of its cost
+    np.negative(parts, out=parts)
     x = _exp_remainder(x, _SUBTRACT_ORDERS if w.kind in PART_WEIGHTS else 0)
     x *= spectral_amplitude(w, nu)
     return x
@@ -365,9 +376,11 @@ def _remainder(w, a, grid, level, window=None):
     """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid, a real array.
 
     nu_k = (k - m/2)*dnu on `spectral_lattice`'s lattice is filled in
-    `_row_blocks` slices on a pool of one thread per usable CPU that lives for
-    this call, each slice computed as it would be serially, so the result does
-    not depend on the CPU count.  At tau_j = (s0 + f + j)*spacing, s0 an
+    `_row_blocks` slices, which do not depend on the CPU count: two or more
+    slices on a pool of one thread per usable CPU that lives for this call,
+    one slice or one usable CPU on the calling thread.  Each slice is
+    computed as it would be serially, so the result does not depend on the
+    CPU count either.  At tau_j = (s0 + f + j)*spacing, s0 an
     integer and 0 <= f < 1, h_k turns by k*(s0 + j + f)/p, which mod 1 depends
     on k = q*p + r only through q*f and r: the aligned FFT sums the (mdiv, p)
     lattice row by row into g_r = sum_q h_k exp(-2i*pi*q*f), and one FFT of
@@ -408,8 +421,11 @@ def _remainder(w, a, grid, level, window=None):
 
         np.conjugate(head := chirp(np.arange(n)), out=kernel[:n])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(cpus, thread_name_prefix="slowphoton-fill") as pool:
-        list(pool.map(fill, blocks))  # reading each result re-raises its error
+    if len(blocks) < 2 or cpus < 2:  # starting a pool costs ~0.4 ms, more than most one-slice fills
+        list(map(fill, blocks))
+    else:
+        with ThreadPoolExecutor(cpus, thread_name_prefix="slowphoton-fill") as pool:
+            list(pool.map(fill, blocks))  # reading each result re-raises its error
     if strategy == "fft":
         bins = np.arange(n) + int(s0 % (2 * p))  # = j + s0 mod p and mod 2
         # exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f)), its f part already in spect

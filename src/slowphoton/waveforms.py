@@ -154,23 +154,50 @@ def time_amplitude(w: PhotonWaveform, t):
     return out if np.ndim(t) else float(out)
 
 
-def spectral_amplitude(w: PhotonWaveform, nu):
-    """Fourier transform of the time envelope at angular detuning(s) nu."""
-    d = w.delta_ph
-    nv = np.asarray(nu, dtype=float)
+def _nu_array(nu):
+    """nu as a float array of at least one dimension, so that results can be built in place."""
+    nv = np.array(nu, dtype=float, copy=None, ndmin=1)
     if not np.all(np.isfinite(nv)):
         raise ValueError("nu must be finite")
-    if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:
-        out = 1.0 / (d - 1j * nv)
-    elif w.kind is WaveformKind.SYMMETRIC_PART:
-        out = d / (d * d + nv * nv) + 0j
-    elif w.kind is WaveformKind.ANTISYMMETRIC_PART:
-        out = 1j * nv / (d * d + nv * nv)
+    return nv
+
+
+def _complex(real, imag):
+    """A new complex array from its real and imaginary parts, with no complex cast or product."""
+    out = np.empty(np.broadcast_shapes(np.shape(real), np.shape(imag)), dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _s_plus(c, nv):
+    """c + s, s = -i*nu, as a new complex array with the bits of c - 1j*nu (0 - nu is +0 at nu = +-0, as there)."""
+    out = np.empty(nv.shape, dtype=complex)
+    out.real = c
+    np.subtract(0.0, nv, out=out.imag)
+    return out
+
+
+def spectral_amplitude(w: PhotonWaveform, nu):
+    """Fourier transform of the time envelope at angular detuning(s) nu.
+
+    Each value has the bits of the plain complex expression, built without
+    complex casts or complex divisions by real numbers.
+    """
+    d = w.delta_ph
+    nv = _nu_array(nu)
+    if w.kind is WaveformKind.EXPONENTIAL_CAUSAL:  # 1/(d - i*nu)
+        out = _s_plus(d, nv)
+        np.divide(1.0, out, out=out)
     elif w.kind is WaveformKind.GAUSSIAN:
-        out = (2.0 * math.sqrt(math.pi) / d) * np.exp(-(nv / d) ** 2) + 0j
-    else:  # pragma: no cover
-        raise AssertionError(w.kind)
-    return out if np.ndim(nu) else complex(out)
+        out = _complex((2.0 * math.sqrt(math.pi) / d) * np.exp(-(nv / d) ** 2), 0.0)
+    else:  # d/(d**2 + nu**2) and i*nu/(d**2 + nu**2)
+        q = nv * nv
+        q += d * d
+        if w.kind is WaveformKind.SYMMETRIC_PART:
+            out = _complex(np.divide(d, q, out=q), 0.0)
+        else:  # numpy divides i*nu by q + 0j by Smith's method: nu*(1/q)
+            out = _complex(0.0, np.multiply(nv, np.divide(1.0, q, out=q), out=q))
+    return out if np.ndim(nu) else complex(out[0])
 
 
 def sample(w: PhotonWaveform, grid: TimeGrid) -> TimeSeries:

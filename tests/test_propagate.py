@@ -71,6 +71,11 @@ BEAT_SETS = [
     (20.0, 1.0, 2.0, 10.0),
 ]
 ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.0, 20.0, 3.0)]
+# Grids of the fill tests: ROUTING_MEDIA fill one slice a level on each, while
+# THICK_EIT fills 5 and 17 slices on FILL_GRID and 9 and 33 on ZOOM_FILL_GRID.
+FILL_GRID = TimeGrid(-1.0, 6.0, 601)
+ZOOM_FILL_GRID = TimeGrid(-1e-3, 1e-3, 2001)
+THICK_EIT = EitMedium(10.0, 1.0, 20.0, 300.0)
 # Grids finer than ~pi/nu_max whose aligned FFT lattice would exceed the cap,
 # so the chirp-z zoom transforms them; small enough that an exact-phase sum
 # over the same lattice (m frequencies x n points) stays below ~2e7 terms.
@@ -466,20 +471,39 @@ class TestPropagateNumeric:
             assert np.abs(out.amplitude - base.amplitude).max() <= 1e-13
 
     @pytest.mark.parametrize(
-        "grid, strategy",
-        [(TimeGrid(-1.0, 6.0, 601), "fft"), (TimeGrid(-1e-3, 1e-3, 2001), "zoom")],
-        ids=["fft", "zoom"],
+        "medium, grid, strategy, slices",
+        [
+            pytest.param(medium, grid, strategy, [1, 1], id=f"{type(medium).__name__}-{strategy}")
+            for grid, strategy in [(FILL_GRID, "fft"), (ZOOM_FILL_GRID, "zoom")]
+            for medium in ROUTING_MEDIA
+        ]
+        + [
+            pytest.param(THICK_EIT, FILL_GRID, "fft", [5, 17], id="thick_EitMedium-fft"),
+            pytest.param(THICK_EIT, ZOOM_FILL_GRID, "zoom", [9, 33], id="thick_EitMedium-zoom"),
+        ],
     )
-    @pytest.mark.parametrize("medium", ROUTING_MEDIA, ids=lambda m: type(m).__name__)
     def test_parallel_fill_equals_serial_fill_bitwise(
-        self, causal_unit, medium, grid, strategy, monkeypatch
+        self, causal_unit, medium, grid, strategy, slices, monkeypatch
     ):
         parallel = propagate_numeric(causal_unit, medium, grid)
         assert parallel.convergence["strategy"] == strategy
+        assert _fill_slices(causal_unit, medium, grid, parallel.convergence["iterations"]) == slices
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = propagate_numeric(causal_unit, medium, grid)
         assert np.array_equal(parallel.amplitude, serial.amplitude)
         assert parallel.convergence == serial.convergence
+
+    def test_one_slice_level_starts_no_fill_thread(self, causal_unit, monkeypatch):
+        med = MatchedLine(1.0, 10.0)
+        base = propagate_numeric(causal_unit, med, FILL_GRID)
+        assert _fill_slices(causal_unit, med, FILL_GRID, base.convergence["iterations"]) == [1, 1]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-slice level started a fill pool")
+
+        monkeypatch.setattr(propagate, "ThreadPoolExecutor", no_pool)
+        out = propagate_numeric(causal_unit, med, FILL_GRID)
+        assert np.array_equal(out.amplitude, base.amplitude)
 
     @staticmethod
     def _failing_slice(monkeypatch):
@@ -544,20 +568,19 @@ class TestPropagateNumeric:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(propagate, "ThreadPoolExecutor", Recording)
-        propagate_numeric(causal_unit, MatchedLine(1.0, 10.0), TimeGrid(-1.0, 6.0, 601))
-        assert sizes and set(sizes) == {workers}
+        propagate_numeric(causal_unit, THICK_EIT, FILL_GRID)  # 5 and 17 slices
+        # one usable CPU fills on the calling thread
+        assert sizes == [workers] * len(sizes) and bool(sizes) == (workers > 1)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
     )
     @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
     def test_forked_child_builds_its_own_fill_pool(self, causal_unit):
-        # a forked child fills its lattice on threads of its own
-        med = MatchedLine(1.0, 10.0)
-        grid = TimeGrid(-4.0, 10.0, 1401)
-        base = propagate_numeric(causal_unit, med, grid)
+        # a forked child fills its 5- and 17-slice lattices on threads of its own
+        base = propagate_numeric(causal_unit, THICK_EIT, FILL_GRID)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            child = pool.apply_async(propagate_numeric, (causal_unit, med, grid)).get(timeout=60)
+            child = pool.apply_async(propagate_numeric, (causal_unit, THICK_EIT, FILL_GRID)).get(timeout=60)
         assert np.array_equal(child.amplitude, base.amplitude)
 
     @pytest.mark.parametrize(
@@ -819,6 +842,16 @@ def _assert_parts_match_oracle(kind, delta_ph, medium, b_s, b_a, grid):
     assert np.abs(num - ana)[mask].max() <= 1e-4
 
 
+def _fill_slices(w, a, grid, iterations):
+    """The number of `_row_blocks` slices that fill each level 0..iterations of the oracle's lattice."""
+    slices = []
+    for level in range(iterations + 1):
+        strategy, mdiv, p, m, _ = spectral_lattice(w, a, grid, level)
+        blocks = propagate._row_blocks(p // 2 + 1, mdiv) if strategy == "fft" else propagate._row_blocks(m, 1)
+        slices.append(len(blocks))
+    return slices
+
+
 def _property_grid(delta_ph):
     # about 8 source decay times before tau = 0 and 10 after, as the sweep runs
     return TimeGrid(-8.0 / delta_ph, 10.0 / delta_ph, 601)
@@ -885,6 +918,95 @@ class TestOracleInvariantsProperties:
         assert np.abs(b_c).max() <= 1.0 + 1e-9
         assert np.abs(b_c[tau < -2 * grid.spacing]).max() <= 1e-5
         assert np.abs(b_c - b_s - b_a).max() <= 1e-5
+
+
+# The integrand's arithmetic as plain complex expressions, the references that
+# spectral_response, spectral_amplitude and _exp_remainder match bit for bit
+# without complex casts or complex divisions by reals
+def _plain_response(a, nu):
+    if isinstance(a, EitMedium):
+        gm, g = a.gamma_m, a.gamma_total
+        num = a.alpha0_l * (gm - 1j * nu)
+        den = (g - 1j * nu) * (gm - 1j * nu) + a.omega**2
+        return num / den
+    return a.alpha0_l / (a.linewidth - 1j * nu)
+
+
+def _plain_amplitude(w, nu):
+    d = w.delta_ph
+    if w.kind is C:
+        return 1.0 / (d - 1j * nu)
+    if w.kind is S:
+        return d / (d * d + nu * nu) + 0j
+    if w.kind is A:
+        return 1j * nu / (d * d + nu * nu)
+    return (2.0 * math.sqrt(math.pi) / d) * np.exp(-(nu / d) ** 2) + 0j
+
+
+def _plain_exp_remainder(x, orders):
+    taylor = np.ones_like(x)
+    for k in range(orders, 0, -1):
+        taylor *= x
+        taylor /= k
+        taylor += 1.0
+    return np.exp(x) - taylor
+
+
+# detunings at the signed zeros, the least subnormal and far past any window
+SPECIAL_NU = [0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150]
+_NU = st.one_of(st.sampled_from(SPECIAL_NU), st.floats(-1e4, 1e4), st.floats(-1e150, 1e150))
+
+
+@st.composite
+def _source_and_medium(draw):
+    """A source and a matched, broad (or near-matched), EIT (or near-critical) medium."""
+    d = draw(st.floats(0.05, 20.0))
+    w = PhotonWaveform(draw(st.sampled_from([C, S, A, G])), d)
+    thickness = draw(st.floats(0.0, 100.0))
+    shape = draw(st.sampled_from(["matched", "broad", "near_matched", "eit", "near_critical"]))
+    if shape == "matched":
+        return w, MatchedLine(d, thickness)
+    if shape in ("broad", "near_matched"):
+        ratio = draw(st.floats(1.0, 50.0)) if shape == "broad" else 1.0 + draw(st.sampled_from([1e-12, 1e-8, 1e-4]))
+        return w, BroadLine(ratio * d, thickness)
+    gamma_m = draw(st.floats(0.05, 5.0))
+    gamma = gamma_m * (1.0 + draw(st.floats(0.01, 50.0)))
+    if shape == "eit":
+        omega = draw(st.floats(0.01, 100.0))
+    else:  # (Gamma - gamma_m)/2, on it or 1e-12 to 1e-4 off it
+        omega = 0.5 * (gamma - gamma_m) * (1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-4, -1e-4])))
+    return w, EitMedium(gamma, gamma_m, omega, thickness)
+
+
+class TestIntegrandArithmetic:
+    """spectral_response, spectral_amplitude and the integrand keep the bits of the plain expressions."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pair=_source_and_medium(), nu=st.lists(_NU, min_size=1, max_size=40))
+    def test_arrays_match_plain_expressions(self, pair, nu):
+        w, a = pair
+        nu = np.array(nu + SPECIAL_NU)
+        orders = propagate._SUBTRACT_ORDERS if w.kind in propagate.PART_WEIGHTS else 0
+        response, amplitude = _plain_response(a, nu), _plain_amplitude(w, nu)
+        assert np.array_equal(spectral_response(a, nu), response)
+        assert np.array_equal(spectral_amplitude(w, nu), amplitude)
+        got = _remainder_integrand(w, a, nu.reshape(2, -1) if nu.size % 2 == 0 else nu)
+        assert np.array_equal(got.ravel(), _plain_exp_remainder(-response, orders) * amplitude)
+        # the image model's real arguments are still divided by each order
+        real = np.concatenate([response.real, np.clip(nu, -700.0, 700.0)])
+        assert np.array_equal(propagate._exp_remainder(real.copy(), orders), _plain_exp_remainder(real, orders))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pair=_source_and_medium(), nu=_NU, zero_d=st.booleans())
+    def test_scalars_return_complex(self, pair, nu, zero_d):
+        w, a = pair
+        arg = np.array(nu) if zero_d else nu
+        for got, plain in [
+            (spectral_response(a, arg), _plain_response(a, np.asarray(nu))),
+            (spectral_amplitude(w, arg), _plain_amplitude(w, np.asarray(nu))),
+        ]:
+            assert type(got) is complex
+            assert got == complex(plain)
 
 
 # h(nu) = b(0, nu)*(exp(x) - sum_{k<=K} x**k/k!), x = -A(nu)*l, K = 3 (0 for the
