@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -252,13 +253,27 @@ def _column(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
+def _tau_column(grid: TimeGrid) -> tuple[str, ...]:
+    """_column text of the grid's tau, kept for the last grid: presets share their grids.
+
+    TimeGrid(-1, 0.0, 3) == TimeGrid(-1, -0.0, 3), yet their last tau print
+    apart, so the signs of the bounds join the key.
+    """
+    return _tau_text(grid, math.copysign(1.0, grid.t_start), math.copysign(1.0, grid.t_end))
+
+
+@functools.lru_cache(maxsize=1)
+def _tau_text(grid: TimeGrid, *signs: float) -> tuple[str, ...]:
+    return tuple(_column(grid.times()))
+
+
 def _csv(header: list[str], cols) -> str:
     """CSV text of equal-length columns of cell strings; format numbers with _column first."""
     return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
 
 
 def _trace_text(sc, traces, manifest) -> str:
-    header, cols = ["tau"], [_column(sc.grid.times())]
+    header, cols = ["tau"], [_tau_column(sc.grid)]
     for m in sc.methods:
         real = _column(traces[m].amplitude)
         header += [f"re_{m}", f"im_{m}", f"abs_{m}"]

@@ -12,11 +12,12 @@ remainder, decaying like (alpha0*l/nu)**4, is cut where its tail is below
 _TAIL_TOL and folded onto the grid's period for one FFT of p ~ period/spacing
 points.  The period is the least one whose periodic images of the remainder,
 bounded exactly before tau = 0 and along a shifted contour after it
-(`_image_model`), sum to at most _ALIAS_TOL on the grid.  Sources and
-impulse responses are real, so h(-nu) = conj h(nu): the folded spectrum is
-Hermitian, its half goes through one real-output FFT, and the envelope is
-real by construction.  The split keeps the oracle independent of the
-Bessel-function closed forms it checks.
+(`_image_model`, kept for the last source and medium, so that `validate`
+and the run after it share it), sum to at most _ALIAS_TOL on the grid.
+Sources and impulse responses are real, so h(-nu) = conj h(nu): the folded
+spectrum is Hermitian, its half goes through one real-output FFT, and the
+envelope is real by construction.  The split keeps the oracle independent
+of the Bessel-function closed forms it checks.
 
 All closed-form solutions from the transmission analysis live here as
 well: the matched-line dynamical-beat envelope, the thick-broad-line
@@ -27,7 +28,8 @@ Gamma >= delta_ph come from one solution, `_line_parts`: the matched line
 Gamma = delta_ph is its limit, and the EIT medium's nonadiabatic part
 reuses it.  Its inner beat integrals and the broad-line thickness scan
 share one Gauss-Legendre rule placed in depth below the upper limit
-(`_depth_rule`), whose size does not grow with the effective thickness.
+(`_depth_rule`), whose size does not grow with the effective thickness;
+the beat integrals' last four rules are kept (`_legendre`).
 The beat integrals run only on tau <= 40/Gamma, past which their term is
 below exp(-40), so the rule does not grow with the grid's last tau either.
 
@@ -37,6 +39,7 @@ Local time tau = t - l/c; jumps at tau = 0 take the midpoint value
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -242,8 +245,12 @@ def _transfer(m, b, c):
     return np.array(num), np.array(den)
 
 
+@functools.lru_cache(maxsize=1)
 def _image_model(w: PhotonWaveform, a: AbsorberSpec):
     """(d, c0, terms): |r(tau)| <= c0*exp(d*tau) for tau <= 0 and K*exp(-sigma*tau) for tau > 0, (sigma, K) in terms.
+
+    Kept for the last (w, a) only, terms a tuple: `validate`'s lattice check
+    and the `propagate_numeric` call that follows it share one model.
 
     r is the remainder of an exponential source, the inverse transform of
     h = b(0, s)*E(s), s = -i*nu, E = exp(-u) minus its orders k <=
@@ -286,7 +293,7 @@ def _image_model(w: PhotonWaveform, a: AbsorberSpec):
             h = (c_p / (s + d) + c_m / (d - s)) * e
             k = float((np.abs(h) / density).sum() / _IMAGE_NODES)  # 2 * (1/2pi) * sum |h|*(pi/n)/density
             terms.append((float(sigma), k if k < math.inf and reached else math.inf))
-    return d, float(c0) if c_m else 0.0, terms
+    return d, float(c0) if c_m else 0.0, tuple(terms)
 
 
 def _image_sum(coef, rate, first, period):
@@ -444,7 +451,8 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     self-convergence check: the frequency window and period are doubled
     until successive evaluations agree to _DRIFT_TOL in max-abs, else
     ConvergenceError is raised after _MAX_DOUBLINGS doublings.  Level 0's
-    period is `_least_period`'s, from images made once per call, and their
+    period is `_least_period`'s, from `_image_model`'s images, made once per
+    (w, a) and shared with `validate`'s lattice check before it, and their
     bound at the accepted level's period is recorded as `alias_bound` (None
     for the Gaussian source).  The orders subtracted in closed form come
     from one matrix exponential, exact at coincident poles (critical EIT
@@ -458,7 +466,7 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     free = time_amplitude(w, tau)
     if a is None or a.thickness == 0.0:
         return TimeSeries(grid, free, {"drift": 0.0, "iterations": 0})
-    images = _image_model(w, a) if w.kind in PART_WEIGHTS else None  # once a call, not once a level
+    images = _image_model(w, a) if w.kind in PART_WEIGHTS else None  # not once a level
     window = _window_defaults(w, a, grid, images)
     prev, drift = None, math.inf
     for level in range(_MAX_DOUBLINGS + 1):
@@ -514,6 +522,19 @@ def _depth_rule(rule, t_eff, decay):
     half = 0.5 * np.minimum(t_eff, _DEPTH_SPAN / decay)[..., None]
     u = half * (1.0 - x)
     return u, half * w * np.exp(-decay * u)
+
+
+@functools.lru_cache(maxsize=4)
+def _legendre(n):
+    """scipy's n-node Gauss-Legendre rule (nodes, weights) on [-1, 1], as read-only arrays.
+
+    The last four n are kept: an EIT trace's beat integrals take two rules,
+    so fig6a's stay for fig7 and fe57 past fig6b's.
+    """
+    rule = _sp.roots_legendre(n)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def _row_blocks(n_rows, n_nodes):
@@ -575,7 +596,7 @@ def _beat_integral(t_eff, decay, rate, tau_values):
         return np.zeros(tv.shape)
     flat = tv.reshape(-1)
     n = _beat_order(t_eff, decay, rate, float(flat.max()))
-    u, w = _depth_rule(_sp.roots_legendre(n), t_eff, decay)
+    u, w = _depth_rule(_legendre(n), t_eff, decay)
     phase = 2.0 * np.sqrt((t_eff - u) * rate)
     root_tau = np.sqrt(flat)
     out = np.empty(flat.shape)

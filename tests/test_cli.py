@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowphoton import cli
+from slowphoton import cli, propagate
 from slowphoton.cli import (
     PRESET_NAMES,
     figure_preset,
@@ -720,3 +720,50 @@ class TestFigurePresets:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="fig2"):
             figure_preset("fig1")
+
+
+class TestKeptResults:
+    """Pure results kept between calls: each is computed once where a run reuses it, and changes no byte."""
+
+    @staticmethod
+    def _computed():
+        return tuple(f.cache_info().misses for f in (propagate._image_model, propagate._legendre, cli._tau_text))
+
+    def test_validate_and_run_share_one_image_model(self, tmp_path):
+        (sc,) = figure_preset("fig6a")
+        propagate._image_model.cache_clear()
+        assert validate(sc)[0] == []
+        run_scenario(sc, tmp_path)
+        assert propagate._image_model.cache_info().misses == 1
+
+    def test_each_pass_over_the_presets_computes_the_same(self, tmp_path):
+        # 9 oracle calls, 13 beat integrals on 6 rules, 10 traces on 4 grids;
+        # without the memos a pass computes 18 models, 13 rules and 10 tau columns
+        for f in (propagate._image_model, propagate._legendre, cli._tau_text):
+            f.cache_clear()
+        counts = []
+        for run in range(2):
+            before = self._computed()
+            for name in PRESET_NAMES:
+                for sc in figure_preset(name):
+                    assert validate(sc)[0] == []
+                    run_scenario(sc, tmp_path / str(run))
+            counts.append(tuple(after - b for after, b in zip(self._computed(), before)))
+        assert counts == [(9, 6, 4), (9, 6, 4)]
+
+    def test_signed_zero_bounds_keep_their_text(self, tmp_path):
+        # the two grids are equal and hash alike, yet their last tau prints apart
+        assert TimeGrid(-1, 0.0, 3) == TimeGrid(-1, -0.0, 3)
+        for end, text in [(0.0, "0.0"), (-0.0, "-0.0")]:
+            sc = cli._panel("zero_end", WaveformKind.EXPONENTIAL_CAUSAL, 1.0, None, TimeGrid(-1, end, 3), ["input"])
+            assert validate(sc)[0] == []
+            run_scenario(sc, tmp_path)
+            lines = (tmp_path / "zero_end_trace.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines] == ["tau", "-1.0", "-0.5", text]
+
+    def test_kept_tau_text_is_a_tuple(self):
+        grid = TimeGrid(-2.0, 15.0, 1701)
+        text = cli._tau_column(grid)
+        assert isinstance(text, tuple)
+        assert cli._tau_column(TimeGrid(-2.0, 15.0, 1701)) is text
+        assert list(text) == cli._column(grid.times())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import j0
+from scipy.special import j0, roots_legendre
 
 from slowphoton import propagate
 from slowphoton.errors import ConvergenceError, UnsupportedWaveformError, ValidityError
@@ -302,6 +302,18 @@ class TestBeatIntegral:
         out = _beat_integral(10.0, 0.5, 1.0, tau)
         assert out.shape == np.shape(tau)
         np.testing.assert_allclose(out, _beat_integral(10.0, 0.5, 1.0, 0.7), rtol=0, atol=1e-15)
+
+    def test_kept_rules_are_read_only(self):
+        # the rules are shared between calls, so a write in place must fail, not leak into the next call
+        nodes, weights = propagate._legendre(72)
+        assert propagate._legendre(72)[0] is nodes
+        for part in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                part *= 2.0
+        np.testing.assert_array_equal(nodes, roots_legendre(72)[0])
+        np.testing.assert_array_equal(weights, roots_legendre(72)[1])
 
 
 class TestApproxBroad:
@@ -1134,15 +1146,20 @@ class TestAliasBound:
         allowance = 2.0 * propagate._tail_bound(w, medium.alpha0_l, info["nu_max"]) + 1e-12
         assert images.max() <= bound + allowance
 
-    def test_images_made_once_per_call(self, causal_unit, monkeypatch):
-        # once a call, not once a level, and not kept between calls
-        calls = []
+    def test_images_made_once_per_call(self, causal_unit):
+        # not once a level, and kept for the last (w, a): a second call on the
+        # same medium computes no model, a call on another medium its own
         model = propagate._image_model
-        monkeypatch.setattr(propagate, "_image_model", lambda *args: calls.append(args) or model(*args))
-        med, grid = MatchedLine(1.0, 10.0), TimeGrid(-4.0, 10.0, 1401)
-        for expected in (1, 2):
+        model.cache_clear()
+        grid = TimeGrid(-4.0, 10.0, 1401)
+        for med, computed in [(MatchedLine(1.0, 10.0), 1), (MatchedLine(1.0, 10.0), 1), (MatchedLine(1.0, 20.0), 2)]:
             assert propagate_numeric(causal_unit, med, grid).convergence["iterations"] >= 1
-            assert len(calls) == expected
+            assert model.cache_info().misses == computed
+
+    def test_kept_model_is_immutable(self, causal_unit, eit_example):
+        d, c0, terms = propagate._image_model(causal_unit, eit_example)
+        assert isinstance(terms, tuple) and all(isinstance(term, tuple) for term in terms)
+        assert propagate._image_model(causal_unit, eit_example)[2] is terms
 
     def test_gaussian_keeps_the_period_rule(self):
         # no bound is stated for the Gaussian source: its period is 1.5*span + 50/rate
