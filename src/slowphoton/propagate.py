@@ -39,6 +39,7 @@ Local time tau = t - l/c; jumps at tau = 0 take the midpoint value
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -47,8 +48,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import special as _sp
-from scipy.fft import next_fast_len
-from scipy.integrate import quad  # noqa: F401 -- unused; the benchmark tracer wraps propagate.quad
 
 from .errors import ConvergenceError, UnsupportedWaveformError, ValidityError
 from .media import (
@@ -72,8 +71,9 @@ from .waveforms import (
     time_amplitude,
 )
 
-# unused: perfbench's tracing.wrap_table wraps these names too, as it does quad
-medium_poles = merge_poles = partial_fractions = eval_pole_terms = None
+# unused: perfbench's tracing.wrap_table wraps these names, so they stay until
+# the benchmark takes its timings from the library (ROADMAP item 1 B)
+medium_poles = merge_poles = partial_fractions = eval_pole_terms = quad = None
 
 __all__ = [
     "TimeSeries",
@@ -115,6 +115,14 @@ _IMAGE_NODES = 64
 # finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n points
 # instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
 _MAX_FFT_SAMPLES = 2**22
+# The 2*3*5-smooth lengths up to the cap, ascending: each odd part 3**j * 5**k (3**14 and 5**10
+# pass the cap) times every power of two that keeps it under the cap.  `_fast_len` rounds up to one.
+_SMOOTH_LENGTHS = tuple(sorted(
+    odd << i
+    for odd in (3**j * 5**k for j in range(14) for k in range(10))
+    if odd <= _MAX_FFT_SAMPLES
+    for i in range((_MAX_FFT_SAMPLES // odd).bit_length())
+))
 # _depth_rule drops depths u > _DEPTH_SPAN/decay below the upper limit, where
 # the weight exp(-decay*u) is below exp(-40): at most exp(-40)/decay =
 # 4e-18/decay for an integrand bounded by 1 (J0, i0e).
@@ -345,6 +353,11 @@ def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid, images=
     return nu_max, _least_period(images or _image_model(w, a), grid)
 
 
+def _fast_len(n: int) -> int:
+    """The least 2*3*5-smooth length >= n, for 1 <= n <= _MAX_FFT_SAMPLES (scipy.fft.next_fast_len, real=True)."""
+    return _SMOOTH_LENGTHS[bisect.bisect_left(_SMOOTH_LENGTHS, n)]
+
+
 def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid, level: int, window=None):
     """(strategy, mdiv, p, m, nu_half) of `propagate_numeric`'s lattice at `level`, if any.
 
@@ -367,7 +380,7 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
         raise ConvergenceError(f"spectral lattice overflows: window {nu_max:.3g}, period {period:.3g}")
     mdiv = max(1, math.ceil(spacing * nu_max / math.pi)) * scale
     p = max(math.ceil(period * scale / spacing), grid.n_points)
-    p = next_fast_len(p, real=True) if mdiv * p <= _MAX_FFT_SAMPLES else p  # real: 2*3*5-smooth
+    p = _fast_len(p) if mdiv * p <= _MAX_FFT_SAMPLES else p
     if mdiv * p <= _MAX_FFT_SAMPLES:
         return "fft", mdiv, p, mdiv * p, mdiv * math.pi / spacing
     m = math.ceil(nu_max * scale * p * spacing / math.pi)
@@ -414,7 +427,7 @@ def _remainder(w, a, grid, level, window=None):
             h = _remainder_integrand(w, a, dnu * (np.arange(0, m, p)[:, None] + r - m / 2))
             spect[r] = (rows * h).sum(axis=0) * np.exp(1j * math.pi * f * (mdiv - 2 * r / p))
     else:
-        spect, kernel = np.zeros((2, next_fast_len(m + n - 1, real=True)), dtype=complex)
+        spect, kernel = np.zeros((2, _fast_len(m + n - 1)), dtype=complex)
         index, blocks = np.arange(m), _row_blocks(m, 1)
 
         def chirp(t):  # exp(-i*pi*t**2/p), t*t mod 2p exact in float64 (< 2**53 under the cap)

@@ -1,6 +1,7 @@
 """Config parsing, validation, scenario runs and figure presets."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -767,3 +768,34 @@ class TestKeptResults:
         assert isinstance(text, tuple)
         assert cli._tau_column(TimeGrid(-2.0, 15.0, 1701)) is text
         assert list(text) == cli._column(grid.times())
+
+
+_IMPORT_GATE = """
+import json, sys
+import numpy, scipy.special
+scipy.special.roots_legendre(2)
+before = set(sys.modules)
+import slowphoton.cli
+print(json.dumps({
+    "added": sorted(m for m in set(sys.modules) - before if m == "scipy" or m.startswith("scipy.")),
+    "absent": [m for m in ("scipy.integrate", "scipy.fft") if m not in sys.modules],
+}))
+"""
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy_module_beyond_special(self):
+        # a fresh interpreter holding numpy, scipy.special and a Gauss-Legendre rule (which
+        # loads scipy.linalg): whatever scipy.special loads on this build, slowphoton adds no
+        # scipy module, and scipy.integrate and scipy.fft stay out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_GATE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout)
+        assert loaded == {"added": [], "absent": ["scipy.integrate", "scipy.fft"]}

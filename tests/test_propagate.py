@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.special import j0, roots_legendre
 
 from slowphoton import propagate
@@ -22,6 +23,7 @@ from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params, spec
 from slowphoton.propagate import (
     TimeSeries,
     _beat_integral,
+    _fast_len,
     _remainder_integrand,
     _subtraction,
     _window_defaults,
@@ -867,6 +869,21 @@ def _fill_slices(w, a, grid, iterations):
 def _property_grid(delta_ph):
     # about 8 source decay times before tau = 0 and 10 after, as the sweep runs
     return TimeGrid(-8.0 / delta_ph, 10.0 / delta_ph, 601)
+
+
+class TestFastLen:
+    """The lattice's FFT lengths: scipy's real-transform lengths, from a table, up to the cap."""
+
+    def test_every_small_length(self):
+        assert [_fast_len(n) for n in range(1, 20_001)] == [next_fast_len(n, real=True) for n in range(1, 20_001)]
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, propagate._MAX_FFT_SAMPLES))
+    def test_sampled_lengths(self, n):
+        assert _fast_len(n) == next_fast_len(n, real=True)
+
+    def test_the_cap(self):
+        assert _fast_len(propagate._MAX_FFT_SAMPLES) == next_fast_len(2**22, real=True) == 2**22
 
 
 class TestClosedFormPartsProperties:
