@@ -45,6 +45,7 @@ from .observables import (
     MAX_GRID_POINTS,
     MAX_SCAN_POINTS,
     SCAN_NORMALIZATION,
+    _truncation,
     integrated_intensity,
     pulse_area,
     thickness_scan,
@@ -66,7 +67,7 @@ from .propagate import (
     total_eit,
 )
 from .waveforms import (
-    PART_WEIGHTS, PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, _from_parts, sample,
+    PART_WEIGHTS, PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, _from_parts, sample, time_amplitude,
 )
 
 __all__ = [
@@ -335,11 +336,9 @@ def _areas_text(sc, traces, manifest) -> str:
 
 
 def _warn_tail(sc) -> Optional[str]:
-    # the time integrals are the only numbers a short t_end changes: the
-    # oracle sizes its period from the medium, not from the grid
-    tail = math.exp(-sc.source.delta_ph * max(sc.grid.t_end, 0.0))
-    if tail > 1e-3 and sc.source.kind is not WaveformKind.GAUSSIAN:
-        return f"grid truncates the envelope tail (exp(-delta_ph*t_end) = {tail:.2g})"
+    # the time integrals' own test on the source's samples at the grid's ends; a grid cut
+    # changes no other number, the oracle sizes its period from the medium, not from the grid
+    return _truncation(time_amplitude(sc.source, [sc.grid.t_start, sc.grid.t_end]))
 
 
 OUTPUTS: dict[str, Output] = {

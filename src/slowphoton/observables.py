@@ -1,13 +1,14 @@
 """Integral observables: pulse area, transmitted energy, thickness scans.
 
-Time integrals use the trapezoid rule on the uniform grid and warn when
-the endpoint samples are not yet negligible (truncated support) instead of
-silently losing tail contributions.  The closed-form transmitted energies
+Time integrals use the trapezoid rule on the uniform grid and warn when an
+end sample exceeds _EDGE_TOL = 1e-6 (truncated support) instead of silently
+losing tail contributions; `validate` advises by the same test, `_truncation`,
+on the source at the grid's ends.  The closed-form transmitted energies
 use exponentially scaled Bessel functions throughout so the Beer's-law
 violation can be followed to thicknesses of a few thousand.  The broad-line
 energies of a whole thickness scan take the closed forms' depth-windowed
-Gauss-Legendre rule: fixed nodes on the window where the attenuation
-exp(-2a(T_b - x)) exceeds exp(-40); the part below it is under exp(-40)/(2a).
+Gauss-Legendre rule (`propagate._legendre`, built on first use) on the window
+where exp(-2a(T_b - x)) exceeds exp(-40); the part below is under exp(-40)/(2a).
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import special as _sp
 
 from .errors import TruncatedSupportWarning
 from .media import EitParams
-from .propagate import _check_broad, _depth_rule, _gaussian_eta, _row_blocks
+from .propagate import _check_broad, _depth_rule, _gaussian_eta, _legendre, _row_blocks
 from .waveforms import TimeSeries
 
 # unused: perfbench's tracing.wrap_table wraps this name, so it stays until
@@ -42,7 +44,7 @@ __all__ = [
 _EDGE_TOL = 1e-6
 # u_broad's depth rule: its error for exp(-u) on [0, 40] is ~1e-23 at
 # 32 nodes, and i0e is entire.
-_BROAD_RULE = _sp.roots_legendre(32)
+_BROAD_NODES = 32
 # Most thicknesses a scan config may ask of thickness_scan, which bounds its
 # work (a broad scan this long took 3.5 s on a 2-vCPU VM) and its ~100 MB CSV.
 MAX_SCAN_POINTS = 10**6
@@ -52,15 +54,16 @@ MAX_SCAN_POINTS = 10**6
 MAX_GRID_POINTS = 10**6
 
 
-def _warn_truncated(ts: TimeSeries, what: str):
-    edge = max(abs(ts.amplitude[0]), abs(ts.amplitude[-1]))
+def _truncation(amplitude) -> Optional[str]:
+    """The time integrals' truncation test: its text if an end sample exceeds _EDGE_TOL, else None."""
+    edge = max(abs(amplitude[0]), abs(amplitude[-1]))
     if edge > _EDGE_TOL:
-        warnings.warn(
-            f"{what}: boundary amplitude {edge:.2e} exceeds {_EDGE_TOL:g}; "
-            "the grid truncates the envelope support",
-            TruncatedSupportWarning,
-            stacklevel=3,
-        )
+        return f"boundary amplitude {edge:.2e} exceeds {_EDGE_TOL:g}; the grid truncates the envelope support"
+
+
+def _warn_truncated(ts: TimeSeries, what: str):
+    if (text := _truncation(ts.amplitude)) is not None:
+        warnings.warn(f"{what}: {text}", TruncatedSupportWarning, stacklevel=3)
 
 
 def pulse_area(ts: TimeSeries) -> float:
@@ -104,7 +107,7 @@ def u_broad(delta_ph: float, gamma_total: float, thickness):
     exp(-2*a*T_b) law while the antisymmetric part decays only algebraically.
     The inner integrals I1 = int_0^T exp(-2a(T-x)) i0e(x) dx and
     I2 = int_0^T (T-x) exp(-2a(T-x)) i0e(x) dx take the beat integral's depth
-    rule (`propagate._depth_rule`) with the nodes of _BROAD_RULE, one row per
+    rule (`propagate._depth_rule`) on `_legendre(_BROAD_NODES)`, one row per
     thickness, filled in bounded blocks.
     """
     _check_broad(delta_ph, gamma_total)
@@ -114,7 +117,7 @@ def u_broad(delta_ph: float, gamma_total: float, thickness):
     u0 = 0.5 / delta_ph
     ratio = delta_ph / gamma_total
     a = 1.0 / (1.0 - ratio**2)
-    depth, w = _depth_rule(_BROAD_RULE, tb, 2.0 * a)
+    depth, w = _depth_rule(_legendre(_BROAD_NODES), tb, 2.0 * a)
     i1 = np.empty(tb.shape)
     i2 = np.empty(tb.shape)
     for blk in _row_blocks(tb.size, depth.shape[1]):

@@ -29,7 +29,7 @@ Gamma = delta_ph is its limit, and the EIT medium's nonadiabatic part
 reuses it.  Its inner beat integrals and the broad-line thickness scan
 share one Gauss-Legendre rule placed in depth below the upper limit
 (`_depth_rule`), whose size does not grow with the effective thickness;
-the beat integrals' last four rules are kept (`_legendre`).
+`_legendre` builds every rule on first use and keeps the last four.
 The beat integrals run only on tau <= 40/Gamma, past which their term is
 below exp(-40), so the rule does not grow with the grid's last tau either.
 
@@ -541,8 +541,10 @@ def _depth_rule(rule, t_eff, decay):
 def _legendre(n):
     """scipy's n-node Gauss-Legendre rule (nodes, weights) on [-1, 1], as read-only arrays.
 
-    The last four n are kept: an EIT trace's beat integrals take two rules,
-    so fig6a's stay for fig7 and fe57 past fig6b's.
+    The beat integrals and `observables.u_broad` take every rule from here, so
+    none is built (nor scipy.linalg loaded) at import.  The last four n are kept:
+    an EIT trace's beat integrals take two rules, so fig6a's stay for fig7 and
+    fe57 past fig6b's and the broad scan's.
     """
     rule = _sp.roots_legendre(n)
     for part in rule:

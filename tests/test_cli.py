@@ -738,8 +738,9 @@ class TestKeptResults:
         assert propagate._image_model.cache_info().misses == 1
 
     def test_each_pass_over_the_presets_computes_the_same(self, tmp_path):
-        # 9 oracle calls, 13 beat integrals on 6 rules, 10 traces on 4 grids;
-        # without the memos a pass computes 18 models, 13 rules and 10 tau columns
+        # 9 oracle calls, 13 beat integrals and fig3b's broad scan on 7 rules (fig6a's
+        # rules still reach fig7 and fe57), 10 traces on 4 grids; without the memos a
+        # pass computes 18 models, 14 rules and 10 tau columns
         for f in (propagate._image_model, propagate._legendre, cli._tau_text):
             f.cache_clear()
         counts = []
@@ -750,7 +751,7 @@ class TestKeptResults:
                     assert validate(sc)[0] == []
                     run_scenario(sc, tmp_path / str(run))
             counts.append(tuple(after - b for after, b in zip(self._computed(), before)))
-        assert counts == [(9, 6, 4), (9, 6, 4)]
+        assert counts == [(9, 7, 4), (9, 7, 4)]
 
     def test_signed_zero_bounds_keep_their_text(self, tmp_path):
         # the two grids are equal and hash alike, yet their last tau prints apart
@@ -783,19 +784,39 @@ print(json.dumps({
 """
 
 
+_FRESH_IMPORT = """
+import json, sys
+import numpy, scipy.special
+before = set(sys.modules)
+import slowphoton.cli
+print(json.dumps({
+    "added": sorted(m for m in set(sys.modules) - before if m == "scipy" or m.startswith("scipy.")),
+    "rules": slowphoton.propagate._legendre.cache_info().currsize,
+}))
+"""
+
+
 class TestImports:
-    def test_cli_import_loads_no_scipy_module_beyond_special(self):
-        # a fresh interpreter holding numpy, scipy.special and a Gauss-Legendre rule (which
-        # loads scipy.linalg): whatever scipy.special loads on this build, slowphoton adds no
-        # scipy module, and scipy.integrate and scipy.fft stay out
+    @staticmethod
+    def _run(script):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-c", _IMPORT_GATE],
+            [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
-        loaded = json.loads(result.stdout)
-        assert loaded == {"added": [], "absent": ["scipy.integrate", "scipy.fft"]}
+        return json.loads(result.stdout)
+
+    def test_cli_import_loads_no_scipy_module_beyond_special(self):
+        # a fresh interpreter holding numpy, scipy.special and a Gauss-Legendre rule (which
+        # loads scipy.linalg): whatever scipy.special loads on this build, slowphoton adds no
+        # scipy module, and scipy.integrate and scipy.fft stay out
+        assert self._run(_IMPORT_GATE) == {"added": [], "absent": ["scipy.integrate", "scipy.fft"]}
+
+    def test_cli_import_builds_no_rule(self):
+        # with only numpy and scipy.special loaded, and no rule built, the import adds no
+        # scipy module (a rule would load scipy.linalg) and leaves _legendre empty
+        assert self._run(_FRESH_IMPORT) == {"added": [], "rules": 0}

@@ -8,6 +8,7 @@ The trace writer's text is checked against formatting each cell on its own.
 
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from slowphoton.cli import OUTPUTS, Scenario, ScanSpec, figure_preset, run_scenario, validate
 from slowphoton.media import BroadLine, EitMedium, MatchedLine
-from slowphoton.waveforms import PhotonWaveform, TimeGrid, TimeSeries, WaveformKind
+from slowphoton.errors import TruncatedSupportWarning
+from slowphoton.observables import pulse_area
+from slowphoton.waveforms import PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, sample
 
 MEDIA = {
     "none": None,
@@ -85,7 +88,7 @@ def test_scan_only_preset_gets_no_grid_advice():
     assert validate(sc) == ([], [])
 
 
-TAIL_ADVICE = "grid truncates the envelope tail (exp(-delta_ph*t_end) = 0.082)"
+TAIL_ADVICE = "boundary amplitude 8.21e-02 exceeds 1e-06; the grid truncates the envelope support"
 
 
 @pytest.mark.parametrize(
@@ -100,6 +103,41 @@ def test_tail_advice_only_for_time_integrals(outputs, advice):
         scenario(outputs, MEDIA["matched"]), grid=TimeGrid(-1.0, 2.5, 36), methods=["input"]
     )
     assert validate(sc) == ([], advice)
+
+
+# (t_start, t_end) at which each unit-rate source still exceeds 1e-6, the
+# time integrals' bound: the causal source after its jump, the two-sided ones
+# at -8 (exp(-8) = 3.4e-4), the Gaussian at 5 (exp(-6.25) = 1.9e-3), and
+# every source at 10 but the Gaussian; +-25 cuts none of them
+CUTS = {
+    WaveformKind.EXPONENTIAL_CAUSAL: (0.5, 10.0),
+    WaveformKind.SYMMETRIC_PART: (-8.0, 10.0),
+    WaveformKind.ANTISYMMETRIC_PART: (-8.0, 10.0),
+    WaveformKind.GAUSSIAN: (-5.0, 5.0),
+}
+CUT_ENDS = {"neither": (False, False), "start": (True, False), "end": (False, True), "both": (True, True)}
+
+
+@pytest.mark.parametrize("cut", CUT_ENDS)
+@pytest.mark.parametrize("kind", CUTS, ids=[k.value for k in CUTS])
+def test_tail_advice_is_the_time_integrals_test(kind, cut):
+    # validate advises on exactly the grids whose input area warns, in the
+    # warning's words, and only when areas_and_energies is asked for
+    (start, end), (cut_start, cut_end) = CUTS[kind], CUT_ENDS[cut]
+    grid = TimeGrid(start if cut_start else -25.0, end if cut_end else 25.0, 401)
+    w = PhotonWaveform(kind, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pulse_area(sample(w, grid))
+    texts = [str(c.message).removeprefix("pulse_area: ")
+             for c in caught if issubclass(c.category, TruncatedSupportWarning)]
+    assert len(texts) == (cut != "neither")
+    (trace_errors, trace), (areas_errors, areas) = (
+        validate(dataclasses.replace(scenario(outputs), source=w, grid=grid, methods=["input"]))
+        for outputs in (["time_trace"], ["time_trace", "areas_and_energies"])
+    )
+    assert trace_errors == areas_errors == []
+    assert areas == trace + texts
 
 
 def test_readme_table_names_the_outputs():
