@@ -173,6 +173,31 @@ def _open_window(medium) -> Optional[EitParams]:
         return None
 
 
+def _signed(grid: TimeGrid) -> tuple:
+    """The grid and the signs of its bounds, a key for what is kept per grid.
+
+    TimeGrid(-1, 0.0, 3) == TimeGrid(-1, -0.0, 3), yet their last tau differ
+    in sign, and so does their text.
+    """
+    return grid, math.copysign(1.0, grid.t_start), math.copysign(1.0, grid.t_end)
+
+
+def _numeric(w, a, grid) -> TimeSeries:
+    """propagate_numeric's trace, kept for the last four (source, medium, grid).
+
+    fe57 is fig6a's call, three scenarios later.  Each call gets its own
+    samples and convergence record; a wrapper set on this module's
+    propagate_numeric sees each call that computes.
+    """
+    kept = _kept_trace(w, a, *_signed(grid))
+    return TimeSeries(grid, kept.amplitude.copy(), dict(kept.convergence))
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_trace(w, a, grid, *signs) -> TimeSeries:
+    return propagate_numeric(w, a, grid)
+
+
 def _parts(w, a, tau):
     if isinstance(a, MatchedLine):
         return _from_parts(w.kind, *analytic_parts_matched(w.delta_ph, a.thickness, tau))
@@ -182,7 +207,7 @@ def _parts(w, a, tau):
 METHODS: dict[str, Method] = {
     "input": Method(None, ALL_SOURCES, lambda w, a, grid: sample(w, grid)),
     "numeric": Method(
-        None, ALL_SOURCES, lambda w, a, grid: propagate_numeric(w, a, grid),
+        None, ALL_SOURCES, _numeric,
         lambda w, a, grid: spectral_lattice(w, a, grid, 1),  # levels 0 and 1 always run
     ),
     "analytic_matched": Method(
@@ -255,12 +280,8 @@ def _column(values) -> list[str]:
 
 
 def _tau_column(grid: TimeGrid) -> tuple[str, ...]:
-    """_column text of the grid's tau, kept for the last grid: presets share their grids.
-
-    TimeGrid(-1, 0.0, 3) == TimeGrid(-1, -0.0, 3), yet their last tau print
-    apart, so the signs of the bounds join the key.
-    """
-    return _tau_text(grid, math.copysign(1.0, grid.t_start), math.copysign(1.0, grid.t_end))
+    """_column text of the grid's tau, kept for the last grid (`_signed`): presets share their grids."""
+    return _tau_text(*_signed(grid))
 
 
 @functools.lru_cache(maxsize=1)
@@ -544,6 +565,18 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
 # execution
 # ---------------------------------------------------------------------------
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path as UTF-8, its newlines as they are.
+
+    An existing file is overwritten in place and cut to length after the
+    write, not truncated first: on ext4 a truncate-first rewrite
+    (`Path.write_text`) makes the close flush the file's data.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as f:
+        f.write(text.encode())
+        f.truncate()
+
+
 def run_scenario(sc: Scenario, out_dir) -> dict:
     """Execute a validated scenario; returns the manifest dictionary."""
     out_dir = Path(out_dir)
@@ -590,11 +623,11 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
         if output not in OUTPUTS:
             raise ValueError(_unknown("output", output, OUTPUTS))
         path = out_dir / f"{sc.name}{OUTPUTS[output].suffix}"
-        path.write_text(OUTPUTS[output].text(sc, traces, manifest), newline="\n")
+        _write(path, OUTPUTS[output].text(sc, traces, manifest))
         manifest["files"][output] = path.name
 
     manifest_path = out_dir / f"{sc.name}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
+    _write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     manifest["files"]["manifest"] = manifest_path.name
     return manifest
 

@@ -12,7 +12,7 @@ remainder, decaying like (alpha0*l/nu)**4, is cut where its tail is below
 _TAIL_TOL and folded onto the grid's period for one FFT of p ~ period/spacing
 points.  The period is the least one whose periodic images of the remainder,
 bounded exactly before tau = 0 and along a shifted contour after it
-(`_image_model`, kept for the last source and medium, so that `validate`
+(`_image_model`, kept for the last four sources and media, so that `validate`
 and the run after it share it), sum to at most _ALIAS_TOL on the grid.
 Sources and impulse responses are real, so h(-nu) = conj h(nu): the folded
 spectrum is Hermitian, its half goes through one real-output FFT, and the
@@ -26,10 +26,12 @@ spike, and the Gaussian-envelope approximation for a broad line.  The
 symmetric and antisymmetric parts behind a Lorentzian line of halfwidth
 Gamma >= delta_ph come from one solution, `_line_parts`: the matched line
 Gamma = delta_ph is its limit, and the EIT medium's nonadiabatic part
-reuses it.  Its inner beat integrals and the broad-line thickness scan
-share one Gauss-Legendre rule placed in depth below the upper limit
-(`_depth_rule`), whose size does not grow with the effective thickness;
-`_legendre` builds every rule on first use and keeps the last four.
+reuses it.  It is kept for the last two lines and tau arrays, so the
+presets that share a line and grid (fig2's pair; fig6a, fig7's pair and
+fe57) evaluate it once.  Its inner beat integrals and the broad-line
+thickness scan share one Gauss-Legendre rule placed in depth below the
+upper limit (`_depth_rule`), whose size does not grow with the effective
+thickness; `_legendre` builds every rule on first use and keeps the last four.
 The beat integrals run only on tau <= 40/Gamma, past which their term is
 below exp(-40), so the rule does not grow with the grid's last tau either.
 
@@ -253,12 +255,14 @@ def _transfer(m, b, c):
     return np.array(num), np.array(den)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=4)
 def _image_model(w: PhotonWaveform, a: AbsorberSpec):
     """(d, c0, terms): |r(tau)| <= c0*exp(d*tau) for tau <= 0 and K*exp(-sigma*tau) for tau > 0, (sigma, K) in terms.
 
-    Kept for the last (w, a) only, terms a tuple: `validate`'s lattice check
-    and the `propagate_numeric` call that follows it share one model.
+    Kept for the last four (w, a), terms a tuple: `validate`'s lattice check
+    and the `propagate_numeric` call that follows it share one model, and
+    fe57's check, three scenarios after fig6a on the same source and medium,
+    reuses fig6a's.
 
     r is the remainder of an exponential source, the inverse transform of
     h = b(0, s)*E(s), s = -i*nu, E = exp(-u) minus its orders k <=
@@ -542,9 +546,10 @@ def _legendre(n):
     """scipy's n-node Gauss-Legendre rule (nodes, weights) on [-1, 1], as read-only arrays.
 
     The beat integrals and `observables.u_broad` take every rule from here, so
-    none is built (nor scipy.linalg loaded) at import.  The last four n are kept:
-    an EIT trace's beat integrals take two rules, so fig6a's stay for fig7 and
-    fe57 past fig6b's and the broad scan's.
+    none is built (nor scipy.linalg loaded) at import.  The last four n are kept,
+    two lines' worth (a broad line's beat integrals take two rules).  Across one
+    `figure all` no rule is reused: fig7 and fe57 reuse fig6a's kept line parts,
+    not its rules, so a warm pass builds the seven rules a one-shot run builds.
     """
     rule = _sp.roots_legendre(n)
     for part in rule:
@@ -630,9 +635,22 @@ def _line_parts(d, g, alpha0_l, tau):
     J0(2*sqrt(alpha0*l*tau)).  For tau < 0 both parts show the attenuated
     precursor exp(d*tau - T_+)/2 with opposite signs; at tau = 0 the
     antisymmetric jump takes its midpoint value (1 - exp(-T_+))/2.
+
+    Kept for the last two inputs (`_kept_line_parts`), as only fig6b comes
+    between fig6a and fig7, keyed on tau's bits and the sign of alpha0*l,
+    the one input that may be a signed zero.  Each call gets its own arrays.
     """
-    t_plus = alpha0_l / (g + d)
     tv = np.atleast_1d(np.asarray(tau, dtype=float))
+    b_s, b_a = _kept_line_parts(d, g, alpha0_l, math.copysign(1.0, alpha0_l), tv.shape, tv.tobytes())
+    if np.ndim(tau) == 0:
+        return float(b_s[0]), float(b_a[0])
+    return b_s.copy(), b_a.copy()
+
+
+@functools.lru_cache(maxsize=2)
+def _kept_line_parts(d, g, alpha0_l, sign, shape, bits):
+    t_plus = alpha0_l / (g + d)
+    tv = np.frombuffer(bits).reshape(shape)
     b_s = np.zeros(tv.shape)
     b_a = np.zeros(tv.shape)
 
@@ -663,9 +681,6 @@ def _line_parts(d, g, alpha0_l, tau):
     if np.any(zero):
         b_s[zero] = 0.5 * math.exp(-t_plus)
         b_a[zero] = 0.5 * -math.expm1(-t_plus)
-
-    if np.ndim(tau) == 0:
-        return float(b_s[0]), float(b_a[0])
     return b_s, b_a
 
 

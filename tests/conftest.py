@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from slowphoton import EitMedium, PhotonWaveform
+from slowphoton import EitMedium, PhotonWaveform, cli, media, observables, propagate, waveforms
 from slowphoton.waveforms import WaveformKind
+
+# every kept result of the package: each functools.lru_cache in its modules
+KEPT = {f for module in (cli, media, observables, propagate, waveforms)
+        for f in vars(module).values() if hasattr(f, "cache_clear")}
+
+
+@pytest.fixture(autouse=True)
+def nothing_kept():
+    """Each test starts with nothing kept, so none passes on a result an earlier test computed."""
+    for f in KEPT:
+        f.cache_clear()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Config parsing, validation, scenario runs and figure presets."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -298,6 +299,25 @@ class TestRunScenario:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         m = "fig6a_custom_manifest.json"
         assert (out1 / m).read_bytes() == (out2 / m).read_bytes()
+
+    def test_a_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli._write(path, "tau,re\n" + "0.125,1.0\n" * 100)
+        cli._write(path, "tau\n1.5\n")
+        assert path.read_bytes() == b"tau\n1.5\n"
+        cli._write(path, "\u03c4\r\n")  # UTF-8, the newlines as given
+        assert path.read_bytes() == "\u03c4\r\n".encode("utf-8")
+
+    def test_rewritten_outputs_equal_fresh_ones(self, fig6a_config, tmp_path):
+        sc = load_config(fig6a_config)
+        fresh, stale = tmp_path / "new" / "dir", tmp_path / "stale"
+        names = run_scenario(sc, fresh)["files"].values()  # a directory that did not exist
+        stale.mkdir()
+        for name in names:  # each longer than the output that replaces it
+            (stale / name).write_bytes(b"x" * ((fresh / name).stat().st_size + 100))
+        run_scenario(sc, stale)
+        for name in names:
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes()
 
 
 class TestMainEntry:
@@ -726,23 +746,29 @@ class TestFigurePresets:
 class TestKeptResults:
     """Pure results kept between calls: each is computed once where a run reuses it, and changes no byte."""
 
-    @staticmethod
-    def _computed():
-        return tuple(f.cache_info().misses for f in (propagate._image_model, propagate._legendre, cli._tau_text))
+    KEPT = (propagate._image_model, propagate._legendre, cli._tau_text, propagate._kept_line_parts, cli._kept_trace)
+
+    def _computed(self):
+        return tuple(f.cache_info().misses for f in self.KEPT)
+
+    def test_every_kept_result_is_cleared_before_each_test(self):
+        from conftest import KEPT
+
+        assert {f.__name__ for f in KEPT} == {f.__name__ for f in self.KEPT}
+        assert self._computed() == (0,) * len(self.KEPT)
 
     def test_validate_and_run_share_one_image_model(self, tmp_path):
         (sc,) = figure_preset("fig6a")
-        propagate._image_model.cache_clear()
         assert validate(sc)[0] == []
         run_scenario(sc, tmp_path)
         assert propagate._image_model.cache_info().misses == 1
 
     def test_each_pass_over_the_presets_computes_the_same(self, tmp_path):
-        # 9 oracle calls, 13 beat integrals and fig3b's broad scan on 7 rules (fig6a's
-        # rules still reach fig7 and fe57), 10 traces on 4 grids; without the memos a
-        # pass computes 18 models, 14 rules and 10 tau columns
-        for f in (propagate._image_model, propagate._legendre, cli._tau_text):
-            f.cache_clear()
+        # 8 image models for 9 oracle calls, 7 rules for 7 beat integrals and fig3b's
+        # broad scan, 10 traces on 4 grids, 4 line parts for 8 closed-form traces (fig2's
+        # pair on one line; fig6a, fig7's pair and fe57 on one EIT medium), and 8 oracle
+        # calls: fe57 is fig6a's.  Without the memos a pass computes 18 models, 14
+        # rules, 10 tau columns, 8 line parts and 9 traces.
         counts = []
         for run in range(2):
             before = self._computed()
@@ -751,7 +777,53 @@ class TestKeptResults:
                     assert validate(sc)[0] == []
                     run_scenario(sc, tmp_path / str(run))
             counts.append(tuple(after - b for after, b in zip(self._computed(), before)))
-        assert counts == [(9, 7, 4), (9, 7, 4)]
+        assert counts == [(8, 7, 4, 4, 8), (8, 7, 4, 4, 8)]
+
+    def test_kept_parts_and_traces_equal_fresh_ones(self):
+        (sc,) = figure_preset("fig6a")
+        w, a, grid = sc.source, sc.medium, sc.grid
+        args = (w.delta_ph, a.gamma_total, a.alpha0_l, grid.times())
+        parts, trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
+        kept_parts, kept_trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
+        assert self._computed()[3:] == (1, 1)
+        for f in self.KEPT:
+            f.cache_clear()
+        fresh_parts, fresh_trace = propagate._line_parts(*args), propagate.propagate_numeric(w, a, grid)
+        for got, want in [*zip(kept_parts, fresh_parts), *zip(parts, fresh_parts)]:
+            assert got.tobytes() == want.tobytes()
+        for got in (trace, kept_trace):
+            assert got.grid is grid
+            assert got.amplitude.tobytes() == fresh_trace.amplitude.tobytes()
+            assert got.convergence == fresh_trace.convergence
+
+    def test_signed_zeros_keep_their_own_entries(self):
+        sc = figure_preset("fig2")[0]
+        w, a = sc.source, sc.medium
+        grids = [TimeGrid(-1, 0.0, 3), TimeGrid(-1, -0.0, 3)]
+        for grid in grids + grids:
+            propagate._line_parts(w.delta_ph, a.gamma, a.alpha0_l, grid.times())
+            assert cli._numeric(w, a, grid).grid is grid
+        assert self._computed()[3:] == (2, 2)
+        assert cli._kept_trace.cache_info().currsize == propagate._kept_line_parts.cache_info().currsize == 2
+        # nor do the two zero thicknesses, whose sign reaches the antisymmetric part at tau = 0
+        for alpha0_l in (0.0, -0.0, 0.0):
+            assert np.signbit(propagate._line_parts(1.0, 1.0, alpha0_l, np.zeros(1))[1]) == [np.signbit(alpha0_l)]
+
+    def test_changing_a_returned_result_changes_no_later_one(self):
+        (sc,) = figure_preset("fig6a")
+        w, a, grid = sc.source, sc.medium, sc.grid
+        args = (w.delta_ph, a.gamma_total, a.alpha0_l, grid.times())
+        parts, trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
+        want = [part.copy() for part in parts], trace.amplitude.copy(), dict(trace.convergence)
+        for array in (*parts, trace.amplitude):
+            array[:] = np.nan
+        trace.convergence["drift"] = math.inf
+        again, trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
+        assert self._computed()[3:] == (1, 1)
+        for got, expected in zip(again, want[0]):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(trace.amplitude, want[1])
+        assert trace.convergence == want[2]
 
     def test_signed_zero_bounds_keep_their_text(self, tmp_path):
         # the two grids are equal and hash alike, yet their last tau prints apart
@@ -769,6 +841,15 @@ class TestKeptResults:
         assert isinstance(text, tuple)
         assert cli._tau_column(TimeGrid(-2.0, 15.0, 1701)) is text
         assert list(text) == cli._column(grid.times())
+
+    def test_presets_in_reverse_order_write_the_same_bytes(self, tmp_path):
+        # what is kept from one preset for the next must not depend on their order
+        assert main(["figure", "all", "--out", str(tmp_path / "forward")]) == 0
+        for name in reversed(PRESET_NAMES):
+            assert main(["figure", name, "--out", str(tmp_path / "reverse")]) == 0
+        forward = {p.name: p.read_bytes() for p in (tmp_path / "forward").iterdir()}
+        assert len(forward) == 27
+        assert {p.name: p.read_bytes() for p in (tmp_path / "reverse").iterdir()} == forward
 
 
 _IMPORT_GATE = """
