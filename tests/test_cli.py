@@ -419,9 +419,9 @@ class TestMainEntry:
         "text, method, nodes",
         [
             (MATCHED_TEXT.replace("medium.thickness = 10", "medium.thickness = 1e10")
-             .replace("methods = numeric", "methods = analytic_parts"), "analytic_parts", 316270),
+             .replace("methods = numeric", "methods = analytic_parts"), "analytic_parts", 316256),
             (FIG6A_TEXT.replace("medium.thickness = 30.0", "medium.thickness = 1e9")
-             .replace("methods = input, numeric, total_eit", "methods = total_eit"), "total_eit", 400084),
+             .replace("methods = input, numeric, total_eit", "methods = total_eit"), "total_eit", 400056),
             # alpha0*l*tau overflows the node count
             (MATCHED_TEXT.replace("medium.thickness = 10", "medium.thickness = 1e308")
              .replace("methods = numeric", "methods = analytic_parts"), "analytic_parts", "inf"),

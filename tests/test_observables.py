@@ -264,15 +264,33 @@ class TestBroadRule:
         assert np.abs(scan.u_s - ref[:, 0]).max() <= 1e-12
         assert np.abs(scan.u_a - ref[:, 1]).max() <= 1e-12
 
+    @pytest.mark.parametrize("ratio", [1.01, 1.05])
+    def test_near_matched_lines_match_mpmath_reference(self, ratio):
+        # a**3 amplifies the rule's round-off, so its error grows like 1/(ratio - 1): here
+        # 24 nodes are within 7.3e-13 (1.01) and 6.9e-14 (1.05), and 32 reached 3.7e-12 and 3.6e-13
+        thicknesses = [0.25, 0.5, 1.0, 2.0, 5.0, 100.0]
+        scan = thickness_scan("broad", 1.0, ratio, thicknesses)
+        ref = np.array([_mp_broad(1.0, ratio, t) for t in thicknesses])
+        bound = 1.5e-14 / (ratio - 1.0)
+        assert np.abs(scan.u_s - ref[:, 0]).max() <= bound
+        assert np.abs(scan.u_a - ref[:, 1]).max() <= bound
+
     @pytest.mark.parametrize(
-        "module, name, value",
-        [(observables, "_BROAD_NODES", 64), (propagate, "_DEPTH_SPAN", 60.0)],
+        "patches",
+        [
+            [(observables, "_BROAD_NODES", 2 * observables._BROAD_NODES)],
+            # a window 60/40 as deep needs more nodes (24 move values by 1.7e-13), so it takes the
+            # doubled rule and only the cut at exp(-40) is checked; the 36 nodes of the scaled count
+            # move them by 1.3e-13, as scipy's 36-node rule is 1.8e-13 off on exp(30x) by its weights
+            [(propagate, "_DEPTH_SPAN", 60.0), (observables, "_BROAD_NODES", 2 * observables._BROAD_NODES)],
+        ],
         ids=["double_nodes", "window_exp_minus_60"],
     )
-    def test_refining_the_rule_changes_nothing(self, module, name, value, monkeypatch):
+    def test_refining_the_rule_changes_nothing(self, patches, monkeypatch):
         t_values = np.linspace(0.0, 3000.0, 301)
         base = [thickness_scan("broad", 1.0, r, t_values) for r in BROAD_RATIOS]
-        monkeypatch.setattr(module, name, value)
+        for module, name, value in patches:
+            monkeypatch.setattr(module, name, value)
         for ratio, old in zip(BROAD_RATIOS, base):
             new = thickness_scan("broad", 1.0, ratio, t_values)
             assert np.abs(new.u_s - old.u_s).max() <= 1e-13

@@ -62,7 +62,8 @@ C, S, A, G = (
 # sweep's thickest matched line (alpha0*l = 40).  Broad lines call
 # (T_-+, 1, Gamma -+ delta_ph): fig3a (T_b = 10, Gamma = 10: T_-+ = 100/9,
 # 100/11), fig6a and fig7 (EIT nonadiabatic part, T_b = 30: T_-+ = 300/9,
-# 300/11).
+# 300/11).  The last is a thin matched line (T = 0.1) to tau = 39, where each
+# term of `_beat_order` rounds up to one or two nodes.
 BEAT_SETS = [
     (5.0, 1.0, 2.0, 10.0),
     (100.0 / 9.0, 1.0, 9.0, 2.5),
@@ -71,6 +72,7 @@ BEAT_SETS = [
     (300.0 / 11.0, 1.0, 11.0, 15.0),
     (15.0, 1.0, 20.0, 15.0),
     (20.0, 1.0, 2.0, 10.0),
+    (0.05, 1.0, 2.0, 39.0),
 ]
 ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.0, 20.0, 3.0)]
 # Grids of the fill tests: ROUTING_MEDIA fill one slice a level on each, while
@@ -316,6 +318,32 @@ class TestBeatIntegral:
                 part *= 2.0
         np.testing.assert_array_equal(nodes, roots_legendre(72)[0])
         np.testing.assert_array_equal(weights, roots_legendre(72)[1])
+
+
+class TestBeatIntegralProperties:
+    """The beat rules against mpmath over the lines `validate` accepts, not only the presets'."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.floats(0.5, 5.0),
+        ratio=st.one_of(st.just(1.0), st.floats(1.01, 20.0)),
+        alpha0_l=st.floats(-2.0, 2.5).map(lambda e: 10.0**e),
+        slow=st.booleans(),
+        cut=st.floats(0.01, 1.0),
+        share=st.floats(0.001, 1.0),
+        decay=st.floats(0.5, 2.0),
+    )
+    def test_matches_mpmath_reference(self, d, ratio, alpha0_l, slow, cut, share, decay):
+        # a line (d, Gamma, alpha0*l) calls the rules (alpha0*l/(Gamma -+ d), 1, Gamma -+ d) on
+        # tau <= 40/Gamma, the matched line only the fast one; decay is drawn around that 1.
+        # The rule is sized for tau_max, a share `cut` of that range, and checked at a share of it.
+        g = ratio * d
+        tau_max = cut * propagate._DEPTH_SPAN / g
+        propagate._check_beat_work(d, g, alpha0_l, TimeGrid(0.0, tau_max, 1001))
+        rate = g - d if slow and g > d else g + d
+        tau = np.array([share * tau_max, tau_max])
+        got = _beat_integral(alpha0_l / rate, decay, rate, tau)[0]
+        assert abs(got - _mp_beat(alpha0_l / rate, decay, rate, tau[0])) <= 1e-12
 
 
 class TestApproxBroad:
