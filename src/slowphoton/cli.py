@@ -261,55 +261,220 @@ METHODS: dict[str, Method] = {
 class Output:
     """One output kind: file suffix, whether it runs the methods, text, precondition, advice.
 
-    text(scenario, traces, manifest) returns the file's contents (and may add
+    text(scenario, traces, manifest) returns the file's bytes (and may add
     to the manifest), looking library functions up when called, as METHODS do;
     check(scenario) returns validate's refusal, None if the output can be written;
-    warn(scenario) returns validate's advice on the scenario's numbers, or None.
+    warn(scenario) returns validate's advice on the scenario's numbers, a list of str.
     """
 
     suffix: str
     traces: bool
-    text: Callable[..., str]
+    text: Callable[..., bytes]
     check: Callable[["Scenario"], Optional[str]] = lambda sc: None
-    warn: Callable[["Scenario"], Optional[str]] = lambda sc: None
+    warn: Callable[["Scenario"], list[str]] = lambda sc: []
 
 
-def _column(values) -> list[str]:
-    """Shortest round-trip decimal text of each value of a float array."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+# CSV text.  Each number becomes a cell of six little-endian uint64 words (48 bytes)
+# whose NUL bytes are dropped when the file is assembled: byte 0 holds the sign, 1-5
+# "0.000", 6-39 the 17 digits of a decimal integer, each followed by a point, 40-46 the
+# exponent and 47 the separator.  A mask picked by digit count and point place keeps
+# the bytes of repr's text.
+_MARGIN = 1e-9  # in units of the 17-digit integer, whose computed error is below 1e-14
+_BREAK_EVEN = 300  # fewer numbers per call than this are faster through repr
+_TEXT_BLOCK = 2**14  # numbers per _cells call, about 4 MB of scratch
+_P0, _E0 = 240, 260  # table rows of 10**0 and of exponent 0
+_WORD = np.dtype("<u8")  # a cell word, little-endian on every platform
 
 
-def _tau_column(grid: TimeGrid) -> tuple[str, ...]:
-    """_column text of the grid's tau, kept for the last grid (`_signed`): presets share their grids."""
+@functools.cache
+def _text_tables():
+    """_cells' tables, built on first use: 10**p for p in [-240, 270] as hi + lo, the powers
+    10**t in int64, four digits with their points, exponent text, masks and the first word."""
+    def pow10(p):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        return hi, (num * b - a * den) / (den * b)
+
+    hi, lo = np.array([pow10(p) for p in range(-_P0, 271)]).T
+    d = np.arange(10**4, dtype=np.uint64)
+    quad = sum((48 + d // 10**(3 - i) % 10) << np.uint64(16 * i) for i in range(4)) | np.uint64(0x2E002E002E002E00)
+    exps = np.array([f"e{e:+03d}".ljust(7, "\0") + "," for e in range(-_E0, _E0 + 1)], "S8").view(_WORD)
+    masks = np.zeros((17, 21, 48), np.uint8)  # digit count, then point place -3..16 or exponent form
+    masks[..., [0, 47]] = 0xFF
+    for n in range(1, 18):
+        masks[n - 1, :, 6:6 + 2 * n:2] = 0xFF
+        for decpt in range(-3, 17):
+            keep = masks[n - 1, decpt + 3]
+            if decpt > 0:  # the digits, zeros up to the point, the point, one digit after
+                keep[6:8 + 2 * decpt:2] = 0xFF
+                keep[5 + 2 * decpt] = 0xFF
+            else:  # "0.", -decpt zeros, the digits
+                keep[1:3 - decpt] = 0xFF
+        masks[n - 1, 20, 7] = 0xFF * (n > 1)
+        masks[n - 1, 20, 40:47] = 0xFF
+    first = np.frombuffer(b"\x000.000\x00.", _WORD)[0]
+    return hi, lo, 10 ** np.arange(17, dtype=np.int64), quad, exps, masks.reshape(-1, 48).view(_WORD), first
+
+
+def _scaled(v, p, hi, lo):
+    """v*10**p as an int64 N and a fraction f: Dekker's exact product by 10**p's hi
+    (halves split off by 2**27 + 1, no fused multiply-add), plus v times its lo."""
+    h = hi[p + _P0]
+    prod = v * h
+    s = v * 134217729.0
+    vh = s - (s - v)
+    s = h * 134217729.0
+    hh = s - (s - h)
+    err = ((vh * hh - prod) + vh * (h - hh) + (v - vh) * hh) + (v - vh) * (h - hh) + v * lo[p + _P0]
+    y = prod + err
+    frac = err - (y - prod)
+    whole = np.floor(frac)
+    return y.astype(np.int64) + whole.astype(np.int64), frac - whole
+
+
+def _cells(x) -> np.ndarray:
+    """repr's text of each value of a float array, as (n, 6) uint64 cells ending in ','.
+
+    The digits of x != 0 are those of y = |x|*10**p in [1e16, 1e17), a double-double:
+    of the largest 10**t with a multiple inside the rounding interval [x - ulp-/2,
+    x + ulp/2], the nearer multiple.  A value with a decision within _MARGIN of its
+    threshold (among them every interval end on a multiple, whose inclusion depends on
+    the mantissa's parity, and every exact tie), a value that is not finite or whose
+    magnitude is outside [1e-250, 1e250], and every value of a call on fewer than
+    _BREAK_EVEN numbers, go to repr.
+    """
+    if x.size > _TEXT_BLOCK:
+        return np.concatenate([_cells(x[i:i + _TEXT_BLOCK]) for i in range(0, x.size, _TEXT_BLOCK)])
+    if x.size < _BREAK_EVEN:
+        return _repr_cells(x)
+    hi, lo, p10, quad, exps, masks, first = _text_tables()
+    ax = np.abs(x)
+    zero = ax == 0
+    slow = ~((ax >= 1e-250) & (ax <= 1e250) | zero)
+    out = np.empty((x.size, 6), _WORD)
+    v = np.where(slow | zero, 1.0, ax)
+    fr, e = np.frexp(v)  # v = fr * 2**e, fr in [0.5, 1)
+    p = 16 - np.floor(np.log10(v)).astype(np.int64)
+    N, f = _scaled(v, p, hi, lo)
+    off = np.flatnonzero((N < 10**16) | (N >= 10**17))  # log10 rounded across a power of ten
+    p[off] += np.where(N[off] < 10**16, 1, -1)
+    N[off], f[off] = _scaled(v[off], p[off], hi, lo)
+    U = np.ldexp(hi[p + _P0], e - 54)  # the interval's halves, in units of y
+    L = np.where(fr == 0.5, U / 2, U)  # narrower below a power of two
+
+    def gaps(t):
+        # gaps of the floor and ceiling multiples of 10**t to the interval's ends (< 0:
+        # inside), of y to their midpoint, N // 10**t, N mod 10**t; near 0, repr decides
+        P = p10[t]
+        K = N // P
+        q = N - K * P
+        g = np.array([q + f - L, (P - q) - f - U, 2 * (q + f) - P])
+        slow[(np.abs(g) < _MARGIN).any(0)] = True
+        return g[:2] < 0, g[2], K, q
+
+    in2, _, _, q2 = gaps(2)
+    t = gaps(1)[0].any(0).astype(np.int64)
+    short = np.flatnonzero(in2.any(0) & ~zero)
+    # the interval is under 23 wide, so the one multiple of 100 in it ends the digits
+    M = (N - q2 + 100 * ~in2[0])[short]
+    t[short] = 1 + (M[:, None] % p10[2:] == 0).sum(1)
+    (low_in, high_in), mid, K, _ = gaps(t)
+    D = np.where(zero, 0, (K + (high_in & ~(low_in & (mid < 0)))) * p10[t])
+    top = D == 10**17
+    D[top] = 10**16
+    n = np.where(zero | top, 1, 17 - t)
+    decpt = np.where(zero, 1, 17 - p + top)  # |x| = 0.d1d2... * 10**decpt
+    lead, mid8 = D // 10**16, D // 10**8
+    out[:, 0] = first | np.signbit(x) * np.uint64(45) | (48 + lead).astype(np.uint64) << np.uint64(48)
+    for w, part in enumerate((mid8 - lead * 10**8, D - mid8 * 10**8)):
+        top4 = part // 10**4
+        out[:, 1 + 2 * w] = quad[top4]
+        out[:, 2 + 2 * w] = quad[part - top4 * 10**4]
+    out[:, 5] = exps[np.clip(decpt - 1, -_E0, _E0) + _E0]
+    out &= np.take(masks, (n - 1) * 21 + np.where((decpt < -3) | (decpt > 16), 20, decpt + 3), axis=0)
+    if slow.any():
+        out[slow] = _repr_cells(x[slow])
+    return out
+
+
+def _repr_cells(x) -> np.ndarray:
+    """_cells made by repr, one call per value."""
+    cells = np.zeros((x.size, 48), np.uint8)
+    cells[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), 45, 0)
+    cells[:, 1:47] = np.array(list(map(repr, np.abs(x).tolist())), "S46").view(np.uint8).reshape(-1, 46)
+    cells[:, 47] = 44
+    return cells.view(_WORD)
+
+
+def _text_cells(texts) -> np.ndarray:
+    """Cells of ASCII text, one per row: the text, NUL padding, ',' in the last byte."""
+    width = 8 * (max(map(len, texts)) // 8 + 1)
+    return np.array([s.ljust(width - 1, "\0") + "," for s in texts], f"S{width}").view(_WORD).reshape(len(texts), -1)
+
+
+def _csv(header: list[str], columns, unsigned=()) -> bytes:
+    """CSV bytes of equal-length columns, each number written as repr writes it.
+
+    A column is a float64 array, its `_cells`, one str for every row, or a list of str,
+    one per row.  The distinct arrays are formatted in one `_cells` call per block of
+    rows; columns whose index is in `unsigned` drop the leading '-', which makes
+    repr(abs(x)) of every float.
+    """
+    arrays = {id(c): c for c in columns if isinstance(c, np.ndarray) and c.dtype == float}
+    index = {key: i for i, key in enumerate(arrays)}
+    text = {i: _text_cells([c] if isinstance(c, str) else c) for i, c in enumerate(columns) if isinstance(c, (str, list))}
+    n = len(next(c for c in columns if not isinstance(c, str)))
+    widths = [text[i].shape[1] if i in text else 6 for i in range(len(columns))]
+    chunks = [(",".join(header) + "\n").encode()]
+    step = max(1, _TEXT_BLOCK // max(1, len(arrays)))
+    for start in range(0, n, step):
+        rows = slice(start, min(n, start + step))
+        if arrays:
+            block = np.column_stack([a[rows] for a in arrays.values()])
+            cells = _cells(block.ravel()).reshape(block.shape + (6,))
+        mat = np.empty((rows.stop - start, sum(widths)), _WORD)
+        at = 0
+        for i, (c, w) in enumerate(zip(columns, widths)):
+            if i in text:
+                mat[:, at:at + w] = text[i][rows] if len(text[i]) > 1 else text[i]
+            else:
+                mat[:, at:at + w] = cells[:, index[id(c)]] if id(c) in index else c[rows]
+            if i in unsigned:
+                mat[:, at] &= ~np.uint64(0xFF)
+            at += w
+        mat[:, -1] ^= np.uint64((ord(",") ^ ord("\n")) << 56)  # the row ends its last cell
+        chunks.append(mat.tobytes().translate(None, b"\0"))
+    return b"".join(chunks)
+
+
+def _tau_cells(grid: TimeGrid) -> np.ndarray:
+    """_cells of the grid's tau, kept for the last grid (`_signed`): presets share their grids."""
     return _tau_text(*_signed(grid))
 
 
 @functools.lru_cache(maxsize=1)
-def _tau_text(grid: TimeGrid, *signs: float) -> tuple[str, ...]:
-    return tuple(_column(grid.times()))
+def _tau_text(grid: TimeGrid, *signs: float) -> np.ndarray:
+    cells = _cells(grid.times())
+    cells.flags.writeable = False
+    return cells
 
 
-def _csv(header: list[str], cols) -> str:
-    """CSV text of equal-length columns of cell strings; format numbers with _column first."""
-    return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
-
-
-def _trace_text(sc, traces, manifest) -> str:
-    header, cols = ["tau"], [_tau_column(sc.grid)]
+def _trace_text(sc, traces, manifest) -> bytes:
+    header, cols = ["tau"], [_tau_cells(sc.grid)]
     for m in sc.methods:
-        real = _column(traces[m].amplitude)
         header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
         # im_* stays in the format, always 0; repr(abs(x)) is repr(x) without its sign
-        cols += [real, ["0.0"] * len(real), [s.removeprefix("-") for s in real]]
-    return _csv(header, cols)
+        cols += [traces[m].amplitude, "0.0", traces[m].amplitude]
+    return _csv(header, cols, unsigned=range(3, len(cols), 3))
 
 
-def _scan_text(sc, traces, manifest) -> str:
+def _scan_text(sc, traces, manifest) -> bytes:
     manifest["derived"]["scan_normalization"] = SCAN_NORMALIZATION
     gamma = sc.medium.linewidth if sc.medium is not None else None
     scan = thickness_scan(sc.scan.kind, sc.source.delta_ph, gamma, sc.scan.values())
     cols = [scan.thickness_values, scan.u_s, scan.u_a, scan.u_total, scan.beer_reference]
-    return _csv(["thickness", "u_s", "u_a", "u_total", "beer_reference"], map(_column, cols))
+    return _csv(["thickness", "u_s", "u_a", "u_total", "beer_reference"], cols)
 
 
 def _check_scan(sc) -> Optional[str]:
@@ -347,27 +512,40 @@ def _check_eit_output(sc) -> Optional[str]:
         return f"eit_params output: {exc}"
 
 
-def _areas_text(sc, traces, manifest) -> str:
+def _areas_text(sc, traces, manifest) -> bytes:
     rows = []
     for m in sc.methods:
         area = pulse_area(traces[m])
         rows.append((area, 0.0, abs(area), integrated_intensity(traces[m])))
-    return _csv(["method", "area_re", "area_im", "area_abs", "energy"],
-                [list(sc.methods), *map(_column, np.array(rows).T)])
+    return _csv(["method", "area_re", "area_im", "area_abs", "energy"], [list(sc.methods), *np.array(rows).T])
 
 
-def _warn_tail(sc) -> Optional[str]:
+# delta_ph*spacing = h above which the trapezoid areas and energies can be off by more than
+# 1%: the energy of e**(-delta_ph*|tau|) sampled at its peak is h*coth(h) - 1, about h**2/3,
+# too high, the worst of the grid's offsets.  A jump on the grid adds up to about h below the
+# bound too: the causal source, and the antisymmetric part where tau = 0 is a sample (fig6b's
+# causal input energy, at h = 0.1, is 4.7% low)
+_RESOLVED_STEP = 0.17
+
+
+def _warn_areas(sc) -> list[str]:
     # the time integrals' own test on the source's samples at the grid's ends; a grid cut
     # changes no other number, the oracle sizes its period from the medium, not from the grid
-    return _truncation(time_amplitude(sc.source, [sc.grid.t_start, sc.grid.t_end]))
+    tail = _truncation(time_amplitude(sc.source, [sc.grid.t_start, sc.grid.t_end]))
+    advice = [] if tail is None else [tail]
+    if (step := sc.source.delta_ph * sc.grid.spacing) > _RESOLVED_STEP:
+        advice.append(f"delta_ph*spacing = {step:.3g} exceeds {_RESOLVED_STEP}: the trapezoid areas and "
+                      "energies can be off by more than 1%, and by up to about delta_ph*spacing where the "
+                      "source jumps at tau = 0; refine the grid")
+    return advice
 
 
 OUTPUTS: dict[str, Output] = {
     "time_trace": Output("_trace.csv", True, _trace_text),
     "thickness_scan": Output("_scan.csv", False, _scan_text, _check_scan),
-    "eit_params": Output("_eit_params.json", False, lambda sc, traces, manifest: json.dumps(
-        manifest["derived"]["eit_params"], indent=2, sort_keys=True) + "\n", _check_eit_output),
-    "areas_and_energies": Output("_areas.csv", True, _areas_text, warn=_warn_tail),
+    "eit_params": Output("_eit_params.json", False, lambda sc, traces, manifest: (json.dumps(
+        manifest["derived"]["eit_params"], indent=2, sort_keys=True) + "\n").encode(), _check_eit_output),
+    "areas_and_energies": Output("_areas.csv", True, _areas_text, warn=_warn_areas),
 }
 
 
@@ -557,7 +735,7 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
             f"(group delay t_d = {p.t_d:.4g}, edge width 2/delta_eff); "
             f"extend t_end beyond {needed:.4g}"
         )
-    warnings += [a for o, out in OUTPUTS.items() if o in sc.outputs and (a := out.warn(sc)) is not None]
+    warnings += [a for o, out in OUTPUTS.items() if o in sc.outputs for a in out.warn(sc)]
     return errors, warnings
 
 
@@ -565,15 +743,15 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
 # execution
 # ---------------------------------------------------------------------------
 
-def _write(path: Path, text: str) -> None:
-    """Write text to path as UTF-8, its newlines as they are.
+def _write(path: Path, data: bytes) -> None:
+    """Write data to path.
 
     An existing file is overwritten in place and cut to length after the
     write, not truncated first: on ext4 a truncate-first rewrite
     (`Path.write_text`) makes the close flush the file's data.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as f:
-        f.write(text.encode())
+        f.write(data)
         f.truncate()
 
 
@@ -627,7 +805,7 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
         manifest["files"][output] = path.name
 
     manifest_path = out_dir / f"{sc.name}_manifest.json"
-    _write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     manifest["files"]["manifest"] = manifest_path.name
     return manifest
 

@@ -302,10 +302,10 @@ class TestRunScenario:
 
     def test_a_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
         path = tmp_path / "out.csv"
-        cli._write(path, "tau,re\n" + "0.125,1.0\n" * 100)
-        cli._write(path, "tau\n1.5\n")
+        cli._write(path, b"tau,re\n" + b"0.125,1.0\n" * 100)
+        cli._write(path, b"tau\n1.5\n")
         assert path.read_bytes() == b"tau\n1.5\n"
-        cli._write(path, "\u03c4\r\n")  # UTF-8, the newlines as given
+        cli._write(path, "\u03c4\r\n".encode())  # the bytes as given
         assert path.read_bytes() == "\u03c4\r\n".encode("utf-8")
 
     def test_rewritten_outputs_equal_fresh_ones(self, fig6a_config, tmp_path):
@@ -746,7 +746,8 @@ class TestFigurePresets:
 class TestKeptResults:
     """Pure results kept between calls: each is computed once where a run reuses it, and changes no byte."""
 
-    KEPT = (propagate._image_model, propagate._legendre, cli._tau_text, propagate._kept_line_parts, cli._kept_trace)
+    KEPT = (propagate._image_model, propagate._legendre, cli._tau_text, propagate._kept_line_parts, cli._kept_trace,
+            cli._text_tables)
 
     def _computed(self):
         return tuple(f.cache_info().misses for f in self.KEPT)
@@ -768,7 +769,8 @@ class TestKeptResults:
         # broad scan, 10 traces on 4 grids, 4 line parts for 8 closed-form traces (fig2's
         # pair on one line; fig6a, fig7's pair and fe57 on one EIT medium), and 8 oracle
         # calls: fe57 is fig6a's.  Without the memos a pass computes 18 models, 14
-        # rules, 10 tau columns, 8 line parts and 9 traces.
+        # rules, 10 tau columns, 8 line parts and 9 traces.  The CSV text tables are
+        # built on the first pass only.
         counts = []
         for run in range(2):
             before = self._computed()
@@ -777,7 +779,7 @@ class TestKeptResults:
                     assert validate(sc)[0] == []
                     run_scenario(sc, tmp_path / str(run))
             counts.append(tuple(after - b for after, b in zip(self._computed(), before)))
-        assert counts == [(8, 7, 4, 4, 8), (8, 7, 4, 4, 8)]
+        assert counts == [(8, 7, 4, 4, 8, 1), (8, 7, 4, 4, 8, 0)]
 
     def test_kept_parts_and_traces_equal_fresh_ones(self):
         (sc,) = figure_preset("fig6a")
@@ -785,7 +787,7 @@ class TestKeptResults:
         args = (w.delta_ph, a.gamma_total, a.alpha0_l, grid.times())
         parts, trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
         kept_parts, kept_trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
-        assert self._computed()[3:] == (1, 1)
+        assert self._computed()[3:5] == (1, 1)
         for f in self.KEPT:
             f.cache_clear()
         fresh_parts, fresh_trace = propagate._line_parts(*args), propagate.propagate_numeric(w, a, grid)
@@ -803,7 +805,7 @@ class TestKeptResults:
         for grid in grids + grids:
             propagate._line_parts(w.delta_ph, a.gamma, a.alpha0_l, grid.times())
             assert cli._numeric(w, a, grid).grid is grid
-        assert self._computed()[3:] == (2, 2)
+        assert self._computed()[3:5] == (2, 2)
         assert cli._kept_trace.cache_info().currsize == propagate._kept_line_parts.cache_info().currsize == 2
         # nor do the two zero thicknesses, whose sign reaches the antisymmetric part at tau = 0
         for alpha0_l in (0.0, -0.0, 0.0):
@@ -819,7 +821,7 @@ class TestKeptResults:
             array[:] = np.nan
         trace.convergence["drift"] = math.inf
         again, trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
-        assert self._computed()[3:] == (1, 1)
+        assert self._computed()[3:5] == (1, 1)
         for got, expected in zip(again, want[0]):
             np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(trace.amplitude, want[1])
@@ -835,12 +837,14 @@ class TestKeptResults:
             lines = (tmp_path / "zero_end_trace.csv").read_text().splitlines()
             assert [line.split(",")[0] for line in lines] == ["tau", "-1.0", "-0.5", text]
 
-    def test_kept_tau_text_is_a_tuple(self):
+    def test_kept_tau_text_is_one_read_only_block(self):
         grid = TimeGrid(-2.0, 15.0, 1701)
-        text = cli._tau_column(grid)
-        assert isinstance(text, tuple)
-        assert cli._tau_column(TimeGrid(-2.0, 15.0, 1701)) is text
-        assert list(text) == cli._column(grid.times())
+        cells = cli._tau_cells(grid)
+        assert cells.shape == (1701, 6) and not cells.flags.writeable
+        assert cli._tau_cells(TimeGrid(-2.0, 15.0, 1701)) is cells
+        assert cells.tobytes() == cli._cells(grid.times()).tobytes()
+        text = "tau\n" + "".join(f"{t!r}\n" for t in grid.times().tolist())
+        assert cli._csv(["tau"], [cells]) == text.encode()
 
     def test_presets_in_reverse_order_write_the_same_bytes(self, tmp_path):
         # what is kept from one preset for the next must not depend on their order
@@ -873,6 +877,7 @@ import slowphoton.cli
 print(json.dumps({
     "added": sorted(m for m in set(sys.modules) - before if m == "scipy" or m.startswith("scipy.")),
     "rules": slowphoton.propagate._legendre.cache_info().currsize,
+    "text_tables": slowphoton.cli._text_tables.cache_info().currsize,
 }))
 """
 
@@ -899,5 +904,6 @@ class TestImports:
 
     def test_cli_import_builds_no_rule(self):
         # with only numpy and scipy.special loaded, and no rule built, the import adds no
-        # scipy module (a rule would load scipy.linalg) and leaves _legendre empty
-        assert self._run(_FRESH_IMPORT) == {"added": [], "rules": 0}
+        # scipy module (a rule would load scipy.linalg), leaves _legendre empty and builds
+        # no CSV text table
+        assert self._run(_FRESH_IMPORT) == {"added": [], "rules": 0, "text_tables": 0}

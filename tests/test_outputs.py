@@ -3,7 +3,8 @@
 The output preconditions (an EIT medium with an open window for
 eit_params, scan.* keys and, for a broad scan, a broad-line medium for
 thickness_scan) are frozen here, as test_methods.py freezes the methods.
-The trace writer's text is checked against formatting each cell on its own.
+The trace writer's text is checked against formatting each cell on its own,
+and the CSV writer's numbers against repr.
 """
 
 import dataclasses
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowphoton.cli import OUTPUTS, Scenario, ScanSpec, figure_preset, run_scenario, validate
+from slowphoton import cli
+from slowphoton.cli import METHODS, OUTPUTS, Scenario, ScanSpec, figure_preset, main, run_scenario, validate
 from slowphoton.media import BroadLine, EitMedium, MatchedLine
 from slowphoton.errors import TruncatedSupportWarning
-from slowphoton.observables import pulse_area
+from slowphoton.observables import integrated_intensity, pulse_area
 from slowphoton.waveforms import PhotonWaveform, TimeGrid, TimeSeries, WaveformKind, sample
 
 MEDIA = {
@@ -140,6 +142,49 @@ def test_tail_advice_is_the_time_integrals_test(kind, cut):
     assert areas == trace + texts
 
 
+# the unresolved draw of the accepted-space fuzz: delta_ph*spacing = 2.04, and the
+# trapezoid input energy is 0.01789 against the exact 1/(4*delta_ph) = 0.00909
+UNRESOLVED = Scenario(
+    name="unresolved",
+    reference_rate_label="delta_ph",
+    source=PhotonWaveform(WaveformKind.ANTISYMMETRIC_PART, 27.5),
+    medium=BroadLine(gamma_total=10.7, thickness=6.76),
+    grid=TimeGrid(-0.52, 45.2, 618),
+    methods=["input"],
+    outputs=["areas_and_energies"],
+)
+RESOLUTION_ADVICE = ("delta_ph*spacing = 2.04 exceeds 0.17: the trapezoid areas and energies can be off "
+                     "by more than 1%, and by up to about delta_ph*spacing where the source jumps at tau = 0; "
+                     "refine the grid")
+
+
+def test_unresolved_source_gets_resolution_advice(tmp_path):
+    errors, advice = validate(UNRESOLVED)
+    assert errors == [] and RESOLUTION_ADVICE in advice
+    trace = dataclasses.replace(UNRESOLVED, outputs=["time_trace"])
+    assert RESOLUTION_ADVICE not in validate(trace)[1]  # only the time integrals need it
+    run_scenario(UNRESOLVED, tmp_path)
+    energy = float((tmp_path / "unresolved_areas.csv").read_text().splitlines()[1].split(",")[4])
+    assert energy == pytest.approx(0.01789, rel=1e-3)  # the exact energy is 1/(4*27.5) = 0.00909
+
+
+@pytest.mark.parametrize("step, within", [(cli._RESOLVED_STEP, True), (0.2, False)])
+def test_resolution_bound_is_one_percent_for_a_source_without_a_jump(step, within):
+    # the symmetric part sampled at its peak, the worst of the grid's offsets, against
+    # its exact energy 1/(4*delta_ph): 0.96% high at the bound, 1.33% at 0.2
+    half = 240
+    grid = TimeGrid(-half * step, half * step, 2 * half + 1)
+    energy = integrated_intensity(sample(PhotonWaveform(WaveformKind.SYMMETRIC_PART, 1.0), grid))
+    assert (abs(4 * energy - 1) <= 0.01) == within
+
+
+def test_presets_need_no_resolution_advice():
+    # fig6b's delta_ph*spacing = 10 * 0.01 is the largest of the presets' areas outputs
+    (sc,) = figure_preset("fig6b")
+    assert sc.source.delta_ph * sc.grid.spacing == pytest.approx(0.1)
+    assert validate(sc) == ([], [])
+
+
 def test_readme_table_names_the_outputs():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| `<name>(\S+)` \| (yes|no) \|", readme, re.M)
@@ -176,4 +221,69 @@ def test_trace_cells_follow_the_per_cell_rule(columns):
     rows = [[repr(t)] + [cell for col in columns for cell in (repr(col[i]), "0.0", repr(abs(col[i])))]
             for i, t in enumerate(grid.times().tolist())]
     expected = "\n".join(",".join(row) for row in [header, *rows]) + "\n"
-    assert OUTPUTS["time_trace"].text(sc, traces, {}) == expected
+    assert OUTPUTS["time_trace"].text(sc, traces, {}) == expected.encode()
+
+
+def _repr_csv(values):
+    return ("x\n" + "\n".join(map(repr, values.tolist())) + "\n").encode()
+
+
+def _first_mismatches(values):
+    got = cli._csv(["x"], [values])
+    if got == _repr_csv(values):
+        return []
+    return [(v, line) for v, line in zip(values.tolist(), got.split(b"\n")[1:]) if line != repr(v).encode()][:5]
+
+
+# the format's switch points, the fast path's ends, the smallest subnormal and normal,
+# and the largest float, with their finite neighbours
+EDGES = np.array([1e16, 9.999999999999999e15, 1e-4, 1e-5, 1e250, 1e-250, 5e-324, 2.0**-1022, 1.7976931348623157e308])
+EDGES = np.concatenate([EDGES, np.nextafter(EDGES, 0.0), np.nextafter(EDGES[:-1], np.inf)])
+
+
+class TestCsvText:
+    """The CSV writer's numbers are repr's text, byte for byte."""
+
+    def test_numbers_are_written_as_repr_writes_them(self):
+        rng = np.random.default_rng(28)
+        n = 150_000
+        powers = np.ldexp(1.0, rng.integers(-1074, 1024, n // 3))
+        values = np.concatenate([
+            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),  # every exponent, nan and inf
+            rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n),
+            rng.integers(-10**7, 10**7, n) / 10.0 ** rng.integers(0, 12, n),  # short decimals
+            # integers up to 1e18, whose interval ends fall on multiples of 10 for even and odd mantissas
+            rng.integers(-10**18, 10**18, n).astype(float),
+            rng.integers(2**54, 10**17, n).astype(float),
+            # powers of two, whose interval is narrower below, and their neighbours
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            # exact half-way ties: 100*x ends in 25 or 75, half-way between two candidates
+            rng.integers(2**49, 10**15, n) + rng.choice([-0.75, -0.25, 0.25, 0.75], n),
+            EDGES, -EDGES, [0.0, -0.0, np.nan, np.inf, -np.inf],
+        ])
+        assert values.size > 10**6
+        assert _first_mismatches(values) == []
+
+    @pytest.mark.parametrize("size", [cli._BREAK_EVEN - 1, cli._BREAK_EVEN])
+    def test_blocks_around_the_break_even(self, size):
+        # below it every value goes to repr, from it on the vector path writes them
+        rng = np.random.default_rng(size)
+        values = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-300, 300, size)
+        values[:7] = [0.0, -0.0, np.nan, np.inf, 1e16, 1e-5, 670475713199453.25]
+        assert _first_mismatches(values) == []
+
+    def test_presets_are_written_as_repr_writes_them(self, tmp_path, monkeypatch):
+        assert main(["figure", "all", "--out", str(tmp_path)]) == 0
+        cells = [cell for path in sorted(tmp_path.glob("*.csv"))
+                 for line in path.read_text().splitlines()[1:] for cell in line.split(",")]
+        numbers = [cell for cell in cells if cell not in METHODS]  # the areas' method names
+        assert len(numbers) == len(cells) - 8
+        assert [cell for cell in numbers if cell != repr(float(cell))] == []
+
+        def no_repr(x):
+            raise AssertionError(f"{x.size} preset values left to repr")
+
+        # all of them in one call, so none is a small block's: the vector path writes every one
+        values = np.array([float(cell) for cell in numbers])
+        monkeypatch.setattr(cli, "_repr_cells", no_repr)
+        assert cli._csv(["x"], [values]) == _repr_csv(values)
