@@ -20,7 +20,6 @@ from .media import (
     EitMedium,
     EitParams,
     MatchedLine,
-    adiabatic_response,
     eit_params,
     fe57_siderite,
     spectral_response,

@@ -11,8 +11,9 @@ is deterministic: the same config yields byte-identical files.
 Subcommands: ``run <config>``, ``figure <preset> [--out DIR]``,
 ``eit-params <config>``, ``validate <config>``.  The default output
 directory can be overridden with the SLOWPHOTON_OUTDIR environment
-variable.  Exit codes: 1 config parse error, 2 validation error,
-3 numerical non-convergence, including round-off or a refined lattice past its cap.
+variable.  Exit codes: 1 config parse error or a file that cannot be read or
+written, 2 validation error, 3 numerical non-convergence, including round-off
+or a refined lattice past its cap.
 """
 
 from __future__ import annotations
@@ -173,28 +174,21 @@ def _open_window(medium) -> Optional[EitParams]:
         return None
 
 
-def _signed(grid: TimeGrid) -> tuple:
-    """The grid and the signs of its bounds, a key for what is kept per grid.
-
-    TimeGrid(-1, 0.0, 3) == TimeGrid(-1, -0.0, 3), yet their last tau differ
-    in sign, and so does their text.
-    """
-    return grid, math.copysign(1.0, grid.t_start), math.copysign(1.0, grid.t_end)
-
-
 def _numeric(w, a, grid) -> TimeSeries:
     """propagate_numeric's trace, kept for the last four (source, medium, grid).
 
-    fe57 is fig6a's call, three scenarios later.  Each call gets its own
-    samples and convergence record; a wrapper set on this module's
-    propagate_numeric sees each call that computes.
+    fe57 is fig6a's call, three scenarios later.  Grids whose bounds differ
+    only in the sign of a zero are equal and share one trace, whose samples
+    do not depend on that sign.  Each call gets its own grid, samples and
+    convergence record; a wrapper set on this module's propagate_numeric
+    sees each call that computes.
     """
-    kept = _kept_trace(w, a, *_signed(grid))
+    kept = _kept_trace(w, a, grid)
     return TimeSeries(grid, kept.amplitude.copy(), dict(kept.convergence))
 
 
 @functools.lru_cache(maxsize=4)
-def _kept_trace(w, a, grid, *signs) -> TimeSeries:
+def _kept_trace(w, a, grid) -> TimeSeries:
     return propagate_numeric(w, a, grid)
 
 
@@ -449,13 +443,13 @@ def _csv(header: list[str], columns, unsigned=()) -> bytes:
 
 
 def _tau_cells(grid: TimeGrid) -> np.ndarray:
-    """_cells of the grid's tau, kept for the last grid (`_signed`): presets share their grids."""
-    return _tau_text(*_signed(grid))
+    """_cells of the grid's tau, kept for the last tau by its bytes (signed zeros print apart): presets share grids."""
+    return _tau_text(grid.times().tobytes())
 
 
 @functools.lru_cache(maxsize=1)
-def _tau_text(grid: TimeGrid, *signs: float) -> np.ndarray:
-    cells = _cells(grid.times())
+def _tau_text(bits: bytes) -> np.ndarray:
+    cells = _cells(np.frombuffer(bits))
     cells.flags.writeable = False
     return cells
 
@@ -759,19 +753,13 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
     """Execute a validated scenario; returns the manifest dictionary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    scenario = dataclasses.asdict(sc)
+    scenario["reference_rate"] = scenario.pop("reference_rate_label")
+    kind = "none" if sc.medium is None else type(sc.medium).__name__
+    scenario["medium"] = {"kind": kind, **(scenario["medium"] or {})}
     manifest: dict = {
         "tool": {"name": "slowphoton", "version": __version__},
-        "scenario": {
-            "name": sc.name,
-            "reference_rate": sc.reference_rate_label,
-            "source": dataclasses.asdict(sc.source),
-            "medium": {"kind": "none"} if sc.medium is None
-            else {"kind": type(sc.medium).__name__, **dataclasses.asdict(sc.medium)},
-            "grid": dataclasses.asdict(sc.grid),
-            "methods": list(sc.methods),
-            "outputs": list(sc.outputs),
-            "scan": None if sc.scan is None else dataclasses.asdict(sc.scan),
-        },
+        "scenario": scenario,
         "derived": {},
         "convergence": {},
         "files": {},
@@ -814,9 +802,6 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
 # figure presets
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = ("fig2", "fig3a", "fig3b", "fig5", "fig6a", "fig6b", "fig7", "fe57")
-
-
 def _panel(name, kind, delta_ph, medium, grid, methods, outputs=("time_trace",), scan=None):
     """One preset Scenario; its reference rate is gamma_m for an EIT medium, else delta_ph."""
     return Scenario(
@@ -831,45 +816,49 @@ def _panel(name, kind, delta_ph, medium, grid, methods, outputs=("time_trace",),
     )
 
 
+_CAUSAL = WaveformKind.EXPONENTIAL_CAUSAL
+_PARTS = (("symmetric", WaveformKind.SYMMETRIC_PART), ("antisymmetric", WaveformKind.ANTISYMMETRIC_PART))
+_EIT = EitMedium(gamma_total=10.0, gamma_m=1.0, omega=20.0, thickness=30.0)
+_EIT_GRID = TimeGrid(-2.0, 15.0, 1701)
+_BROAD = BroadLine(gamma_total=10.0, thickness=10.0)
+
+
+def _fig6(name, delta_ph):
+    return [_panel(name, _CAUSAL, delta_ph, _EIT, _EIT_GRID, ["input", "numeric", "total_eit", "adiabatic_eit"],
+                   ["time_trace", "eit_params", "areas_and_energies"])]
+
+
+# each preset's panels (one per CSV), built on call, in `figure all`'s order
+_PRESETS: dict[str, Callable[[], list[Scenario]]] = {
+    "fig2": lambda: [_panel(f"fig2_{label}", kind, 1.0, MatchedLine(gamma=1.0, thickness=10.0),
+                            TimeGrid(-4.0, 10.0, 1401), ["input", "analytic_parts", "numeric"])
+                     for label, kind in _PARTS],
+    "fig3a": lambda: [
+        _panel("fig3a_total", _CAUSAL, 1.0, _BROAD, TimeGrid(-0.5, 2.5, 1501), ["input", "numeric", "approx_broad"]),
+        _panel("fig3a_antisymmetric", WaveformKind.ANTISYMMETRIC_PART, 1.0, _BROAD, TimeGrid(-0.5, 2.5, 1501),
+               ["input", "analytic_parts", "numeric"]),
+    ],
+    "fig3b": lambda: [_panel("fig3b", _CAUSAL, 1.0, _BROAD, TimeGrid(-1.0, 1.0, 11), [], ["thickness_scan"],
+                             ScanSpec(kind="broad", t_min=0.0, t_max=10.0, n_points=41))],
+    "fig5": lambda: [_panel("fig5", _CAUSAL, 0.1 * eit_params(_EIT).delta_eff, _EIT, TimeGrid(-0.5, 2.5, 1201),
+                            ["phi_plus", "phi_plus_zero"])],
+    "fig6a": lambda: _fig6("fig6a", 1.0),
+    "fig6b": lambda: _fig6("fig6b", 10.0),
+    "fig7": lambda: [_panel(f"fig7_{label}", kind, 1.0, _EIT, _EIT_GRID, ["input", "numeric", "total_eit"])
+                     for label, kind in _PARTS],
+    "fe57": lambda: [_panel("fe57", _CAUSAL, 1.0, fe57_siderite(), _EIT_GRID, ["input", "numeric", "total_eit"],
+                            ["time_trace", "eit_params"])],
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def figure_preset(name: str) -> list[Scenario]:
     """Scenarios reproducing the published figure panels (one per CSV)."""
-    causal = WaveformKind.EXPONENTIAL_CAUSAL
-    parts = (("symmetric", WaveformKind.SYMMETRIC_PART),
-             ("antisymmetric", WaveformKind.ANTISYMMETRIC_PART))
-    eit = EitMedium(gamma_total=10.0, gamma_m=1.0, omega=20.0, thickness=30.0)
-    eit_grid = TimeGrid(-2.0, 15.0, 1701)
-    broad = BroadLine(gamma_total=10.0, thickness=10.0)
-    if name == "fig2":
-        med, grid = MatchedLine(gamma=1.0, thickness=10.0), TimeGrid(-4.0, 10.0, 1401)
-        methods = ["input", "analytic_parts", "numeric"]
-        return [_panel(f"fig2_{label}", kind, 1.0, med, grid, methods) for label, kind in parts]
-    if name == "fig3a":
-        grid = TimeGrid(-0.5, 2.5, 1501)
-        return [
-            _panel("fig3a_total", causal, 1.0, broad, grid, ["input", "numeric", "approx_broad"]),
-            _panel("fig3a_antisymmetric", WaveformKind.ANTISYMMETRIC_PART, 1.0, broad, grid,
-                   ["input", "analytic_parts", "numeric"]),
-        ]
-    if name == "fig3b":
-        return [_panel("fig3b", causal, 1.0, broad, TimeGrid(-1.0, 1.0, 11), [], ["thickness_scan"],
-                       ScanSpec(kind="broad", t_min=0.0, t_max=10.0, n_points=41))]
-    if name == "fig5":
-        delta_ph = 0.1 * eit_params(eit).delta_eff
-        return [_panel("fig5", causal, delta_ph, eit, TimeGrid(-0.5, 2.5, 1201),
-                       ["phi_plus", "phi_plus_zero"])]
-    if name in ("fig6a", "fig6b"):
-        return [_panel(name, causal, 1.0 if name == "fig6a" else 10.0, eit, eit_grid,
-                       ["input", "numeric", "total_eit", "adiabatic_eit"],
-                       ["time_trace", "eit_params", "areas_and_energies"])]
-    if name == "fig7":
-        return [_panel(f"fig7_{label}", kind, 1.0, eit, eit_grid, ["input", "numeric", "total_eit"])
-                for label, kind in parts]
-    if name == "fe57":
-        return [_panel("fe57", causal, 1.0, fe57_siderite(), eit_grid,
-                       ["input", "numeric", "total_eit"], ["time_trace", "eit_params"])]
-    raise ValueError(
-        f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-    )
+    if name not in _PRESETS:
+        raise ValueError(
+            f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
+        )
+    return _PRESETS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -952,6 +941,9 @@ def main(argv=None) -> int:
         except ConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+        except OSError as exc:  # an output directory or file that cannot be made or written
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     files = written if args.command == "figure" else written[sc.name]
     print(json.dumps(files, indent=2, sort_keys=True))
     return 0

@@ -34,7 +34,6 @@ __all__ = [
     "EitParams",
     "spectral_response",
     "eit_params",
-    "adiabatic_response",
     "fe57_siderite",
 ]
 
@@ -200,17 +199,6 @@ def eit_params(a: EitMedium) -> EitParams:
     return EitParams(
         t_eit=t_eit, t_d=t_d, delta_eff=delta_eff, delta_eit=a.delta_eit
     )
-
-
-def adiabatic_response(a: EitMedium, nu):
-    """Quadratic expansion T_eit - i*nu*t_d + nu**2/delta_eff**2.
-
-    Anchored at nu = 0 where it equals spectral_response exactly.
-    """
-    p = eit_params(a)
-    nv = np.asarray(nu, dtype=float)
-    out = p.t_eit - 1j * nv * p.t_d + (nv / p.delta_eff) ** 2
-    return out if np.ndim(nu) else complex(out)
 
 
 def fe57_siderite() -> EitMedium:

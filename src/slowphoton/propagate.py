@@ -345,8 +345,8 @@ def _least_period(images, grid: TimeGrid):
     return hi
 
 
-def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid, images=None):
-    """(nu_max, period) of level 0; an exponential source's period from `_image_model`'s images, given or made."""
+def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
+    """(nu_max, period) of level 0; an exponential source's period from `_image_model`'s images."""
     d = w.delta_ph
     if w.kind is WaveformKind.GAUSSIAN:  # keeps the bare period rule: no bound is stated for it
         rate_min = min(d, a.linewidth, a.gamma_m if isinstance(a, EitMedium) else math.inf)
@@ -354,7 +354,7 @@ def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid, images=
     # _tail_bound, c*(alpha0*l/nu)**k, is _TAIL_TOL at nu = alpha0*l*(c/_TAIL_TOL)**(1/k)
     tail = (_tail_bound(w, 1.0, 1.0) / _TAIL_TOL) ** (1.0 / (_SUBTRACT_ORDERS + 1)) * a.alpha0_l
     nu_max = max(50.0 * a.linewidth, 50.0 * d, tail, 2.0 * a.omega if isinstance(a, EitMedium) else 0.0)
-    return nu_max, _least_period(images or _image_model(w, a), grid)
+    return nu_max, _least_period(_image_model(w, a), grid)
 
 
 def _fast_len(n: int) -> int:
@@ -483,8 +483,7 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     free = time_amplitude(w, tau)
     if a is None or a.thickness == 0.0:
         return TimeSeries(grid, free, {"drift": 0.0, "iterations": 0})
-    images = _image_model(w, a) if w.kind in PART_WEIGHTS else None  # not once a level
-    window = _window_defaults(w, a, grid, images)
+    window = _window_defaults(w, a, grid)
     prev, drift = None, math.inf
     for level in range(_MAX_DOUBLINGS + 1):
         cur, info = _remainder(w, a, grid, level, window)
@@ -507,7 +506,7 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL, "roundoff": roundoff})
     info["tail_bound"] = _tail_bound(w, a.alpha0_l, info["nu_max"])
     period = spectral_lattice(w, a, grid, level, window)[2] * grid.spacing
-    info["alias_bound"] = _alias_bound(images, grid, period) if images else None
+    info["alias_bound"] = _alias_bound(_image_model(w, a), grid, period) if w.kind in PART_WEIGHTS else None
     return TimeSeries(grid, free + closed + cur, info)
 
 

@@ -174,6 +174,17 @@ class TestValidate:
         errors, _ = validate(load_config(fig6a_config))
         assert errors == []
 
+    def test_grid_before_zero_needs_no_beat_rule(self, tmp_path):
+        # _check_beat_work finds no tau in (0, _DEPTH_SPAN/g]: validate accepts the grid, and the
+        # closed form writes only the precursor exp(delta_ph*tau - T_+)/2, T_+ = alpha0*l/2 = 5
+        sc = cli._panel("before_zero", WaveformKind.SYMMETRIC_PART, 1.0, MatchedLine(1.0, 10.0),
+                        TimeGrid(-4.0, -1.0, 301), ["analytic_parts"])
+        assert validate(sc) == ([], [])
+        run_scenario(sc, tmp_path)
+        assert propagate._legendre.cache_info().misses == 0
+        data = np.loadtxt(tmp_path / "before_zero_trace.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(data[:, 1], 0.5 * np.exp(data[:, 0] - 5.0), rtol=1e-14)
+
     def test_closed_window_named_in_error(self, fig6a_config, tmp_path):
         text = FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 2.0")
         text = text.replace("methods = input, numeric, total_eit", "methods = adiabatic_eit")
@@ -335,6 +346,41 @@ class TestMainEntry:
         target = str(fig6a_config) if command == "run" else "fig5"
         assert main([command, target, "--out", str(tmp_path)]) == 3
         assert "spectral quadrature drift" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "figure"])
+    def test_unwritable_out_is_one_error_line(self, fig6a_config, tmp_path, command):
+        # a directory under a regular file cannot be made, even by root
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = str(fig6a_config) if command == "run" else "fig5"
+        result = subprocess.run(
+            [sys.executable, "-m", "slowphoton", command, target, "--out", str(blocker / "x")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("source.kind = gaussian\n = 1\n", 1, "line 2: empty key"),
+            ("source.kind = gaussian\nsource.delta_ph = fast\n", 1,
+             "source: key 'source.delta_ph': not a number: 'fast'"),
+            ("source.kind = gaussian\nsource.delta_ph = 1\ngrid.t_start = 0\ngrid.t_end = 1\ngrid.n_points = 2.5\n",
+             1, "grid: key 'grid.n_points': expected an integer, got 2.5"),
+            ('{"source": {"kind": "gaussian",}}', 1, "invalid JSON: "),
+            ('{"source": {"kind": "gaussian", "delta_ph": 1}, "grid": {"t_start": 0, "t_end": 1, "n_points": 5},'
+             ' "methods": 3}', 1, "expected a list or comma-separated string, got 3"),
+            (SCAN_TEXT.replace("scan.kind = broad", "scan.kind = Steep"), 2, "unknown scan.kind 'steep'"),
+        ],
+        ids=["empty_key", "not_a_number", "not_an_integer", "invalid_json", "not_a_list", "scan_kind"],
+    )
+    def test_validate_refusals_name_their_cause(self, tmp_path, capsys, text, code, message):
+        assert main(["validate", str(_write(tmp_path, text))]) == code
+        out, err = capsys.readouterr()
+        assert f"error: {message}" in (err if code == 1 else out)
 
     def test_validation_exit_code_names_condition(self, tmp_path, capsys):
         text = FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 2.0")
@@ -799,14 +845,24 @@ class TestKeptResults:
             assert got.convergence == fresh_trace.convergence
 
     def test_signed_zeros_keep_their_own_entries(self):
-        sc = figure_preset("fig2")[0]
+        sc = figure_preset("fig2")[1]  # the antisymmetric part, which jumps at tau = 0
         w, a = sc.source, sc.medium
-        grids = [TimeGrid(-1, 0.0, 3), TimeGrid(-1, -0.0, 3)]
-        for grid in grids + grids:
+        grids = [TimeGrid(-1, 0.0, 3), TimeGrid(-1, -0.0, 3)] * 2
+        traces = []
+        for grid in grids:
             propagate._line_parts(w.delta_ph, a.gamma, a.alpha0_l, grid.times())
-            assert cli._numeric(w, a, grid).grid is grid
-        assert self._computed()[3:5] == (2, 2)
-        assert cli._kept_trace.cache_info().currsize == propagate._kept_line_parts.cache_info().currsize == 2
+            traces.append(cli._numeric(w, a, grid))
+            assert traces[-1].grid is grid
+        # the line parts are kept by tau's bits, whose last sample differs in sign; the two
+        # grids are equal, and the oracle's samples do not depend on that sign: one kept trace
+        assert self._computed()[3:5] == (2, 1)
+        assert propagate._kept_line_parts.cache_info().currsize == 2
+        for f in self.KEPT:
+            f.cache_clear()
+        for grid, trace in zip(grids, traces):
+            fresh = propagate.propagate_numeric(w, a, grid)
+            assert trace.amplitude.tobytes() == fresh.amplitude.tobytes()
+            assert trace.convergence == fresh.convergence
         # nor do the two zero thicknesses, whose sign reaches the antisymmetric part at tau = 0
         for alpha0_l in (0.0, -0.0, 0.0):
             assert np.signbit(propagate._line_parts(1.0, 1.0, alpha0_l, np.zeros(1))[1]) == [np.signbit(alpha0_l)]

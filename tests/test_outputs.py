@@ -272,6 +272,15 @@ class TestCsvText:
         values[:7] = [0.0, -0.0, np.nan, np.inf, 1e16, 1e-5, 670475713199453.25]
         assert _first_mismatches(values) == []
 
+    def test_a_long_tau_column_is_formatted_in_blocks(self, monkeypatch):
+        # only the kept tau text formats more than _TEXT_BLOCK numbers in one _cells call
+        grid = TimeGrid(-2.0, 15.0, 40_001)
+        sizes, cells = [], cli._cells
+        monkeypatch.setattr(cli, "_cells", lambda x: sizes.append(x.size) or cells(x))
+        text = cli._csv(["tau"], [cli._tau_cells(grid)])
+        assert sizes == [40_001, cli._TEXT_BLOCK, cli._TEXT_BLOCK, 40_001 - 2 * cli._TEXT_BLOCK]
+        assert text == _repr_csv(grid.times()).replace(b"x", b"tau", 1)
+
     def test_presets_are_written_as_repr_writes_them(self, tmp_path, monkeypatch):
         assert main(["figure", "all", "--out", str(tmp_path)]) == 0
         cells = [cell for path in sorted(tmp_path.glob("*.csv"))

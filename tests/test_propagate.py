@@ -1201,6 +1201,14 @@ class TestAliasBound:
             assert propagate_numeric(causal_unit, med, grid).convergence["iterations"] >= 1
             assert model.cache_info().misses == computed
 
+    def test_images_on_the_wrong_side_of_zero_have_no_bound(self, causal_unit):
+        # the bound needs every image n > 0 past tau = 0 and every n < 0 at or before it
+        images = propagate._image_model(causal_unit, MatchedLine(1.0, 10.0))
+        grid = TimeGrid(-4.0, 10.0, 1401)
+        assert propagate._alias_bound(images, grid, 9.0) == math.inf  # t_end - period > 0
+        assert propagate._alias_bound(images, grid, 3.0) == math.inf  # t_start + period < 0
+        assert propagate._alias_bound(images, grid, 100.0) < propagate._ALIAS_TOL
+
     def test_kept_model_is_immutable(self, causal_unit, eit_example):
         d, c0, terms = propagate._image_model(causal_unit, eit_example)
         assert isinstance(terms, tuple) and all(isinstance(term, tuple) for term in terms)
