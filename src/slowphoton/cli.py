@@ -268,11 +268,12 @@ class Output:
     warn: Callable[["Scenario"], list[str]] = lambda sc: []
 
 
-# CSV text.  Each number becomes a cell of six little-endian uint64 words (48 bytes)
+# CSV text.  Each number becomes a cell of four little-endian uint64 words (32 bytes)
 # whose NUL bytes are dropped when the file is assembled: byte 0 holds the sign, 1-5
-# "0.000", 6-39 the 17 digits of a decimal integer, each followed by a point, 40-46 the
-# exponent and 47 the separator.  A mask picked by digit count and point place keeps
-# the bytes of repr's text.
+# "0.000", 6 the first of the 17 digits of a decimal integer, 7 a point, 8-23 the other
+# digits, 24-30 the exponent and 31 the separator.  A point after a later digit is put
+# in by shifting the digits past it one byte up, the last into byte 24.  Masks picked by
+# digit count and point place keep the bytes of repr's text.
 _MARGIN = 1e-9  # in units of the 17-digit integer, whose computed error is below 1e-14
 _BREAK_EVEN = 300  # fewer numbers per call than this are faster through repr
 _TEXT_BLOCK = 2**14  # numbers per _cells call, about 4 MB of scratch
@@ -283,7 +284,8 @@ _WORD = np.dtype("<u8")  # a cell word, little-endian on every platform
 @functools.cache
 def _text_tables():
     """_cells' tables, built on first use: 10**p for p in [-240, 270] as hi + lo, the powers
-    10**t in int64, four digits with their points, exponent text, masks and the first word."""
+    10**t in int64, four digits, exponent text, the masks of words 0-3 and 1-3, the point
+    in words 1-3, and the first word by sign and first digit."""
     def pow10(p):
         num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
         hi = num / den
@@ -292,23 +294,28 @@ def _text_tables():
 
     hi, lo = np.array([pow10(p) for p in range(-_P0, 271)]).T
     d = np.arange(10**4, dtype=np.uint64)
-    quad = sum((48 + d // 10**(3 - i) % 10) << np.uint64(16 * i) for i in range(4)) | np.uint64(0x2E002E002E002E00)
+    quad = sum((48 + d // 10**(3 - i) % 10) << np.uint64(8 * i) for i in range(4))
     exps = np.array([f"e{e:+03d}".ljust(7, "\0") + "," for e in range(-_E0, _E0 + 1)], "S8").view(_WORD)
-    masks = np.zeros((17, 21, 48), np.uint8)  # digit count, then point place -3..16 or exponent form
-    masks[..., [0, 47]] = 0xFF
+    # by digit count, then point place -3..16 or the exponent form (17): the bytes kept in
+    # place, the bytes kept one byte up, and the point
+    masks = np.zeros((3, 17, 21, 32), np.uint8)
+    masks[0, ..., [0, 6, 31]] = 0xFF
     for n in range(1, 18):
-        masks[n - 1, :, 6:6 + 2 * n:2] = 0xFF
-        for decpt in range(-3, 17):
-            keep = masks[n - 1, decpt + 3]
-            if decpt > 0:  # the digits, zeros up to the point, the point, one digit after
-                keep[6:8 + 2 * decpt:2] = 0xFF
-                keep[5 + 2 * decpt] = 0xFF
-            else:  # "0.", -decpt zeros, the digits
+        for decpt in range(-3, 18):
+            keep, up, point = masks[:, n - 1, decpt + 3]
+            digits = max(n, decpt + 1) if 0 < decpt < 17 else n  # repr writes a digit past the point
+            moved = 2 <= decpt <= 16
+            keep[8:7 + (decpt if moved else digits)] = 0xFF  # digits 2.. at 8..
+            if moved:  # the digits past the point one byte up, the point in their place
+                up[8 + decpt:8 + digits] = 0xFF
+                point[7 + decpt] = ord(".")
+            if decpt <= 0:  # "0." and -decpt zeros
                 keep[1:3 - decpt] = 0xFF
-        masks[n - 1, 20, 7] = 0xFF * (n > 1)
-        masks[n - 1, 20, 40:47] = 0xFF
-    first = np.frombuffer(b"\x000.000\x00.", _WORD)[0]
-    return hi, lo, 10 ** np.arange(17, dtype=np.int64), quad, exps, masks.reshape(-1, 48).view(_WORD), first
+            keep[7] = 0xFF * (decpt == 1 or decpt == 17 and n > 1)
+            keep[24:31] = 0xFF * (decpt == 17)
+    keep, up, point = masks.reshape(3, -1, 32).view(_WORD)
+    heads = np.array([f"{sign}0.000{digit}." for sign in "\0-" for digit in range(10)], "S8").view(_WORD)
+    return hi, lo, 10 ** np.arange(17, dtype=np.int64), quad, exps, keep, up[:, 1:], point[:, 1:], heads
 
 
 def _scaled(v, p, hi, lo):
@@ -328,7 +335,7 @@ def _scaled(v, p, hi, lo):
 
 
 def _cells(x) -> np.ndarray:
-    """repr's text of each value of a float array, as (n, 6) uint64 cells ending in ','.
+    """repr's text of each value of a float array, as (n, 4) uint64 cells ending in ','.
 
     The digits of x != 0 are those of y = |x|*10**p in [1e16, 1e17), a double-double:
     of the largest 10**t with a multiple inside the rounding interval [x - ulp-/2,
@@ -338,22 +345,20 @@ def _cells(x) -> np.ndarray:
     magnitude is outside [1e-250, 1e250], and every value of a call on fewer than
     _BREAK_EVEN numbers, go to repr.
     """
-    if x.size > _TEXT_BLOCK:
-        return np.concatenate([_cells(x[i:i + _TEXT_BLOCK]) for i in range(0, x.size, _TEXT_BLOCK)])
     if x.size < _BREAK_EVEN:
         return _repr_cells(x)
-    hi, lo, p10, quad, exps, masks, first = _text_tables()
+    hi, lo, p10, quad, exps, keep, up, point, heads = _text_tables()
     ax = np.abs(x)
     zero = ax == 0
     slow = ~((ax >= 1e-250) & (ax <= 1e250) | zero)
-    out = np.empty((x.size, 6), _WORD)
     v = np.where(slow | zero, 1.0, ax)
     fr, e = np.frexp(v)  # v = fr * 2**e, fr in [0.5, 1)
     p = 16 - np.floor(np.log10(v)).astype(np.int64)
     N, f = _scaled(v, p, hi, lo)
     off = np.flatnonzero((N < 10**16) | (N >= 10**17))  # log10 rounded across a power of ten
-    p[off] += np.where(N[off] < 10**16, 1, -1)
-    N[off], f[off] = _scaled(v[off], p[off], hi, lo)
+    if off.size:
+        p[off] += np.where(N[off] < 10**16, 1, -1)
+        N[off], f[off] = _scaled(v[off], p[off], hi, lo)
     U = np.ldexp(hi[p + _P0], e - 54)  # the interval's halves, in units of y
     L = np.where(fr == 0.5, U / 2, U)  # narrower below a power of two
 
@@ -363,16 +368,25 @@ def _cells(x) -> np.ndarray:
         P = p10[t]
         K = N // P
         q = N - K * P
-        g = np.array([q + f - L, (P - q) - f - U, 2 * (q + f) - P])
+        qf = q + f
+        g = np.array([qf - L, (P - q) - f - U, 2 * qf - P])
         slow[(np.abs(g) < _MARGIN).any(0)] = True
         return g[:2] < 0, g[2], K, q
 
     in2, _, _, q2 = gaps(2)
     t = gaps(1)[0].any(0).astype(np.int64)
     short = np.flatnonzero(in2.any(0) & ~zero)
-    # the interval is under 23 wide, so the one multiple of 100 in it ends the digits
-    M = (N - q2 + 100 * ~in2[0])[short]
-    t[short] = 1 + (M[:, None] % p10[2:] == 0).sum(1)
+    if short.size:
+        # the interval is under 23 wide, so the one multiple M of 100 in it ends the
+        # digits: t is its trailing zeros up to 16, 1 + those of M // 10 up to 15 taken
+        # 8, 4, 2 and 1 at a time
+        M, zeros = (N - q2 + 100 * ~in2[0])[short] // 10, 1
+        for s in (8, 4, 2, 1):
+            K = M // 10**s
+            hit = K * 10**s == M
+            M = np.where(hit, K, M)
+            zeros = zeros + s * hit
+        t[short] = zeros
     (low_in, high_in), mid, K, _ = gaps(t)
     D = np.where(zero, 0, (K + (high_in & ~(low_in & (mid < 0)))) * p10[t])
     top = D == 10**17
@@ -380,24 +394,30 @@ def _cells(x) -> np.ndarray:
     n = np.where(zero | top, 1, 17 - t)
     decpt = np.where(zero, 1, 17 - p + top)  # |x| = 0.d1d2... * 10**decpt
     lead, mid8 = D // 10**16, D // 10**8
-    out[:, 0] = first | np.signbit(x) * np.uint64(45) | (48 + lead).astype(np.uint64) << np.uint64(48)
-    for w, part in enumerate((mid8 - lead * 10**8, D - mid8 * 10**8)):
+    plain = np.empty((x.size, 4), _WORD)
+    plain[:, 0] = heads[np.signbit(x) * 10 + lead]
+    for w, part in enumerate((mid8 - lead * 10**8, D - mid8 * 10**8), 1):
         top4 = part // 10**4
-        out[:, 1 + 2 * w] = quad[top4]
-        out[:, 2 + 2 * w] = quad[part - top4 * 10**4]
-    out[:, 5] = exps[np.clip(decpt - 1, -_E0, _E0) + _E0]
-    out &= np.take(masks, (n - 1) * 21 + np.where((decpt < -3) | (decpt > 16), 20, decpt + 3), axis=0)
+        plain[:, w] = quad[top4] | quad[part - top4 * 10**4] << np.uint64(32)
+    plain[:, 3] = exps[decpt + (_E0 - 1)]  # |decpt - 1| <= 250
+    form = (n - 1) * 21 + np.where((decpt < -3) | (decpt > 16), 20, decpt + 3)
+    cells = plain & np.take(keep, form, axis=0)
+    later = np.flatnonzero((decpt >= 2) & (decpt <= 16))  # a point after a later digit
+    if later.size:  # the digits past it one byte up, the last into byte 24, and the point
+        w1, w2 = plain[later, 1], plain[later, 2]
+        shifted = np.column_stack([w1 << np.uint64(8), w2 << np.uint64(8) | w1 >> np.uint64(56), w2 >> np.uint64(56)])
+        cells[later, 1:] |= shifted & np.take(up, form[later], axis=0) | np.take(point, form[later], axis=0)
     if slow.any():
-        out[slow] = _repr_cells(x[slow])
-    return out
+        cells[slow] = _repr_cells(x[slow])
+    return cells
 
 
 def _repr_cells(x) -> np.ndarray:
     """_cells made by repr, one call per value."""
-    cells = np.zeros((x.size, 48), np.uint8)
+    cells = np.zeros((x.size, 32), np.uint8)
     cells[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), 45, 0)
-    cells[:, 1:47] = np.array(list(map(repr, np.abs(x).tolist())), "S46").view(np.uint8).reshape(-1, 46)
-    cells[:, 47] = 44
+    cells[:, 1:31] = np.array(list(map(repr, np.abs(x).tolist())), "S30").view(np.uint8).reshape(-1, 30)
+    cells[:, 31] = 44
     return cells.view(_WORD)
 
 
@@ -407,26 +427,29 @@ def _text_cells(texts) -> np.ndarray:
     return np.array([s.ljust(width - 1, "\0") + "," for s in texts], f"S{width}").view(_WORD).reshape(len(texts), -1)
 
 
-def _csv(header: list[str], columns, unsigned=()) -> bytes:
+def _csv(header: list[str], columns, unsigned=(), keep=None) -> bytes:
     """CSV bytes of equal-length columns, each number written as repr writes it.
 
     A column is a float64 array, its `_cells`, one str for every row, or a list of str,
     one per row.  The distinct arrays are formatted in one `_cells` call per block of
     rows; columns whose index is in `unsigned` drop the leading '-', which makes
-    repr(abs(x)) of every float.
+    repr(abs(x)) of every float.  A list `keep` takes the first column's cells, read-only,
+    when that column is an array.
     """
     arrays = {id(c): c for c in columns if isinstance(c, np.ndarray) and c.dtype == float}
     index = {key: i for i, key in enumerate(arrays)}
     text = {i: _text_cells([c] if isinstance(c, str) else c) for i, c in enumerate(columns) if isinstance(c, (str, list))}
     n = len(next(c for c in columns if not isinstance(c, str)))
-    widths = [text[i].shape[1] if i in text else 6 for i in range(len(columns))]
+    widths = [text[i].shape[1] if i in text else 4 for i in range(len(columns))]
     chunks = [(",".join(header) + "\n").encode()]
     step = max(1, _TEXT_BLOCK // max(1, len(arrays)))
+    firsts = []
     for start in range(0, n, step):
         rows = slice(start, min(n, start + step))
         if arrays:
             block = np.column_stack([a[rows] for a in arrays.values()])
-            cells = _cells(block.ravel()).reshape(block.shape + (6,))
+            cells = _cells(block.ravel()).reshape(block.shape + (4,))
+            firsts.append(cells[:, 0])
         mat = np.empty((rows.stop - start, sum(widths)), _WORD)
         at = 0
         for i, (c, w) in enumerate(zip(columns, widths)):
@@ -439,28 +462,29 @@ def _csv(header: list[str], columns, unsigned=()) -> bytes:
             at += w
         mat[:, -1] ^= np.uint64((ord(",") ^ ord("\n")) << 56)  # the row ends its last cell
         chunks.append(mat.tobytes().translate(None, b"\0"))
+    if keep is not None and id(columns[0]) in index:
+        keep.append(np.concatenate(firsts))
+        keep[-1].flags.writeable = False
     return b"".join(chunks)
 
 
-def _tau_cells(grid: TimeGrid) -> np.ndarray:
-    """_cells of the grid's tau, kept for the last tau by its bytes (signed zeros print apart): presets share grids."""
-    return _tau_text(grid.times().tobytes())
-
-
 @functools.lru_cache(maxsize=1)
-def _tau_text(bits: bytes) -> np.ndarray:
-    cells = _cells(np.frombuffer(bits))
-    cells.flags.writeable = False
-    return cells
+def _tau_text(bits: bytes) -> list:
+    """A list for the cells of the last grid's tau, keyed by its bytes (signed zeros print
+    apart): presets share grids, and the first file on a grid formats tau with its other
+    columns and leaves the cells here."""
+    return []
 
 
 def _trace_text(sc, traces, manifest) -> bytes:
-    header, cols = ["tau"], [_tau_cells(sc.grid)]
+    tau = sc.grid.times()
+    kept = _tau_text(tau.tobytes())
+    header, cols = ["tau"], [kept[0] if kept else tau]
     for m in sc.methods:
         header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
         # im_* stays in the format, always 0; repr(abs(x)) is repr(x) without its sign
         cols += [traces[m].amplitude, "0.0", traces[m].amplitude]
-    return _csv(header, cols, unsigned=range(3, len(cols), 3))
+    return _csv(header, cols, unsigned=range(3, len(cols), 3), keep=kept)
 
 
 def _scan_text(sc, traces, manifest) -> bytes:
@@ -622,6 +646,8 @@ def _section(cls, prefix: str, flat: dict, **parsers):
             f.name: parsers.get(f.name, _as_float)(flat, f"{prefix}.{f.name}")
             for f in dataclasses.fields(cls)
         })
+    except ConfigError:  # a parser's, which names its key and so the section
+        raise
     except ValueError as exc:
         raise ConfigError(f"{prefix}: {exc}") from None
 
@@ -720,7 +746,7 @@ def validate(sc: Scenario) -> tuple[list[str], list[str]]:
     if sc.grid.n_points > MAX_GRID_POINTS or not _runs_methods(sc):
         return errors, warnings
     tau = sc.grid.times()
-    if sc.grid.t_start < 0 < sc.grid.t_end and min(abs(tau)) > 1e-12 * max(1.0, sc.grid.spacing):
+    if sc.grid.t_start < 0 < sc.grid.t_end and np.abs(tau).min() > 1e-12 * max(1.0, sc.grid.spacing):
         warnings.append("tau = 0 is not a grid sample; jump values will be offset")
     p = _open_window(med)
     if p is not None and sc.grid.t_end < (needed := p.t_d + 2.0 / p.delta_eff):

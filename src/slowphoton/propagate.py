@@ -110,13 +110,17 @@ _ALIAS_TOL = 1e-8
 _IMAGE_SIGMAS = (0.5, 0.9)
 _IMAGE_NODES = 64
 # Each level fills one frequency lattice (`spectral_lattice`) in `_row_blocks`
-# slices, on a thread pool that lives for that call when there are two or more
-# slices and usable CPUs (else on the calling thread), and folds its at most
-# _MAX_FFT_SAMPLES samples, on columns 0..p/2 only, into the Hermitian half
-# spectrum of one real-output FFT of about period/spacing points.  A grid
-# finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n points
-# instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
+# slices, on a thread pool that lives for that call when there are _POOL_SLICES
+# or more slices and two or more usable CPUs (else on the calling thread), and
+# folds its at most _MAX_FFT_SAMPLES samples, on columns 0..p/2 only, into the
+# Hermitian half spectrum of one real-output FFT of about period/spacing points.
+# A grid finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n
+# points instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
 _MAX_FFT_SAMPLES = 2**22
+# Timed alternately on 2 CPUs, pooled and serial fills of 2 slices were slower pooled in
+# most runs, 3 were a tie, and 4, 5, 6 and 8 were faster pooled in most: the pool's start
+# (~0.4 ms) and its threads' memory pay from 4 slices on.
+_POOL_SLICES = 4
 # The 2*3*5-smooth lengths up to the cap, ascending: each odd part 3**j * 5**k (3**14 and 5**10
 # pass the cap) times every power of two that keeps it under the cap.  `_fast_len` rounds up to one.
 _SMOOTH_LENGTHS = tuple(sorted(
@@ -400,9 +404,9 @@ def _remainder(w, a, grid, level, window=None):
     """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid, a real array.
 
     nu_k = (k - m/2)*dnu on `spectral_lattice`'s lattice is filled in
-    `_row_blocks` slices, which do not depend on the CPU count: two or more
-    slices on a pool of one thread per usable CPU that lives for this call,
-    one slice or one usable CPU on the calling thread.  Each slice is
+    `_row_blocks` slices, which do not depend on the CPU count: _POOL_SLICES
+    or more slices on a pool of one thread per usable CPU that lives for this
+    call, fewer slices or one usable CPU on the calling thread.  Each slice is
     computed as it would be serially, so the result does not depend on the
     CPU count either.  At tau_j = (s0 + f + j)*spacing, s0 an
     integer and 0 <= f < 1, h_k turns by k*(s0 + j + f)/p, which mod 1 depends
@@ -445,7 +449,7 @@ def _remainder(w, a, grid, level, window=None):
 
         np.conjugate(head := chirp(np.arange(n)), out=kernel[:n])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if len(blocks) < 2 or cpus < 2:  # starting a pool costs ~0.4 ms, more than most one-slice fills
+    if len(blocks) < _POOL_SLICES or cpus < 2:
         list(map(fill, blocks))
     else:
         with ThreadPoolExecutor(cpus, thread_name_prefix="slowphoton-fill") as pool:

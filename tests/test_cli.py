@@ -165,8 +165,9 @@ class TestSchema:
         path = _write(tmp_path, "\n".join(kept) + "\n")
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key.split('.')[0]}: ")
-        assert key in err
+        # the parser's error names the key, and so its section, once
+        assert err.startswith("error: ") and err.count(key) == 1
+        assert not err.startswith(f"error: {key.split('.')[0]}: ")
 
 
 class TestValidate:
@@ -258,6 +259,28 @@ class TestValidate:
         )
         _, warnings = validate(load_config(path))
         assert any("tau = 0 is not a grid sample" in w for w in warnings)
+
+    @pytest.mark.parametrize(
+        "grid, signed_zero, warns",
+        [
+            (TimeGrid(-1.0, 1.0, 11), False, False),
+            (TimeGrid(-1.0, 1.0, 11), True, False),
+            (TimeGrid(-0.1, 0.2, 4), False, False),  # a zero sample 1.4e-17 off by round-off
+            (TimeGrid(-1.0, 1.0, 10**6), False, True),
+            (TimeGrid(-1.0, 1.0, 10**6 - 1), False, False),
+        ],
+        ids=["zero", "signed_zero", "round_off", "no_zero_1e6", "zero_1e6"],
+    )
+    def test_zero_sample_advice_follows_the_grid(self, monkeypatch, grid, signed_zero, warns):
+        # test_zero_not_on_grid_warns has the small grid without a zero sample
+        if signed_zero:  # linspace writes +0.0; a -0.0 sample is a zero sample too
+            times = TimeGrid.times
+            monkeypatch.setattr(TimeGrid, "times", lambda g: np.where(times(g) == 0, -0.0, times(g)))
+            assert np.signbit(grid.times()).sum() == 6
+        sc = cli._panel("zero", WaveformKind.EXPONENTIAL_CAUSAL, 1.0, None, grid, ["input"])
+        errors, warnings = validate(sc)
+        assert errors == []
+        assert any("tau = 0 is not a grid sample" in w for w in warnings) == warns
 
     def test_json_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
@@ -366,16 +389,20 @@ class TestMainEntry:
         "text, code, message",
         [
             ("source.kind = gaussian\n = 1\n", 1, "line 2: empty key"),
+            # a parser's error names its key, and so the section, once
             ("source.kind = gaussian\nsource.delta_ph = fast\n", 1,
-             "source: key 'source.delta_ph': not a number: 'fast'"),
+             "key 'source.delta_ph': not a number: 'fast'"),
             ("source.kind = gaussian\nsource.delta_ph = 1\ngrid.t_start = 0\ngrid.t_end = 1\ngrid.n_points = 2.5\n",
-             1, "grid: key 'grid.n_points': expected an integer, got 2.5"),
+             1, "key 'grid.n_points': expected an integer, got 2.5"),
+            # a dataclass's own check names its section
+            ("source.kind = gaussian\nsource.delta_ph = 1\ngrid.t_start = 0\ngrid.t_end = 1\ngrid.n_points = 1\n",
+             1, "grid: n_points must be >= 2"),
             ('{"source": {"kind": "gaussian",}}', 1, "invalid JSON: "),
             ('{"source": {"kind": "gaussian", "delta_ph": 1}, "grid": {"t_start": 0, "t_end": 1, "n_points": 5},'
              ' "methods": 3}', 1, "expected a list or comma-separated string, got 3"),
             (SCAN_TEXT.replace("scan.kind = broad", "scan.kind = Steep"), 2, "unknown scan.kind 'steep'"),
         ],
-        ids=["empty_key", "not_a_number", "not_an_integer", "invalid_json", "not_a_list", "scan_kind"],
+        ids=["empty_key", "not_a_number", "not_an_integer", "dataclass_check", "invalid_json", "not_a_list", "scan_kind"],
     )
     def test_validate_refusals_name_their_cause(self, tmp_path, capsys, text, code, message):
         assert main(["validate", str(_write(tmp_path, text))]) == code
@@ -893,14 +920,31 @@ class TestKeptResults:
             lines = (tmp_path / "zero_end_trace.csv").read_text().splitlines()
             assert [line.split(",")[0] for line in lines] == ["tau", "-1.0", "-0.5", text]
 
-    def test_kept_tau_text_is_one_read_only_block(self):
-        grid = TimeGrid(-2.0, 15.0, 1701)
-        cells = cli._tau_cells(grid)
-        assert cells.shape == (1701, 6) and not cells.flags.writeable
-        assert cli._tau_cells(TimeGrid(-2.0, 15.0, 1701)) is cells
-        assert cells.tobytes() == cli._cells(grid.times()).tobytes()
-        text = "tau\n" + "".join(f"{t!r}\n" for t in grid.times().tolist())
+    def test_kept_tau_text_is_one_read_only_block(self, tmp_path):
+        # the first file on a grid formats tau with its methods and leaves the cells kept
+        (sc,) = figure_preset("fig6a")
+        tau = sc.grid.times()
+        assert cli._tau_text(tau.tobytes()) == []
+        run_scenario(sc, tmp_path)
+        (cells,) = cli._tau_text(tau.tobytes())
+        assert cells.shape == (1701, 4) and not cells.flags.writeable
+        assert cells.tobytes() == cli._cells(tau).tobytes()
+        text = "tau\n" + "".join(f"{t!r}\n" for t in tau.tolist())
         assert cli._csv(["tau"], [cells]) == text.encode()
+
+    def test_each_pass_formats_each_file_in_one_call(self, tmp_path, monkeypatch):
+        # 13 CSVs, each one block: one _cells call each, tau in the first trace file on
+        # each of the 4 grids and taken from the kept cells in the other 6
+        sizes, cells = [], cli._cells
+        monkeypatch.setattr(cli, "_cells", lambda x: sizes.append(x.size) or cells(x))
+        counts = []
+        for run in range(2):
+            before, taus = len(sizes), cli._tau_text.cache_info().misses
+            for name in PRESET_NAMES:
+                for sc in figure_preset(name):
+                    run_scenario(sc, tmp_path / str(run))
+            counts.append((len(sizes) - before, sum(sizes[before:]), cli._tau_text.cache_info().misses - taus))
+        assert counts == [(13, 54_772, 4)] * 2
 
     def test_presets_in_reverse_order_write_the_same_bytes(self, tmp_path):
         # what is kept from one preset for the next must not depend on their order

@@ -8,6 +8,7 @@ and the CSV writer's numbers against repr.
 """
 
 import dataclasses
+import decimal
 import re
 import warnings
 from pathlib import Path
@@ -241,6 +242,69 @@ EDGES = np.array([1e16, 9.999999999999999e15, 1e-4, 1e-5, 1e250, 1e-250, 5e-324,
 EDGES = np.concatenate([EDGES, np.nextafter(EDGES, 0.0), np.nextafter(EDGES[:-1], np.inf)])
 
 
+def _shape(value):
+    """(significant digits, point place) of repr(value), |value| = 0.d1d2... * 10**place;
+    the place is 17 for the exponent form."""
+    text = repr(abs(float(value)))
+    _, digits, exp = decimal.Decimal(text).normalize().as_tuple()
+    return len(digits), 17 if "e" in text else len(digits) + exp
+
+
+def _with_shape(rng, n, place):
+    """A float whose repr has n significant digits, the point at `place` (17: e+25)."""
+    power = 25 if place == 17 else place
+    while True:
+        digits = int(rng.integers(10 ** (n - 1), 10**n))
+        value = float(f"{digits + (digits % 10 == 0)}e{power - n}")
+        if _shape(value) == (n, place):
+            return value
+
+
+# every digit count 1-17 and point place -3..16, with 17 standing for the exponent form
+SHAPES = [(n, place) for n in range(1, 18) for place in range(-3, 18)]
+# repr's own: not finite, subnormal, or outside [1e-250, 1e250]
+REPR_ONLY = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.0**-1022, 1e-300, -1e-300, 1e300, -1e300,
+             1.7976931348623157e308]
+
+
+class TestCellLayout:
+    """The 32-byte cells hold repr's text in every shape repr writes."""
+
+    def test_every_digit_count_and_point_place(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        values = np.array([_with_shape(rng, n, place) for n, place in SHAPES for _ in range(3)]
+                          # 17 digits, the point at 16, below 2**50: above it each such value is a tie repr decides
+                          + [1050000000000000.1, 1123456789012345.9]
+                          + [1e-5, 1.5e-5, 1e16, 1.2345678901234567e-250, 9.87654321e249, 1e23])
+        values = np.concatenate([values, -values, [0.0, -0.0]])
+        assert cli._cells(values).shape == (values.size, 4)
+        sent, repr_cells = [], cli._repr_cells
+        monkeypatch.setattr(cli, "_repr_cells", lambda x: sent.extend(x.tolist()) or repr_cells(x))
+        assert _first_mismatches(values) == []
+        # the cells wrote every shape, of either sign; repr took only the decisions at a threshold
+        assert len(sent) < 0.02 * values.size
+        assert {(_shape(v), v < 0) for v in set(values.tolist()) - set(sent) if v} == {
+            (shape, sign) for shape in SHAPES for sign in (False, True)}
+
+    @pytest.mark.parametrize("zeros", range(2, 17))
+    def test_short_values(self, zeros):
+        # 17 - zeros digits: the 17-digit integer ends in `zeros` zeros
+        rng = np.random.default_rng(zeros)
+        n = 17 - zeros
+        values = np.array([_with_shape(rng, n, place) for place in rng.integers(-3, 18, 400)])
+        assert {_shape(v)[0] for v in values} == {n}
+        assert _first_mismatches(values) == []
+
+    def test_repr_fallback(self, monkeypatch):
+        # within a block the vector path writes: repr's cells for these values alone
+        values = np.linspace(-2.0, 15.0, cli._BREAK_EVEN)
+        values[:len(REPR_ONLY)] = REPR_ONLY
+        sent, repr_cells = [], cli._repr_cells
+        monkeypatch.setattr(cli, "_repr_cells", lambda x: sent.extend(x.tolist()) or repr_cells(x))
+        assert _first_mismatches(values) == []
+        assert sent == pytest.approx(REPR_ONLY, nan_ok=True)
+
+
 class TestCsvText:
     """The CSV writer's numbers are repr's text, byte for byte."""
 
@@ -273,13 +337,18 @@ class TestCsvText:
         assert _first_mismatches(values) == []
 
     def test_a_long_tau_column_is_formatted_in_blocks(self, monkeypatch):
-        # only the kept tau text formats more than _TEXT_BLOCK numbers in one _cells call
+        # tau is formatted with the method's column, _TEXT_BLOCK numbers a call; the next
+        # file on the grid takes tau's kept cells and formats the method's column alone
         grid = TimeGrid(-2.0, 15.0, 40_001)
+        sc = dataclasses.replace(scenario(["time_trace"]), grid=grid, methods=["input"])
+        traces = {"input": TimeSeries(grid, np.cos(grid.times()))}
         sizes, cells = [], cli._cells
         monkeypatch.setattr(cli, "_cells", lambda x: sizes.append(x.size) or cells(x))
-        text = cli._csv(["tau"], [cli._tau_cells(grid)])
-        assert sizes == [40_001, cli._TEXT_BLOCK, cli._TEXT_BLOCK, 40_001 - 2 * cli._TEXT_BLOCK]
-        assert text == _repr_csv(grid.times()).replace(b"x", b"tau", 1)
+        texts = [OUTPUTS["time_trace"].text(sc, traces, {}) for _ in range(2)]
+        block = cli._TEXT_BLOCK
+        assert sizes == [block] * 4 + [2 * 40_001 - 4 * block] + [block] * 2 + [40_001 - 2 * block]
+        rows = "".join(f"{t!r},{a!r},0.0,{abs(a)!r}\n" for t, a in zip(grid.times().tolist(), np.cos(grid.times()).tolist()))
+        assert texts == [("tau,re_input,im_input,abs_input\n" + rows).encode()] * 2
 
     def test_presets_are_written_as_repr_writes_them(self, tmp_path, monkeypatch):
         assert main(["figure", "all", "--out", str(tmp_path)]) == 0

@@ -547,6 +547,24 @@ class TestPropagateNumeric:
         out = propagate_numeric(causal_unit, med, FILL_GRID)
         assert np.array_equal(out.amplitude, base.amplitude)
 
+    @pytest.mark.parametrize("thickness, slices, pooled", [(30.0, [1, 2], False), (50.0, [1, 3], False),
+                                                           (60.0, [1, 4], True)])
+    def test_fill_is_pooled_from_four_slices(self, causal_unit, monkeypatch, thickness, slices, pooled):
+        # fig6a's medium, thickened: a pool of the 2 usable CPUs for 4 slices, none for 2 or 3
+        med, grid = EitMedium(10.0, 1.0, 20.0, thickness), TimeGrid(-2.0, 15.0, 1701)
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(propagate, "ThreadPoolExecutor", Recording)
+        out = propagate_numeric(causal_unit, med, grid)
+        assert _fill_slices(causal_unit, med, grid, out.convergence["iterations"]) == slices
+        assert sizes == ([2] if pooled else [])
+
     @staticmethod
     def _failing_slice(monkeypatch):
         """Make the third integrand call, a slice of level 0's fill, raise."""
