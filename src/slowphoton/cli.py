@@ -175,19 +175,18 @@ def _open_window(medium) -> Optional[EitParams]:
 
 
 def _numeric(w, a, grid) -> TimeSeries:
-    """propagate_numeric's trace, kept for the last four (source, medium, grid).
+    """propagate_numeric's trace, kept for the last (source, medium, grid).
 
-    fe57 is fig6a's call, three scenarios later.  Grids whose bounds differ
-    only in the sign of a zero are equal and share one trace, whose samples
-    do not depend on that sign.  Each call gets its own grid, samples and
-    convergence record; a wrapper set on this module's propagate_numeric
-    sees each call that computes.
+    Grids whose bounds differ only in the sign of a zero are equal and share
+    one trace, whose samples do not depend on that sign.  Each call gets its
+    own grid, samples and convergence record; a wrapper set on this module's
+    propagate_numeric sees each call that computes.
     """
     kept = _kept_trace(w, a, grid)
     return TimeSeries(grid, kept.amplitude.copy(), dict(kept.convergence))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _kept_trace(w, a, grid) -> TimeSeries:
     return propagate_numeric(w, a, grid)
 
@@ -606,12 +605,15 @@ def _as_list(value) -> list[str]:
 
 
 def _as_float(flat, key) -> float:
+    if key not in flat:
+        raise ConfigError(f"missing required key {key!r}")
+    value = flat[key]
+    if isinstance(value, bool):  # a JSON true or false, which float() takes as 1 or 0
+        raise ConfigError(f"key {key!r}: not a number: {value!r}")
     try:
-        return float(flat[key])
-    except KeyError:
-        raise ConfigError(f"missing required key {key!r}") from None
+        return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r}: not a number: {flat[key]!r}") from None
+        raise ConfigError(f"key {key!r}: not a number: {value!r}") from None
 
 
 def _as_int(flat, key) -> int:
@@ -656,8 +658,11 @@ MEDIA = {"matched": MatchedLine, "broad": BroadLine, "eit": EitMedium}
 
 
 def load_config(path) -> Scenario:
-    """Parse a scenario from flat key=value text or a JSON object."""
-    text = Path(path).read_text()
+    """Parse a scenario from flat key=value text or a JSON object, read as UTF-8 (a leading byte-order mark dropped)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
         try:
@@ -854,7 +859,9 @@ def _fig6(name, delta_ph):
                    ["time_trace", "eit_params", "areas_and_energies"])]
 
 
-# each preset's panels (one per CSV), built on call, in `figure all`'s order
+# each preset's panels (one per CSV), built on call, in `figure all`'s order.  Kept results hold
+# the last call only, so panels that share a source, medium or grid sit next to each other: fig6a,
+# fe57 and fig7 on one EIT medium and grid, fig6b on that grid after them
 _PRESETS: dict[str, Callable[[], list[Scenario]]] = {
     "fig2": lambda: [_panel(f"fig2_{label}", kind, 1.0, MatchedLine(gamma=1.0, thickness=10.0),
                             TimeGrid(-4.0, 10.0, 1401), ["input", "analytic_parts", "numeric"])
@@ -869,11 +876,11 @@ _PRESETS: dict[str, Callable[[], list[Scenario]]] = {
     "fig5": lambda: [_panel("fig5", _CAUSAL, 0.1 * eit_params(_EIT).delta_eff, _EIT, TimeGrid(-0.5, 2.5, 1201),
                             ["phi_plus", "phi_plus_zero"])],
     "fig6a": lambda: _fig6("fig6a", 1.0),
-    "fig6b": lambda: _fig6("fig6b", 10.0),
-    "fig7": lambda: [_panel(f"fig7_{label}", kind, 1.0, _EIT, _EIT_GRID, ["input", "numeric", "total_eit"])
-                     for label, kind in _PARTS],
     "fe57": lambda: [_panel("fe57", _CAUSAL, 1.0, fe57_siderite(), _EIT_GRID, ["input", "numeric", "total_eit"],
                             ["time_trace", "eit_params"])],
+    "fig7": lambda: [_panel(f"fig7_{label}", kind, 1.0, _EIT, _EIT_GRID, ["input", "numeric", "total_eit"])
+                     for label, kind in _PARTS],
+    "fig6b": lambda: _fig6("fig6b", 10.0),
 }
 PRESET_NAMES = tuple(_PRESETS)
 

@@ -12,8 +12,8 @@ remainder, decaying like (alpha0*l/nu)**4, is cut where its tail is below
 _TAIL_TOL and folded onto the grid's period for one FFT of p ~ period/spacing
 points.  The period is the least one whose periodic images of the remainder,
 bounded exactly before tau = 0 and along a shifted contour after it
-(`_image_model`, kept for the last four sources and media, so that `validate`
-and the run after it share it), sum to at most _ALIAS_TOL on the grid.
+(`_image_model`), sum to at most _ALIAS_TOL on the grid; `_window` keeps the
+last window, so that `validate` and the run after it share it.
 Sources and impulse responses are real, so h(-nu) = conj h(nu): the folded
 spectrum is Hermitian, its half goes through one real-output FFT, and the
 envelope is real by construction.  The split keeps the oracle independent
@@ -26,11 +26,10 @@ spike, and the Gaussian-envelope approximation for a broad line.  The
 symmetric and antisymmetric parts behind a Lorentzian line of halfwidth
 Gamma >= delta_ph come from one solution, `_line_parts`: the matched line
 Gamma = delta_ph is its limit, and the EIT medium's nonadiabatic part
-reuses it.  It is kept for the last two lines and tau arrays, so the
-presets that share a line and grid (fig2's pair; fig6a, fig7's pair and
-fe57) evaluate it once.  Its inner beat integrals and the broad-line
-thickness scan share one Gauss-Legendre rule placed in depth below the
-upper limit (`_depth_rule`), whose size does not grow with the effective
+reuses it.  It is kept for the last line and tau array, so consecutive
+calls that share them evaluate it once.  Its inner beat integrals and the
+broad-line thickness scan share one Gauss-Legendre rule placed in depth below
+the upper limit (`_depth_rule`), whose size does not grow with the effective
 thickness; `_legendre` builds every rule on first use and keeps the last four.
 The beat integrals run only on tau <= 40/Gamma, past which their term is
 below exp(-40), so the rule does not grow with the grid's last tau either.
@@ -259,14 +258,8 @@ def _transfer(m, b, c):
     return np.array(num), np.array(den)
 
 
-@functools.lru_cache(maxsize=4)
 def _image_model(w: PhotonWaveform, a: AbsorberSpec):
     """(d, c0, terms): |r(tau)| <= c0*exp(d*tau) for tau <= 0 and K*exp(-sigma*tau) for tau > 0, (sigma, K) in terms.
-
-    Kept for the last four (w, a), terms a tuple: `validate`'s lattice check
-    and the `propagate_numeric` call that follows it share one model, and
-    fe57's check, three scenarios after fig6a on the same source and medium,
-    reuses fig6a's.
 
     r is the remainder of an exponential source, the inverse transform of
     h = b(0, s)*E(s), s = -i*nu, E = exp(-u) minus its orders k <=
@@ -349,16 +342,18 @@ def _least_period(images, grid: TimeGrid):
     return hi
 
 
-def _window_defaults(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
-    """(nu_max, period) of level 0; an exponential source's period from `_image_model`'s images."""
+@functools.lru_cache(maxsize=1)
+def _window(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
+    """(nu_max, period, images) of level 0, kept for the last call: an exponential source's period from
+    `_image_model`'s images; the Gaussian's images are None."""
     d = w.delta_ph
     if w.kind is WaveformKind.GAUSSIAN:  # keeps the bare period rule: no bound is stated for it
         rate_min = min(d, a.linewidth, a.gamma_m if isinstance(a, EitMedium) else math.inf)
-        return max(15.0 * d, 3.0 * a.linewidth), 1.5 * (grid.t_end - grid.t_start) + 50.0 / rate_min
+        return max(15.0 * d, 3.0 * a.linewidth), 1.5 * (grid.t_end - grid.t_start) + 50.0 / rate_min, None
     # _tail_bound, c*(alpha0*l/nu)**k, is _TAIL_TOL at nu = alpha0*l*(c/_TAIL_TOL)**(1/k)
     tail = (_tail_bound(w, 1.0, 1.0) / _TAIL_TOL) ** (1.0 / (_SUBTRACT_ORDERS + 1)) * a.alpha0_l
     nu_max = max(50.0 * a.linewidth, 50.0 * d, tail, 2.0 * a.omega if isinstance(a, EitMedium) else 0.0)
-    return nu_max, _least_period(_image_model(w, a), grid)
+    return nu_max, _least_period(images := _image_model(w, a), grid), images
 
 
 def _fast_len(n: int) -> int:
@@ -366,10 +361,9 @@ def _fast_len(n: int) -> int:
     return _SMOOTH_LENGTHS[bisect.bisect_left(_SMOOTH_LENGTHS, n)]
 
 
-def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid, level: int, window=None):
+def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid, level: int):
     """(strategy, mdiv, p, m, nu_half) of `propagate_numeric`'s lattice at `level`, if any.
 
-    window is level 0's (nu_max, period), `_window_defaults` if None.
     Level k doubles the window and the period k times.  The period is p grid
     steps, p >= period/spacing and n_points, so dnu = 2pi/(p*spacing).  The
     lattice is nu_k = (k - m/2)*dnu, k < m, and +-nu_half = +-m*dnu/2 covers
@@ -380,7 +374,7 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
     """
     if a is None or a.thickness == 0.0:
         return None
-    nu_max, period = window or _window_defaults(w, a, grid)
+    nu_max, period, _ = _window(w, a, grid)
     spacing, scale = grid.spacing, 1 << level
     # bounds the sizes below (~ period x max(nu_max, 1/spacing)) and t_start/spacing
     size = 2.0 * 4**level * max(nu_max, 1.0 / spacing, 1.0) * max(period, 1.0)
@@ -400,7 +394,7 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
     return "zoom", 1, p, m, m * math.pi / (p * spacing)
 
 
-def _remainder(w, a, grid, level, window=None):
+def _remainder(w, a, grid, level):
     """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid, a real array.
 
     nu_k = (k - m/2)*dnu on `spectral_lattice`'s lattice is filled in
@@ -422,7 +416,7 @@ def _remainder(w, a, grid, level, window=None):
     its alias +nu_half: that FFT drops Im S_0, and the zoom keeps the real
     part of its sum, either way giving the two ends half weight.
     """
-    strategy, mdiv, p, m, nu_half = spectral_lattice(w, a, grid, level, window)
+    strategy, mdiv, p, m, nu_half = spectral_lattice(w, a, grid, level)
     n, dnu = grid.n_points, 2.0 * math.pi / (p * grid.spacing)
     s0, f = divmod(grid.t_start / grid.spacing, 1.0)
     if strategy == "fft":
@@ -472,14 +466,13 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     self-convergence check: the frequency window and period are doubled
     until successive evaluations agree to _DRIFT_TOL in max-abs, else
     ConvergenceError is raised after _MAX_DOUBLINGS doublings.  Level 0's
-    period is `_least_period`'s, from `_image_model`'s images, made once per
-    (w, a) and shared with `validate`'s lattice check before it, and their
-    bound at the accepted level's period is recorded as `alias_bound` (None
-    for the Gaussian source).  The orders subtracted in closed form come
-    from one matrix exponential, exact at coincident poles (critical EIT
-    coupling, Gamma = delta_ph) and near them; adding them to the free term
-    and the remainder, which cancel them, can lose machine epsilon times
-    their summed moduli, recorded as `roundoff`.
+    window is `_window`'s, shared with `validate`'s lattice check before it,
+    and its images' bound at the accepted level's period is recorded as
+    `alias_bound` (None for the Gaussian source).  The orders subtracted in
+    closed form come from one matrix exponential, exact at coincident poles
+    (critical EIT coupling, Gamma = delta_ph) and near them; adding them to
+    the free term and the remainder, which cancel them, can lose machine
+    epsilon times their summed moduli, recorded as `roundoff`.
     ConvergenceError is also raised if that exceeds _DRIFT_TOL.  A missing
     medium or zero thickness reproduces the sampled input exactly.
     """
@@ -487,10 +480,9 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     free = time_amplitude(w, tau)
     if a is None or a.thickness == 0.0:
         return TimeSeries(grid, free, {"drift": 0.0, "iterations": 0})
-    window = _window_defaults(w, a, grid)
     prev, drift = None, math.inf
     for level in range(_MAX_DOUBLINGS + 1):
-        cur, info = _remainder(w, a, grid, level, window)
+        cur, info = _remainder(w, a, grid, level)
         if prev is not None:
             drift = float(np.max(np.abs(cur - prev)))
             if drift <= _DRIFT_TOL:
@@ -509,8 +501,8 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
         )
     info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL, "roundoff": roundoff})
     info["tail_bound"] = _tail_bound(w, a.alpha0_l, info["nu_max"])
-    period = spectral_lattice(w, a, grid, level, window)[2] * grid.spacing
-    info["alias_bound"] = _alias_bound(_image_model(w, a), grid, period) if w.kind in PART_WEIGHTS else None
+    period, images = spectral_lattice(w, a, grid, level)[2] * grid.spacing, _window(w, a, grid)[2]
+    info["alias_bound"] = None if images is None else _alias_bound(images, grid, period)
     return TimeSeries(grid, free + closed + cur, info)
 
 
@@ -550,11 +542,9 @@ def _legendre(n):
 
     The beat integrals and `observables.u_broad` take every rule from here, so
     none is built (nor scipy.linalg loaded) at import.  The last four n are kept,
-    two lines' worth (a broad line's beat integrals take two rules).  Across one
-    `figure all` no rule is reused: fig7 and fe57 reuse fig6a's kept line parts,
-    not its rules, so a warm pass builds the seven rules a one-shot run builds,
-    n = 21 (fig2), 31 and 32 (fig3a), 24 (fig3b's scan), 58 and 61 (fig6a) and
-    53 (fig6b).
+    two lines' worth (a broad line's beat integrals take two rules): per pass of
+    the seed-1 benchmark, the sweep reuses 4 rules and builds 26 (1 and 29 if
+    one were kept), and the scan builds none and reuses its one rule 64 times.
     """
     rule = _sp.roots_legendre(n)
     for part in rule:
@@ -644,9 +634,9 @@ def _line_parts(d, g, alpha0_l, tau):
     precursor exp(d*tau - T_+)/2 with opposite signs; at tau = 0 the
     antisymmetric jump takes its midpoint value (1 - exp(-T_+))/2.
 
-    Kept for the last two inputs (`_kept_line_parts`), as only fig6b comes
-    between fig6a and fig7, keyed on tau's bits and the sign of alpha0*l,
-    the one input that may be a signed zero.  Each call gets its own arrays.
+    Kept for the last call (`_kept_line_parts`), keyed on tau's bits and the
+    sign of alpha0*l, the one input that may be a signed zero.  Each call
+    gets its own arrays.
     """
     tv = np.atleast_1d(np.asarray(tau, dtype=float))
     b_s, b_a = _kept_line_parts(d, g, alpha0_l, math.copysign(1.0, alpha0_l), tv.shape, tv.tobytes())
@@ -655,7 +645,7 @@ def _line_parts(d, g, alpha0_l, tau):
     return b_s.copy(), b_a.copy()
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _kept_line_parts(d, g, alpha0_l, sign, shape, bits):
     t_plus = alpha0_l / (g + d)
     tv = np.frombuffer(bits).reshape(shape)

@@ -1,5 +1,6 @@
 """Config parsing, validation, scenario runs and figure presets."""
 
+import collections
 import json
 import math
 import os
@@ -401,13 +402,40 @@ class TestMainEntry:
             ('{"source": {"kind": "gaussian", "delta_ph": 1}, "grid": {"t_start": 0, "t_end": 1, "n_points": 5},'
              ' "methods": 3}', 1, "expected a list or comma-separated string, got 3"),
             (SCAN_TEXT.replace("scan.kind = broad", "scan.kind = Steep"), 2, "unknown scan.kind 'steep'"),
+            # a JSON boolean is not a number, as flat text's `true` is not
+            ('{"source": {"kind": "gaussian", "delta_ph": true}}', 1, "key 'source.delta_ph': not a number: True"),
+            ('{"source": {"kind": "gaussian", "delta_ph": 1}, "grid": {"t_start": 0, "t_end": 1, "n_points": 5},'
+             ' "medium": {"kind": "matched", "gamma": 1, "thickness": false}}', 1,
+             "key 'medium.thickness': not a number: False"),
         ],
-        ids=["empty_key", "not_a_number", "not_an_integer", "dataclass_check", "invalid_json", "not_a_list", "scan_kind"],
+        ids=["empty_key", "not_a_number", "not_an_integer", "dataclass_check", "invalid_json", "not_a_list", "scan_kind",
+             "json_true", "json_false"],
     )
     def test_validate_refusals_name_their_cause(self, tmp_path, capsys, text, code, message):
         assert main(["validate", str(_write(tmp_path, text))]) == code
         out, err = capsys.readouterr()
         assert f"error: {message}" in (err if code == 1 else out)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_config_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + "name = x\n".encode("utf-16-le"))
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("form", ["flat", "json"])
+    def test_byte_order_mark_is_not_part_of_the_config(self, tmp_path, monkeypatch, capsys, form):
+        # a leading UTF-8 mark neither hides the JSON nor renames the first key
+        text = FIG6A_TEXT
+        if form == "json":
+            text = json.dumps(dict(line.split(" = ") for line in FIG6A_TEXT.splitlines()[1:]))
+        path = tmp_path / "marked.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        monkeypatch.setattr(cli, "run_scenario", lambda sc, out_dir: {"files": [sc.name]})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out) == ["fig6a_custom"]
 
     def test_validation_exit_code_names_condition(self, tmp_path, capsys):
         text = FIG6A_TEXT.replace("medium.omega = 20.0", "medium.omega = 2.0")
@@ -819,11 +847,23 @@ class TestFigurePresets:
 class TestKeptResults:
     """Pure results kept between calls: each is computed once where a run reuses it, and changes no byte."""
 
-    KEPT = (propagate._image_model, propagate._legendre, cli._tau_text, propagate._kept_line_parts, cli._kept_trace,
+    KEPT = (propagate._window, propagate._legendre, cli._tau_text, propagate._kept_line_parts, cli._kept_trace,
             cli._text_tables)
 
     def _computed(self):
         return tuple(f.cache_info().misses for f in self.KEPT)
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Calls to the window's image model and period search, which `_window` looks up when called."""
+        calls = collections.Counter()
+        for name in ("_image_model", "_least_period"):
+            def counted(*args, _f=getattr(propagate, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(propagate, name, counted)
+        return calls
 
     def test_every_kept_result_is_cleared_before_each_test(self):
         from conftest import KEPT
@@ -831,28 +871,34 @@ class TestKeptResults:
         assert {f.__name__ for f in KEPT} == {f.__name__ for f in self.KEPT}
         assert self._computed() == (0,) * len(self.KEPT)
 
-    def test_validate_and_run_share_one_image_model(self, tmp_path):
+    def test_validate_and_run_share_one_window(self, tmp_path, monkeypatch):
+        # one window, one image model and one period search for the lattice check and
+        # every level of the oracle call after it
+        calls = self._counted(monkeypatch)
         (sc,) = figure_preset("fig6a")
         assert validate(sc)[0] == []
         run_scenario(sc, tmp_path)
-        assert propagate._image_model.cache_info().misses == 1
+        assert propagate._window.cache_info().misses == 1
+        assert calls == {"_image_model": 1, "_least_period": 1}
 
-    def test_each_pass_over_the_presets_computes_the_same(self, tmp_path):
-        # 8 image models for 9 oracle calls, 7 rules for 7 beat integrals and fig3b's
-        # broad scan, 10 traces on 4 grids, 4 line parts for 8 closed-form traces (fig2's
-        # pair on one line; fig6a, fig7's pair and fe57 on one EIT medium), and 8 oracle
-        # calls: fe57 is fig6a's.  Without the memos a pass computes 18 models, 14
-        # rules, 10 tau columns, 8 line parts and 9 traces.  The CSV text tables are
-        # built on the first pass only.
+    def test_each_pass_over_the_presets_computes_the_same(self, tmp_path, monkeypatch):
+        # Each kept result holds its last call only, so this guards that the presets'
+        # order keeps every share: 8 windows (8 image models and 8 period searches) for
+        # 9 oracle calls, 7 rules for 7 beat integrals and fig3b's broad scan, 10 traces
+        # on 4 grids, 4 line parts for 8 closed-form traces (fig2's pair on one line;
+        # fig6a, fe57 and fig7's pair on one EIT medium), and 8 oracle calls: fe57 is
+        # fig6a's.  The CSV text tables are built on the first pass only.
+        calls = self._counted(monkeypatch)
         counts = []
         for run in range(2):
-            before = self._computed()
+            before = self._computed() + (calls["_image_model"], calls["_least_period"])
             for name in PRESET_NAMES:
                 for sc in figure_preset(name):
                     assert validate(sc)[0] == []
                     run_scenario(sc, tmp_path / str(run))
-            counts.append(tuple(after - b for after, b in zip(self._computed(), before)))
-        assert counts == [(8, 7, 4, 4, 8, 1), (8, 7, 4, 4, 8, 0)]
+            after = self._computed() + (calls["_image_model"], calls["_least_period"])
+            counts.append(tuple(a - b for a, b in zip(after, before)))
+        assert counts == [(8, 7, 4, 4, 8, 1, 8, 8), (8, 7, 4, 4, 8, 0, 8, 8)]
 
     def test_kept_parts_and_traces_equal_fresh_ones(self):
         (sc,) = figure_preset("fig6a")
@@ -880,10 +926,10 @@ class TestKeptResults:
             propagate._line_parts(w.delta_ph, a.gamma, a.alpha0_l, grid.times())
             traces.append(cli._numeric(w, a, grid))
             assert traces[-1].grid is grid
-        # the line parts are kept by tau's bits, whose last sample differs in sign; the two
-        # grids are equal, and the oracle's samples do not depend on that sign: one kept trace
-        assert self._computed()[3:5] == (2, 1)
-        assert propagate._kept_line_parts.cache_info().currsize == 2
+        # the line parts are kept by tau's bits, whose last sample differs in sign, so each
+        # grid evicts the other's; the two grids are equal, and the oracle's samples do not
+        # depend on that sign: one kept trace
+        assert self._computed()[3:5] == (4, 1)
         for f in self.KEPT:
             f.cache_clear()
         for grid, trace in zip(grids, traces):

@@ -26,7 +26,7 @@ from slowphoton.propagate import (
     _fast_len,
     _remainder_integrand,
     _subtraction,
-    _window_defaults,
+    _window,
     adiabatic_eit,
     analytic_matched,
     analytic_parts_broad,
@@ -486,7 +486,7 @@ class TestPropagateNumeric:
         out = propagate_numeric(w, medium, grid)
         conv = out.convergence
         assert conv["strategy"] == "fft"
-        nu_max, period = _window_defaults(w, medium, grid)
+        nu_max, period, _ = _window(w, medium, grid)
         scale = 2 ** conv["iterations"]
         rem = _rotation_sum(w, medium, grid, nu_max * scale, period * scale)
         closed, _ = _subtraction(w, medium, grid)
@@ -719,8 +719,8 @@ class TestPropagateNumeric:
         # the two ends at half weight, each phase reduced mod 2p in integers
         w = PhotonWaveform(kind, 1.0)
         if short_period:
-            nu_max, _ = _window_defaults(w, medium, grid)
-            monkeypatch.setattr(propagate, "_window_defaults", lambda *_: (nu_max, 1.0))
+            nu_max = _window(w, medium, grid)[0]
+            monkeypatch.setattr(propagate, "_window", lambda *_: (nu_max, 1.0, None))
         strategy, mdiv, p, m, _ = spectral_lattice(w, medium, grid, level)
         assert strategy == "fft"
         assert p == grid.n_points if short_period else p > grid.n_points
@@ -758,10 +758,8 @@ class TestPropagateNumeric:
         w = PhotonWaveform(C, 1.0)
         medium, grid = EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(-2.0, 15.0, 1701)
         base, _ = propagate._remainder(w, medium, grid, 1)
-        window = propagate._window_defaults
-        monkeypatch.setattr(
-            propagate, "_window_defaults", lambda *args: (window(*args)[0], 2.0 * window(*args)[1])
-        )
+        nu_max, period, images = _window(w, medium, grid)
+        monkeypatch.setattr(propagate, "_window", lambda *_: (nu_max, 2.0 * period, images))
         doubled, info = propagate._remainder(w, medium, grid, 1)
         assert info["strategy"] == "fft"
         assert np.abs(doubled - base).max() <= 1e-12
@@ -854,7 +852,9 @@ class TestPropagateNumeric:
         grid = TimeGrid(-2.0, 15.0, 1701)
         out = propagate_numeric(causal_unit, med, grid)
         monkeypatch.setattr(propagate, "_TAIL_TOL", 1e-9)
+        propagate._window.cache_clear()  # the kept window was sized by the old tolerance
         wide = propagate_numeric(causal_unit, med, grid)
+        assert wide.convergence["nu_max"] > out.convergence["nu_max"]
         bound = sum(r.convergence["tail_bound"] + r.convergence["roundoff"] for r in (out, wide))
         assert np.abs(out.amplitude - wide.amplitude).max() <= bound
 
@@ -1202,22 +1202,23 @@ class TestAliasBound:
         p = round(period / grid.spacing)
         wide = TimeGrid(grid.t_start - period, grid.t_end + period, grid.n_points + 2 * p)
         monkeypatch.setattr(propagate, "_TAIL_TOL", 1e-10)
-        nu_max, _ = _window_defaults(w, medium, wide)
-        ref, info = propagate._remainder(w, medium, wide, 0, (nu_max, 4.0 * period))
+        nu_max = _window(w, medium, wide)[0]
+        monkeypatch.setattr(propagate, "_window", lambda *_: (nu_max, 4.0 * period, None))
+        ref, info = propagate._remainder(w, medium, wide, 0)
         images = np.abs(ref[: grid.n_points]) + np.abs(ref[2 * p :])
         # the reference's tail, twice, and its FFT's round-off, ~1e-13
         allowance = 2.0 * propagate._tail_bound(w, medium.alpha0_l, info["nu_max"]) + 1e-12
         assert images.max() <= bound + allowance
 
-    def test_images_made_once_per_call(self, causal_unit):
-        # not once a level, and kept for the last (w, a): a second call on the
-        # same medium computes no model, a call on another medium its own
-        model = propagate._image_model
-        model.cache_clear()
+    def test_window_made_once_per_call(self, causal_unit, monkeypatch):
+        # not once a level, and kept for the last (w, a, grid): a second call on the same
+        # medium computes no window nor image model, a call on another medium its own
+        models, model = [], propagate._image_model
+        monkeypatch.setattr(propagate, "_image_model", lambda *args: models.append(args) or model(*args))
         grid = TimeGrid(-4.0, 10.0, 1401)
         for med, computed in [(MatchedLine(1.0, 10.0), 1), (MatchedLine(1.0, 10.0), 1), (MatchedLine(1.0, 20.0), 2)]:
             assert propagate_numeric(causal_unit, med, grid).convergence["iterations"] >= 1
-            assert model.cache_info().misses == computed
+            assert (_window.cache_info().misses, len(models)) == (computed, computed)
 
     def test_images_on_the_wrong_side_of_zero_have_no_bound(self, causal_unit):
         # the bound needs every image n > 0 past tau = 0 and every n < 0 at or before it
@@ -1227,15 +1228,18 @@ class TestAliasBound:
         assert propagate._alias_bound(images, grid, 3.0) == math.inf  # t_start + period < 0
         assert propagate._alias_bound(images, grid, 100.0) < propagate._ALIAS_TOL
 
-    def test_kept_model_is_immutable(self, causal_unit, eit_example):
-        d, c0, terms = propagate._image_model(causal_unit, eit_example)
-        assert isinstance(terms, tuple) and all(isinstance(term, tuple) for term in terms)
-        assert propagate._image_model(causal_unit, eit_example)[2] is terms
+    def test_kept_window_is_immutable(self, causal_unit, eit_example):
+        grid = TimeGrid(-2.0, 15.0, 1701)
+        nu_max, period, images = _window(causal_unit, eit_example, grid)
+        d, c0, terms = images
+        assert isinstance(images, tuple) and isinstance(terms, tuple)
+        assert all(isinstance(term, tuple) for term in terms)
+        assert _window(causal_unit, eit_example, grid)[2] is images
 
     def test_gaussian_keeps_the_period_rule(self):
         # no bound is stated for the Gaussian source: its period is 1.5*span + 50/rate
         w, med, grid = PhotonWaveform(G, 1.0), BroadLine(10.0, 1.0), TimeGrid(-4.0, 10.0, 1401)
-        assert _window_defaults(w, med, grid)[1] == 1.5 * 14.0 + 50.0
+        assert _window(w, med, grid)[1:] == (1.5 * 14.0 + 50.0, None)
         assert propagate_numeric(w, med, grid).convergence["alias_bound"] is None
 
     @pytest.mark.parametrize("kind, medium, nu, re, im", INTEGRAND_REFERENCE)
