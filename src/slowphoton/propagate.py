@@ -13,11 +13,15 @@ _TAIL_TOL and folded onto the grid's period for one FFT of p ~ period/spacing
 points.  The period is the least one whose periodic images of the remainder,
 bounded exactly before tau = 0 and along a shifted contour after it
 (`_image_model`), sum to at most _ALIAS_TOL on the grid; `_window` keeps the
-last window, so that `validate` and the run after it share it.
+last window, so that `validate` and the run after it share it, and
+`_contour` the last contour, which depends on delta_ph and the medium only,
+so that the parts of one photon share it.
 Sources and impulse responses are real, so h(-nu) = conj h(nu): the folded
 spectrum is Hermitian, its half goes through one real-output FFT, and the
-envelope is real by construction.  The split keeps the oracle independent
-of the Bessel-function closed forms it checks.
+envelope is real by construction.  Where level 1 doubles level 0's mdiv and
+p, its lattice holds every level-0 sample, or its conjugate mirror, so level
+0 is read off it (`_fill`) and each sample is evaluated once.  The split
+keeps the oracle independent of the Bessel-function closed forms it checks.
 
 All closed-form solutions from the transmission analysis live here as
 well: the matched-line dynamical-beat envelope, the thick-broad-line
@@ -112,7 +116,8 @@ _IMAGE_NODES = 64
 # slices, on a thread pool that lives for that call when there are _POOL_SLICES
 # or more slices and two or more usable CPUs (else on the calling thread), and
 # folds its at most _MAX_FFT_SAMPLES samples, on columns 0..p/2 only, into the
-# Hermitian half spectrum of one real-output FFT of about period/spacing points.
+# Hermitian half spectrum of one real-output FFT of about period/spacing points;
+# a level-1 slice also completes the level-0 columns it holds, where it nests them.
 # A grid finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n
 # points instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
 _MAX_FFT_SAMPLES = 2**22
@@ -270,24 +275,45 @@ def _image_model(w: PhotonWaveform, a: AbsorberSpec):
     and falls off like |s|**-5, so the contour moves to Re s = -sigma:
     |r(tau)| <= exp(-sigma*tau)*(1/2pi)*integral |h(-sigma + iy)| dy, for
     sigma = _IMAGE_SIGMAS*rate.  The integral is a midpoint rule in theta over
-    Cauchy maps y = y_i + w_i*tan(theta), centred on each singularity's Im s,
-    widths w_i from its distance to the contour up to max(alpha0*l, |eig M|, d)
-    in steps of 8, each node weighted by (pi/n)/sum_i rho_i(y), rho_i =
-    w_i/(w_i**2 + (y - y_i)**2) the maps' densities.  It came within 3% of
+    `_contour`'s nodes, each weighted by (pi/n)/density; it came within 3% of
     2048-node runs on lines and EIT media, and K is twice it.  Past 60 steps,
     or at a value that is not finite, K is inf: such a lattice is far past the
-    cap.
+    cap.  The contour depends on d and the medium only, so the sources that
+    share them (the parts of one photon) share one, and each call applies its
+    own pole weights c_p/(s + d) + c_m/(d - s) to it.
     """
     d = w.delta_ph
     c_p, c_m = _exponential_weights(w.kind)
+    e_d, paths = _contour(d, a)
+    terms = []
+    with np.errstate(all="ignore"):
+        c0 = abs(c_m * e_d)
+        for sigma, s, e, density, reached in paths:
+            h = (c_p / (s + d) + c_m / (d - s)) * e
+            k = float((np.abs(h) / density).sum() / _IMAGE_NODES)  # 2 * (1/2pi) * sum |h|*(pi/n)/density
+            terms.append((sigma, k if k < math.inf and reached else math.inf))
+    return d, float(c0) if c_m else 0.0, tuple(terms)
+
+
+@functools.lru_cache(maxsize=1)
+def _contour(d, a: AbsorberSpec):
+    """(E(d), paths) of `_image_model` for rate d through medium a, kept for the last call, arrays read-only.
+
+    Each path is (sigma, s, E(s), density, reached) on Re s = -sigma: the
+    nodes s = -sigma + iy of a midpoint rule in theta over Cauchy maps
+    y = y_i + w_i*tan(theta), centred on each singularity's Im s, widths w_i
+    from its distance to the contour up to max(alpha0*l, |eig M|, d) in steps
+    of 8 (reached is False if 60 steps fall short), and density(y) =
+    sum_i w_i/(w_i**2 + (y - y_i)**2) the maps' summed densities.
+    """
     m, b, c = medium_system(a)
     eig, (num, den) = np.linalg.eigvals(m), _transfer(m, b, c)
     rate, top = min(d, float(-eig.real.max())), max(a.alpha0_l, d, float(np.abs(eig).max()))
     tan = np.tan((np.arange(_IMAGE_NODES) + 0.5) * (math.pi / _IMAGE_NODES) - 0.5 * math.pi)
     rungs = 8.0 ** np.arange(60)
-    terms = []
+    paths = []
     with np.errstate(all="ignore"):
-        c0 = abs(c_m * _exp_remainder(-np.polyval(num, [d]) / np.polyval(den, [d]), _SUBTRACT_ORDERS)[0])
+        e_d = _exp_remainder(-np.polyval(num, [d]) / np.polyval(den, [d]), _SUBTRACT_ORDERS)[0]
         for sigma in rate * np.array(_IMAGE_SIGMAS):
             maps, reached = [], True
             for centre, near in [(0.0, d - sigma), (0.0, d + sigma)] + [(z.imag, -z.real - sigma) for z in eig]:
@@ -299,10 +325,10 @@ def _image_model(w: PhotonWaveform, a: AbsorberSpec):
             density = (width / (width**2 + (y[:, None] - centre) ** 2)).sum(axis=1)
             s = 1j * y - sigma
             e = _exp_remainder(-np.polyval(num, s) / np.polyval(den, s), _SUBTRACT_ORDERS)
-            h = (c_p / (s + d) + c_m / (d - s)) * e
-            k = float((np.abs(h) / density).sum() / _IMAGE_NODES)  # 2 * (1/2pi) * sum |h|*(pi/n)/density
-            terms.append((float(sigma), k if k < math.inf and reached else math.inf))
-    return d, float(c0) if c_m else 0.0, tuple(terms)
+            for part in (s, e, density):
+                part.flags.writeable = False
+            paths.append((float(sigma), s, e, density, reached))
+    return e_d, tuple(paths)
 
 
 def _image_sum(coef, rate, first, period):
@@ -369,7 +395,10 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
     lattice is nu_k = (k - m/2)*dnu, k < m, and +-nu_half = +-m*dnu/2 covers
     +-nu_max: the aligned FFT, for which p is 2*3*5-smooth, samples m = mdiv*p
     frequencies, nu_half = mdiv*pi/spacing; past _MAX_FFT_SAMPLES the zoom
-    samples m = ceil(2*nu_max/dnu).
+    samples m = ceil(2*nu_max/dnu).  mdiv doubles with each level, and p
+    does too unless rounding to a smooth length or n_points breaks that; a
+    level-1 aligned FFT of twice level 0's mdiv and p holds level 0's lattice
+    (`_fill`).
     ConvergenceError is raised before an overflow and for a zoom past the cap.
     """
     if a is None or a.thickness == 0.0:
@@ -415,19 +444,59 @@ def _remainder(w, a, grid, level):
     r = 0..p/2 only, for one real-output FFT.  nu_0 = -nu_half pairs with
     its alias +nu_half: that FFT drops Im S_0, and the zoom keeps the real
     part of its sum, either way giving the two ends half weight.
+
+    This is the level's own fill.  `propagate_numeric` reads level 0 off
+    level 1's lattice instead where that nests it (`_levels`), with the same
+    bits.
     """
-    strategy, mdiv, p, m, nu_half = spectral_lattice(w, a, grid, level)
+    return _fill(w, a, grid, spectral_lattice(w, a, grid, level))[-1]
+
+
+def _levels(w, a, grid):
+    """`_remainder` of levels 0, 1, ..., _MAX_DOUBLINGS in turn, level 0 read off level 1's lattice where it nests."""
+    coarse, fine = spectral_lattice(w, a, grid, 0), spectral_lattice(w, a, grid, 1)
+    nests = coarse[0] == fine[0] == "fft" and fine[1:3] == (2 * coarse[1], 2 * coarse[2])
+    if nests:
+        yield from _fill(w, a, grid, fine, coarse)
+    for level in range(2 if nests else 0, _MAX_DOUBLINGS + 1):
+        yield _remainder(w, a, grid, level)
+
+
+def _fill(w, a, grid, lattice, coarse=None):
+    """[(values, info)] of `spectral_lattice`'s `lattice`, after those of the `coarse` lattice it nests, if given.
+
+    An aligned FFT lattice (mdiv, p) nests the one of (mdiv/2, p/2), of twice
+    its spacing, whose sample k0 = q*p0 + r is its sample 2*k0 + m0: for
+    even mdiv0, row mdiv0/2 + q of column 2r; for odd mdiv0 that lies past
+    column p0, and its mirror 3*m0 - 2*k0, row (3*mdiv0 - 1)/2 - q of column
+    p0 - 2r, is conjugated (`_coarse_block`).  Each slice of the fine lattice
+    completes the coarse half spectrum's columns it holds, from C-ordered
+    copies, with no lattice-sized buffer; both lattices sum their rows one
+    after another (`_column_sums`), so the coarse values are its own fill's
+    bit for bit.
+    """
+    strategy, mdiv, p, m, nu_half = lattice
     n, dnu = grid.n_points, 2.0 * math.pi / (p * grid.spacing)
     s0, f = divmod(grid.t_start / grid.spacing, 1.0)
     if strategy == "fft":
         spect = np.empty(p // 2 + 1, dtype=complex)
         rows = np.exp(-2j * math.pi * f * np.arange(mdiv))[:, None]
         index, blocks = np.arange(p // 2 + 1), _row_blocks(p // 2 + 1, mdiv)
+        if coarse is not None:
+            mdiv0, p0 = coarse[1:3]
+            spect0 = np.empty(p0 // 2 + 1, dtype=complex)
+            rows0 = np.exp(-2j * math.pi * f * np.arange(mdiv0))[:, None]
 
         def fill(cols):
             r = index[cols]
             h = _remainder_integrand(w, a, dnu * (np.arange(0, m, p)[:, None] + r - m / 2))
-            spect[r] = (rows * h).sum(axis=0) * np.exp(1j * math.pi * f * (mdiv - 2 * r / p))
+            spect[r] = _column_sums(rows * h) * np.exp(1j * math.pi * f * (mdiv - 2 * r / p))
+            if coarse is None:
+                return
+            lo, hi, block = _coarse_block(h, int(r[0]), int(r[-1]) + 1, mdiv0, p0)
+            if lo < hi:
+                r0 = np.arange(lo, hi)
+                spect0[lo:hi] = _column_sums(rows0 * block) * np.exp(1j * math.pi * f * (mdiv0 - 2 * r0 / p0))
     else:
         spect, kernel = np.zeros((2, _fast_len(m + n - 1)), dtype=complex)
         index, blocks = np.arange(m), _row_blocks(m, 1)
@@ -449,13 +518,39 @@ def _remainder(w, a, grid, level):
         with ThreadPoolExecutor(cpus, thread_name_prefix="slowphoton-fill") as pool:
             list(pool.map(fill, blocks))  # reading each result re-raises its error
     if strategy == "fft":
-        bins = np.arange(n) + int(s0 % (2 * p))  # = j + s0 mod p and mod 2
-        # exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f)), its f part already in spect
-        r = (1 - 2 * (mdiv * bins % 2)) * np.fft.hfft(spect, p)[bins % p]
-    else:  # j*k = (j**2 + k**2 - (j - k)**2)/2: a convolution with the chirp
-        np.fft.fft(spect, out=spect)
-        spect *= np.fft.fft(kernel, out=kernel)
-        r = (np.exp(1j * nu_half * grid.times()) * np.fft.ifft(spect, out=spect)[:n] * head).real
+        return ([_fold(spect0, coarse, grid)] if coarse else []) + [_fold(spect, lattice, grid)]
+    # j*k = (j**2 + k**2 - (j - k)**2)/2: a convolution with the chirp
+    np.fft.fft(spect, out=spect)
+    spect *= np.fft.fft(kernel, out=kernel)
+    r = (np.exp(1j * nu_half * grid.times()) * np.fft.ifft(spect, out=spect)[:n] * head).real
+    return [((dnu / (2.0 * math.pi)) * r, {"nu_max": nu_half, "n_freq": m, "strategy": strategy})]
+
+
+def _column_sums(x):
+    """x.sum(axis=0) with the rows of x added one after another: numpy sums one column pairwise, so it is doubled."""
+    return (x if x.shape[1] > 1 else np.repeat(x, 2, axis=1)).sum(axis=0)[:x.shape[1]]
+
+
+def _coarse_block(h, c0, c1, mdiv0, p0):
+    """(lo, hi, block): the coarse columns lo..hi-1 held by fine columns c0..c1-1 of h, a C-ordered (mdiv0, hi - lo)
+    block (see `_fill`)."""
+    low = (mdiv0 + 1) // 2
+    if mdiv0 % 2 == 0:  # column 2*r0, rows mdiv0/2 + q
+        lo, hi = (c0 + 1) // 2, (c1 + 1) // 2
+        return lo, hi, h[low:low + mdiv0, 2 * lo - c0:c1 - c0:2].copy()
+    lo, hi = (p0 - c1) // 2 + 1, (p0 - c0) // 2 + 1  # column p0 - 2*r0, rows (3*mdiv0 - 1)/2 - q, conjugated
+    cut = h[low:low + mdiv0, p0 - 2 * hi + 2 - c0:p0 - 2 * lo + 1 - c0:2]
+    return lo, hi, np.conjugate(cut[::-1, ::-1], order="C")
+
+
+def _fold(spect, lattice, grid):
+    """(values, info) of an aligned FFT `lattice` from its half spectrum S_0..S_(p/2) (see `_remainder`)."""
+    strategy, mdiv, p, m, nu_half = lattice
+    s0 = divmod(grid.t_start / grid.spacing, 1.0)[0]
+    bins = np.arange(grid.n_points) + int(s0 % (2 * p))  # = j + s0 mod p and mod 2
+    # exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f)), its f part already in spect
+    r = (1 - 2 * (mdiv * bins % 2)) * np.fft.hfft(spect, p)[bins % p]
+    dnu = 2.0 * math.pi / (p * grid.spacing)
     return (dnu / (2.0 * math.pi)) * r, {"nu_max": nu_half, "n_freq": m, "strategy": strategy}
 
 
@@ -465,7 +560,8 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     Evaluates the spectral integral with analytic tail subtraction and a
     self-convergence check: the frequency window and period are doubled
     until successive evaluations agree to _DRIFT_TOL in max-abs, else
-    ConvergenceError is raised after _MAX_DOUBLINGS doublings.  Level 0's
+    ConvergenceError is raised after _MAX_DOUBLINGS doublings.  Level 0 is
+    read off level 1's lattice where that nests it (`_levels`).  Level 0's
     window is `_window`'s, shared with `validate`'s lattice check before it,
     and its images' bound at the accepted level's period is recorded as
     `alias_bound` (None for the Gaussian source).  The orders subtracted in
@@ -481,8 +577,7 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     if a is None or a.thickness == 0.0:
         return TimeSeries(grid, free, {"drift": 0.0, "iterations": 0})
     prev, drift = None, math.inf
-    for level in range(_MAX_DOUBLINGS + 1):
-        cur, info = _remainder(w, a, grid, level)
+    for level, (cur, info) in enumerate(_levels(w, a, grid)):
         if prev is not None:
             drift = float(np.max(np.abs(cur - prev)))
             if drift <= _DRIFT_TOL:

@@ -848,18 +848,19 @@ class TestKeptResults:
     """Pure results kept between calls: each is computed once where a run reuses it, and changes no byte."""
 
     KEPT = (propagate._window, propagate._legendre, cli._tau_text, propagate._kept_line_parts, cli._kept_trace,
-            cli._text_tables)
+            cli._text_tables, propagate._contour)
 
     def _computed(self):
         return tuple(f.cache_info().misses for f in self.KEPT)
 
     @staticmethod
     def _counted(monkeypatch):
-        """Calls to the window's image model and period search, which `_window` looks up when called."""
+        """Calls to the window's image model and period search, which `_window` looks up when called, to
+        `spectral_response` on the oracle's lattices, and the oracle's own fills of level 0 (`_remainder`)."""
         calls = collections.Counter()
-        for name in ("_image_model", "_least_period"):
+        for name in ("_image_model", "_least_period", "spectral_response", "_remainder"):
             def counted(*args, _f=getattr(propagate, name), _name=name):
-                calls[_name] += 1
+                calls[_name] += _name != "_remainder" or args[3] == 0
                 return _f(*args)
 
             monkeypatch.setattr(propagate, name, counted)
@@ -872,14 +873,15 @@ class TestKeptResults:
         assert self._computed() == (0,) * len(self.KEPT)
 
     def test_validate_and_run_share_one_window(self, tmp_path, monkeypatch):
-        # one window, one image model and one period search for the lattice check and
-        # every level of the oracle call after it
+        # one window, one image model, one contour and one period search for the lattice
+        # check and every level of the oracle call after it, whose level 0 is read off
+        # level 1's lattice: two slices of level 1, no own fill of level 0
         calls = self._counted(monkeypatch)
         (sc,) = figure_preset("fig6a")
         assert validate(sc)[0] == []
         run_scenario(sc, tmp_path)
-        assert propagate._window.cache_info().misses == 1
-        assert calls == {"_image_model": 1, "_least_period": 1}
+        assert propagate._window.cache_info().misses == propagate._contour.cache_info().misses == 1
+        assert calls == {"_image_model": 1, "_least_period": 1, "spectral_response": 2}
 
     def test_each_pass_over_the_presets_computes_the_same(self, tmp_path, monkeypatch):
         # Each kept result holds its last call only, so this guards that the presets'
@@ -887,18 +889,23 @@ class TestKeptResults:
         # 9 oracle calls, 7 rules for 7 beat integrals and fig3b's broad scan, 10 traces
         # on 4 grids, 4 line parts for 8 closed-form traces (fig2's pair on one line;
         # fig6a, fe57 and fig7's pair on one EIT medium), and 8 oracle calls: fe57 is
-        # fig6a's.  The CSV text tables are built on the first pass only.
+        # fig6a's.  The CSV text tables are built on the first pass only.  4 contours for
+        # the 8 image models, one per (delta_ph, medium): fig2's pair, fig3a's pair,
+        # fig6a with fig7's pair, fig6b.  Level 0 is read off level 1's lattice in 7 of
+        # the 8 oracle calls, and filled on its own in fig3a_total's (level 1 is 28,125
+        # steps, not 2 x 14,400), so the lattices take 12 spectral_response calls, not 19.
+        names = ("_image_model", "_least_period", "_remainder", "spectral_response")
         calls = self._counted(monkeypatch)
         counts = []
         for run in range(2):
-            before = self._computed() + (calls["_image_model"], calls["_least_period"])
+            before = self._computed() + tuple(calls[name] for name in names)
             for name in PRESET_NAMES:
                 for sc in figure_preset(name):
                     assert validate(sc)[0] == []
                     run_scenario(sc, tmp_path / str(run))
-            after = self._computed() + (calls["_image_model"], calls["_least_period"])
+            after = self._computed() + tuple(calls[name] for name in names)
             counts.append(tuple(a - b for a, b in zip(after, before)))
-        assert counts == [(8, 7, 4, 4, 8, 1, 8, 8), (8, 7, 4, 4, 8, 0, 8, 8)]
+        assert counts == [(8, 7, 4, 4, 8, 1, 4, 8, 8, 1, 12), (8, 7, 4, 4, 8, 0, 4, 8, 8, 1, 12)]
 
     def test_kept_parts_and_traces_equal_fresh_ones(self):
         (sc,) = figure_preset("fig6a")

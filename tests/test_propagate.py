@@ -12,12 +12,13 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.special import j0, roots_legendre
 
 from slowphoton import propagate
+from slowphoton.cli import Scenario, validate
 from slowphoton.errors import ConvergenceError, UnsupportedWaveformError, ValidityError
 from slowphoton.media import BroadLine, EitMedium, MatchedLine, eit_params, spectral_response
 from slowphoton.propagate import (
@@ -75,8 +76,10 @@ BEAT_SETS = [
     (0.05, 1.0, 2.0, 39.0),
 ]
 ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.0, 20.0, 3.0)]
-# Grids of the fill tests: ROUTING_MEDIA fill one slice a level on each, while
-# THICK_EIT fills 5 and 17 slices on FILL_GRID and 9 and 33 on ZOOM_FILL_GRID.
+# Grids of the fill tests: ROUTING_MEDIA fill one slice a level on each, except
+# the broad line's level 0 on FILL_GRID, read off level 1's lattice (no fill of
+# its own); THICK_EIT reads level 0 off level 1's 17 slices on FILL_GRID and
+# fills 9 and 33 slices on ZOOM_FILL_GRID.
 FILL_GRID = TimeGrid(-1.0, 6.0, 601)
 ZOOM_FILL_GRID = TimeGrid(-1e-3, 1e-3, 2001)
 THICK_EIT = EitMedium(10.0, 1.0, 20.0, 300.0)
@@ -515,12 +518,13 @@ class TestPropagateNumeric:
     @pytest.mark.parametrize(
         "medium, grid, strategy, slices",
         [
-            pytest.param(medium, grid, strategy, [1, 1], id=f"{type(medium).__name__}-{strategy}")
-            for grid, strategy in [(FILL_GRID, "fft"), (ZOOM_FILL_GRID, "zoom")]
-            for medium in ROUTING_MEDIA
+            pytest.param(medium, grid, strategy, slices, id=f"{type(medium).__name__}-{strategy}")
+            for grid, strategy, routed in [(FILL_GRID, "fft", [[1, 1], [0, 1], [1, 1]]),
+                                           (ZOOM_FILL_GRID, "zoom", [[1, 1]] * 3)]
+            for medium, slices in zip(ROUTING_MEDIA, routed)
         ]
         + [
-            pytest.param(THICK_EIT, FILL_GRID, "fft", [5, 17], id="thick_EitMedium-fft"),
+            pytest.param(THICK_EIT, FILL_GRID, "fft", [0, 17], id="thick_EitMedium-fft"),
             pytest.param(THICK_EIT, ZOOM_FILL_GRID, "zoom", [9, 33], id="thick_EitMedium-zoom"),
         ],
     )
@@ -538,7 +542,7 @@ class TestPropagateNumeric:
     def test_one_slice_level_starts_no_fill_thread(self, causal_unit, monkeypatch):
         med = MatchedLine(1.0, 10.0)
         base = propagate_numeric(causal_unit, med, FILL_GRID)
-        assert _fill_slices(causal_unit, med, FILL_GRID, base.convergence["iterations"]) == [1, 1]
+        assert _fill_slices(causal_unit, med, FILL_GRID, base.convergence["iterations"]) == [0, 1]
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-slice level started a fill pool")
@@ -547,10 +551,11 @@ class TestPropagateNumeric:
         out = propagate_numeric(causal_unit, med, FILL_GRID)
         assert np.array_equal(out.amplitude, base.amplitude)
 
-    @pytest.mark.parametrize("thickness, slices, pooled", [(30.0, [1, 2], False), (50.0, [1, 3], False),
-                                                           (60.0, [1, 4], True)])
+    @pytest.mark.parametrize("thickness, slices, pooled", [(30.0, [0, 2], False), (50.0, [0, 3], False),
+                                                           (60.0, [0, 4], True)])
     def test_fill_is_pooled_from_four_slices(self, causal_unit, monkeypatch, thickness, slices, pooled):
-        # fig6a's medium, thickened: a pool of the 2 usable CPUs for 4 slices, none for 2 or 3
+        # fig6a's medium, thickened: a pool of the 2 usable CPUs for 4 slices of level 1, which
+        # also completes level 0, none for 2 or 3
         med, grid = EitMedium(10.0, 1.0, 20.0, thickness), TimeGrid(-2.0, 15.0, 1701)
         sizes = []
 
@@ -567,7 +572,7 @@ class TestPropagateNumeric:
 
     @staticmethod
     def _failing_slice(monkeypatch):
-        """Make the third integrand call, a slice of level 0's fill, raise."""
+        """Make the third integrand call, the third slice of the first fill, raise."""
         integrand = propagate._remainder_integrand
         calls = itertools.count()
 
@@ -581,9 +586,9 @@ class TestPropagateNumeric:
     def test_slice_error_reaches_caller_and_pool_survives(self, causal_unit, monkeypatch):
         grid = TimeGrid(-1.0, 6.0, 601)
         med = EitMedium(10.0, 1.0, 20.0, 300.0)
-        # level 0 fills columns 0..1,620 of 85 rows, 385 columns a slice: 5 slices
-        _, mdiv, p, _, _ = spectral_lattice(causal_unit, med, grid, 0)
-        assert len(propagate._row_blocks(p // 2 + 1, mdiv)) >= 3
+        # level 0 is read off level 1's lattice, whose fill is the first and raises: columns
+        # 0..3,240 of 170 rows, 192 columns a slice, 17 slices
+        assert _fill_slices(causal_unit, med, grid, 1) == [0, 17]
         base = propagate_numeric(causal_unit, med, grid)
         with monkeypatch.context() as patch:
             self._failing_slice(patch)
@@ -903,12 +908,18 @@ def _assert_parts_match_oracle(kind, delta_ph, medium, b_s, b_a, grid):
 
 
 def _fill_slices(w, a, grid, iterations):
-    """The number of `_row_blocks` slices that fill each level 0..iterations of the oracle's lattice."""
+    """The number of `_row_blocks` slices that fill each level 0..iterations of the oracle's lattice.
+
+    Level 0 counts 0 where level 1's lattice nests it: its columns are completed within level 1's slices.
+    """
     slices = []
     for level in range(iterations + 1):
         strategy, mdiv, p, m, _ = spectral_lattice(w, a, grid, level)
         blocks = propagate._row_blocks(p // 2 + 1, mdiv) if strategy == "fft" else propagate._row_blocks(m, 1)
         slices.append(len(blocks))
+    coarse, fine = spectral_lattice(w, a, grid, 0), spectral_lattice(w, a, grid, 1)
+    if coarse[0] == fine[0] == "fft" and fine[1:3] == (2 * coarse[1], 2 * coarse[2]):
+        slices[0] = 0
     return slices
 
 
@@ -1252,6 +1263,95 @@ class TestAliasBound:
         moduli = abs(spectral_amplitude(w, nu)) * (math.exp(-spectral_response(medium, nu).real)
                                                    + sum(x**k / math.factorial(k) for k in range(orders + 1)))
         assert abs(got - complex(re, im)) <= 2 * (orders + 1) * np.finfo(float).eps * moduli
+
+
+def _nested_case(kind, delta_ph, medium, ratio, thickness, t_start, span, n_points):
+    """(source, medium, grid) of a drawn scenario: delta_ph and the spans in units of the photon's rate."""
+    w, g = PhotonWaveform(kind, delta_ph), ratio * delta_ph
+    med = {
+        "matched": lambda: MatchedLine(delta_ph, thickness),
+        "broad": lambda: BroadLine(g, thickness),
+        "eit": lambda: EitMedium(g, 0.1 * g, 2.0 * g, thickness),
+    }[medium]()
+    return w, med, TimeGrid(t_start / delta_ph, (t_start + span) / delta_ph, n_points)
+
+
+class TestNestedLevels:
+    """Level 0 read off level 1's lattice (`_fill`), and the image bound's kept contour, against fresh ones."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([C, S, A, G]),
+        delta_ph=st.floats(0.2, 5.0),
+        medium=st.sampled_from(["matched", "broad", "eit"]),
+        ratio=st.floats(1.2, 20.0),
+        thickness=st.floats(0.1, 60.0),
+        t_start=st.floats(-6.0, 1.0),
+        span=st.floats(3.0, 20.0),
+        n_points=st.integers(31, 401),
+        block=st.sampled_from([2**15, 96]),
+        cpus=st.sampled_from([1, 2]),
+    )
+    # (mdiv0, p0) = (4, 135), pooled: even mdiv0, 12 level-1 slices of 96 samples on 2 CPUs
+    @example(kind=C, delta_ph=1.0, medium="matched", ratio=4.1, thickness=6.6, t_start=0.6, span=13.2,
+             n_points=56, block=96, cpus=2)
+    # (56, 90), pooled: 91 slices, every column of either level alone in its slice
+    @example(kind=A, delta_ph=2.2, medium="matched", ratio=7.8, thickness=49.9, t_start=0.0, span=15.1,
+             n_points=34, block=96, cpus=2)
+    # (77, 36), pooled: odd mdiv0 and even p0, so nu = 0 is a level-0 sample that is its own mirror
+    @example(kind=A, delta_ph=0.8, medium="eit", ratio=8.9, thickness=1.3, t_start=-2.8, span=16.3,
+             n_points=31, block=96, cpus=2)
+    # (1, 360), serial: odd mdiv0 and even p0 on the calling thread, 8 slices
+    @example(kind=G, delta_ph=2.6, medium="matched", ratio=7.0, thickness=3.5, t_start=0.9, span=9.1,
+             n_points=52, block=96, cpus=1)
+    # (59, 125), serial: odd mdiv0 and odd p0, one slice of the default size
+    @example(kind=S, delta_ph=2.8, medium="broad", ratio=10.4, thickness=9.0, t_start=-5.4, span=11.4,
+             n_points=45, block=2**15, cpus=1)
+    def test_nested_level_zero_is_its_own_fill(self, kind, delta_ph, medium, ratio, thickness, t_start, span,
+                                               n_points, block, cpus):
+        w, med, grid = _nested_case(kind, delta_ph, medium, ratio, thickness, t_start, span, n_points)
+        assume(validate(Scenario("nested", "gamma", w, med, grid, ["numeric"], ["time_trace"]))[0] == [])
+        coarse, fine = spectral_lattice(w, med, grid, 0), spectral_lattice(w, med, grid, 1)
+        assume(coarse[0] == fine[0] == "fft" and fine[1:3] == (2 * coarse[1], 2 * coarse[2]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagate, "_RULE_BLOCK", block)
+            patch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
+            own = [propagate._remainder(w, med, grid, level) for level in (0, 1)]
+            nested = propagate._fill(w, med, grid, fine, coarse)
+        for (got, got_info), (want, info) in zip(nested, own):
+            assert got.tobytes() == want.tobytes()
+            assert got_info == info
+        mdiv0, p0 = coarse[1:3]
+        if mdiv0 % 2 and not p0 % 2:  # nu = 0 is level 0's sample m0/2, its own mirror, read conjugated
+            assert _remainder_integrand(w, med, np.zeros(1))[0].imag == 0.0
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        delta_ph=st.floats(0.05, 50.0),
+        medium=st.sampled_from(["matched", "broad", "eit"]),
+        ratio=st.floats(1.01, 100.0),
+        thickness=st.floats(0.01, 3000.0),
+    )
+    def test_kept_contour_gives_fresh_image_models(self, delta_ph, medium, ratio, thickness):
+        # the parts of one photon share one contour: each model equals one from a fresh contour
+        _, med, _ = _nested_case(C, delta_ph, medium, ratio, thickness, 0.0, 1.0, 2)
+        sources = [PhotonWaveform(kind, delta_ph) for kind in (C, S, A)]
+        propagate._contour.cache_clear()
+        kept = [propagate._image_model(w, med) for w in sources]
+        assert propagate._contour.cache_info()[:2] == (2, 1)
+        for w, model in zip(sources, kept):
+            propagate._contour.cache_clear()
+            assert propagate._image_model(w, med) == model
+
+    def test_kept_contour_is_immutable(self, causal_unit, eit_example):
+        e_d, paths = propagate._contour(causal_unit.delta_ph, eit_example)
+        assert isinstance(paths, tuple) and len(paths) == len(propagate._IMAGE_SIGMAS)
+        for sigma, *arrays, reached in paths:
+            assert isinstance(sigma, float) and isinstance(reached, bool)
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+        assert propagate._contour(causal_unit.delta_ph, eit_example)[1] is paths
 
 
 class TestAdiabaticEit:
