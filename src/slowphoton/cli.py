@@ -12,8 +12,9 @@ Subcommands: ``run <config>``, ``figure <preset> [--out DIR]``,
 ``eit-params <config>``, ``validate <config>``.  The default output
 directory can be overridden with the SLOWPHOTON_OUTDIR environment
 variable.  Exit codes: 1 config parse error or a file that cannot be read or
-written, 2 validation error, 3 numerical non-convergence, including round-off
-or a refined lattice past its cap.
+written, 2 validation error, 3 numerical non-convergence: the oracle's two
+lattice levels drift apart, or its closed-form subtraction loses too much to
+round-off.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ METHODS: dict[str, Method] = {
     "input": Method(None, ALL_SOURCES, lambda w, a, grid: sample(w, grid)),
     "numeric": Method(
         None, ALL_SOURCES, _numeric,
-        lambda w, a, grid: spectral_lattice(w, a, grid, 1),  # levels 0 and 1 always run
+        lambda w, a, grid: spectral_lattice(w, a, grid, 1),  # level 1, the larger and last a run fills
     ),
     "analytic_matched": Method(
         (MatchedLine,), CAUSAL,

@@ -18,10 +18,12 @@ last window, so that `validate` and the run after it share it, and
 so that the parts of one photon share it.
 Sources and impulse responses are real, so h(-nu) = conj h(nu): the folded
 spectrum is Hermitian, its half goes through one real-output FFT, and the
-envelope is real by construction.  Where level 1 doubles level 0's mdiv and
-p, its lattice holds every level-0 sample, or its conjugate mirror, so level
-0 is read off it (`_fill`) and each sample is evaluated once.  The split
-keeps the oracle independent of the Bessel-function closed forms it checks.
+envelope is real by construction.  Two levels are filled: level 1 is the
+answer and level 0, of half its window and period, its check.  An aligned
+level 1 has exactly twice level 0's mdiv and p, so its lattice holds every
+level-0 sample, or its conjugate mirror, and level 0 is read off it (`_fill`):
+each sample is evaluated once.  The split keeps the oracle independent of the
+Bessel-function closed forms it checks.
 
 All closed-form solutions from the transmission analysis live here as
 well: the matched-line dynamical-beat envelope, the thick-broad-line
@@ -96,17 +98,16 @@ __all__ = [
 
 # Orders of the medium expansion subtracted in closed form before the FFT.
 _SUBTRACT_ORDERS = 3
-# propagate_numeric doubles the window and period up to _MAX_DOUBLINGS times,
-# until successive levels agree to _DRIFT_TOL in max-abs.
+# propagate_numeric fills level 0 and level 1, of twice its window and period; they must agree to
+# _DRIFT_TOL in max-abs.  No level 2: on thick lines it moved further from the exact closed forms.
 _DRIFT_TOL = 1e-5
-_MAX_DOUBLINGS = 3
 # Window: past +-nu_max, taken past EIT's lines at +-omega, |b0(nu)| <= 1/|nu| and |A(nu)l| <~ alpha0*l/|nu|
 # keep the remainder, b0 times exp(-A(nu)l)'s Taylor remainder |A(nu)l|**k/k!, k = _SUBTRACT_ORDERS + 1,
 # below `_tail_bound` = (alpha0*l/nu_max)**k/(pi*k*k!): _TAIL_TOL at alpha0*l*(pi*k*k!*_TAIL_TOL)**(-1/k).
 _TAIL_TOL = 1e-6
 # Period: the folded lattice sum at tau_j is the remainder summed over its images tau_j + n*period (Poisson),
 # and the level-0 period is the least whose images n != 0 stay below `_alias_bound` = _ALIAS_TOL, 1e-3 of
-# _DRIFT_TOL, so that the drift measures the window and not the period.  Later levels double it.
+# _DRIFT_TOL, so that the drift measures the window and not the period.  Level 1 doubles it.
 _ALIAS_TOL = 1e-8
 # `_image_model` bounds the remainder past tau = 0 along Re s = -sigma for these fractions sigma/r of its
 # slowest rate r, each integral taken with _IMAGE_NODES nodes per Cauchy map and doubled as a quadrature margin.
@@ -117,7 +118,7 @@ _IMAGE_NODES = 64
 # or more slices and two or more usable CPUs (else on the calling thread), and
 # folds its at most _MAX_FFT_SAMPLES samples, on columns 0..p/2 only, into the
 # Hermitian half spectrum of one real-output FFT of about period/spacing points;
-# a level-1 slice also completes the level-0 columns it holds, where it nests them.
+# an aligned level-1 slice also completes the level-0 columns it holds.
 # A grid finer than ~pi/nu_max takes a chirp-z zoom of m frequencies onto n
 # points instead, with m + n - 1 <= _MAX_FFT_SAMPLES, else ConvergenceError.
 _MAX_FFT_SAMPLES = 2**22
@@ -388,17 +389,15 @@ def _fast_len(n: int) -> int:
 
 
 def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid, level: int):
-    """(strategy, mdiv, p, m, nu_half) of `propagate_numeric`'s lattice at `level`, if any.
+    """(strategy, mdiv, p, m, nu_half) of `propagate_numeric`'s lattice at `level` 0 or 1, if any.
 
-    Level k doubles the window and the period k times.  The period is p grid
-    steps, p >= period/spacing and n_points, so dnu = 2pi/(p*spacing).  The
-    lattice is nu_k = (k - m/2)*dnu, k < m, and +-nu_half = +-m*dnu/2 covers
-    +-nu_max: the aligned FFT, for which p is 2*3*5-smooth, samples m = mdiv*p
-    frequencies, nu_half = mdiv*pi/spacing; past _MAX_FFT_SAMPLES the zoom
-    samples m = ceil(2*nu_max/dnu).  mdiv doubles with each level, and p
-    does too unless rounding to a smooth length or n_points breaks that; a
-    level-1 aligned FFT of twice level 0's mdiv and p holds level 0's lattice
-    (`_fill`).
+    The period is p grid steps, p >= period/spacing and n_points, so
+    dnu = 2pi/(p*spacing).  The lattice is nu_k = (k - m/2)*dnu, k < m, and
+    +-nu_half = +-m*dnu/2 covers +-nu_max: the aligned FFT samples
+    m = mdiv*p frequencies, nu_half = mdiv*pi/spacing, with level 0's p
+    2*3*5-smooth; past _MAX_FFT_SAMPLES the zoom samples m = ceil(2*nu_max/dnu).
+    Level 1 doubles level 0's window and period by doubling its mdiv and p,
+    so an aligned level 1 holds level 0's lattice (`_fill`).
     ConvergenceError is raised before an overflow and for a zoom past the cap.
     """
     if a is None or a.thickness == 0.0:
@@ -409,9 +408,10 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
     size = 2.0 * 4**level * max(nu_max, 1.0 / spacing, 1.0) * max(period, 1.0)
     if not math.isfinite(size + abs(grid.t_start) / spacing):
         raise ConvergenceError(f"spectral lattice overflows: window {nu_max:.3g}, period {period:.3g}")
-    mdiv = max(1, math.ceil(spacing * nu_max / math.pi)) * scale
-    p = max(math.ceil(period * scale / spacing), grid.n_points)
+    mdiv = max(1, math.ceil(spacing * nu_max / math.pi))
+    p = max(math.ceil(period / spacing), grid.n_points)
     p = _fast_len(p) if mdiv * p <= _MAX_FFT_SAMPLES else p
+    mdiv, p = mdiv * scale, p * scale  # level 1: twice level 0's
     if mdiv * p <= _MAX_FFT_SAMPLES:
         return "fft", mdiv, p, mdiv * p, mdiv * math.pi / spacing
     m = math.ceil(nu_max * scale * p * spacing / math.pi)
@@ -423,10 +423,11 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
     return "zoom", 1, p, m, m * math.pi / (p * spacing)
 
 
-def _remainder(w, a, grid, level):
-    """Remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on the scenario grid, a real array.
+def _fill(w, a, grid, lattice, coarse=None):
+    """[(values, info)] of `spectral_lattice`'s `lattice`, after those of the `coarse` lattice it nests, if given.
 
-    nu_k = (k - m/2)*dnu on `spectral_lattice`'s lattice is filled in
+    values is the remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on
+    the scenario grid, a real array.  nu_k = (k - m/2)*dnu is filled in
     `_row_blocks` slices, which do not depend on the CPU count: _POOL_SLICES
     or more slices on a pool of one thread per usable CPU that lives for this
     call, fewer slices or one usable CPU on the calling thread.  Each slice is
@@ -444,26 +445,6 @@ def _remainder(w, a, grid, level):
     r = 0..p/2 only, for one real-output FFT.  nu_0 = -nu_half pairs with
     its alias +nu_half: that FFT drops Im S_0, and the zoom keeps the real
     part of its sum, either way giving the two ends half weight.
-
-    This is the level's own fill.  `propagate_numeric` reads level 0 off
-    level 1's lattice instead where that nests it (`_levels`), with the same
-    bits.
-    """
-    return _fill(w, a, grid, spectral_lattice(w, a, grid, level))[-1]
-
-
-def _levels(w, a, grid):
-    """`_remainder` of levels 0, 1, ..., _MAX_DOUBLINGS in turn, level 0 read off level 1's lattice where it nests."""
-    coarse, fine = spectral_lattice(w, a, grid, 0), spectral_lattice(w, a, grid, 1)
-    nests = coarse[0] == fine[0] == "fft" and fine[1:3] == (2 * coarse[1], 2 * coarse[2])
-    if nests:
-        yield from _fill(w, a, grid, fine, coarse)
-    for level in range(2 if nests else 0, _MAX_DOUBLINGS + 1):
-        yield _remainder(w, a, grid, level)
-
-
-def _fill(w, a, grid, lattice, coarse=None):
-    """[(values, info)] of `spectral_lattice`'s `lattice`, after those of the `coarse` lattice it nests, if given.
 
     An aligned FFT lattice (mdiv, p) nests the one of (mdiv/2, p/2), of twice
     its spacing, whose sample k0 = q*p0 + r is its sample 2*k0 + m0: for
@@ -544,7 +525,7 @@ def _coarse_block(h, c0, c1, mdiv0, p0):
 
 
 def _fold(spect, lattice, grid):
-    """(values, info) of an aligned FFT `lattice` from its half spectrum S_0..S_(p/2) (see `_remainder`)."""
+    """(values, info) of an aligned FFT `lattice` from its half spectrum S_0..S_(p/2) (see `_fill`)."""
     strategy, mdiv, p, m, nu_half = lattice
     s0 = divmod(grid.t_start / grid.spacing, 1.0)[0]
     bins = np.arange(grid.n_points) + int(s0 % (2 * p))  # = j + s0 mod p and mod 2
@@ -558,46 +539,43 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     """Numerically propagate the envelope through the absorber.
 
     Evaluates the spectral integral with analytic tail subtraction and a
-    self-convergence check: the frequency window and period are doubled
-    until successive evaluations agree to _DRIFT_TOL in max-abs, else
-    ConvergenceError is raised after _MAX_DOUBLINGS doublings.  Level 0 is
-    read off level 1's lattice where that nests it (`_levels`).  Level 0's
-    window is `_window`'s, shared with `validate`'s lattice check before it,
-    and its images' bound at the accepted level's period is recorded as
-    `alias_bound` (None for the Gaussian source).  The orders subtracted in
-    closed form come from one matrix exponential, exact at coincident poles
-    (critical EIT coupling, Gamma = delta_ph) and near them; adding them to
-    the free term and the remainder, which cancel them, can lose machine
-    epsilon times their summed moduli, recorded as `roundoff`.
-    ConvergenceError is also raised if that exceeds _DRIFT_TOL.  A missing
-    medium or zero thickness reproduces the sampled input exactly.
+    self-convergence check: level 1 (`spectral_lattice`) is the answer, and
+    level 0, of half its window and period, must agree with it to
+    _DRIFT_TOL in max-abs, else ConvergenceError is raised.  Level 0 is read
+    off an aligned level 1's lattice (`_fill`); only a zoomed level 1 fills
+    its levels apart.  Level 0's window is `_window`'s, shared with
+    `validate`'s lattice check before it, and its images' bound at level 1's
+    period is recorded as `alias_bound` (None for the Gaussian source).  The
+    orders subtracted in closed form come from one matrix exponential, exact
+    at coincident poles (critical EIT coupling, Gamma = delta_ph) and near
+    them; adding them to the free term and the remainder, which cancel them,
+    can lose machine epsilon times their summed moduli, recorded as
+    `roundoff`.  ConvergenceError is also raised if that exceeds _DRIFT_TOL.
+    A missing medium or zero thickness reproduces the sampled input exactly.
     """
     tau = grid.times()
     free = time_amplitude(w, tau)
     if a is None or a.thickness == 0.0:
         return TimeSeries(grid, free, {"drift": 0.0, "iterations": 0})
-    prev, drift = None, math.inf
-    for level, (cur, info) in enumerate(_levels(w, a, grid)):
-        if prev is not None:
-            drift = float(np.max(np.abs(cur - prev)))
-            if drift <= _DRIFT_TOL:
-                break
-        prev = cur
+    coarse, fine = spectral_lattice(w, a, grid, 0), spectral_lattice(w, a, grid, 1)
+    if fine[0] == "fft":  # level 1 holds level 0's lattice
+        levels = _fill(w, a, grid, fine, coarse)
     else:
-        raise ConvergenceError(
-            f"spectral quadrature drift {drift:.3e} > {_DRIFT_TOL:.1e} after "
-            f"{_MAX_DOUBLINGS} refinements"
-        )
+        levels = _fill(w, a, grid, coarse) + _fill(w, a, grid, fine)
+    (prev, _), (cur, info) = levels
+    drift = float(np.max(np.abs(cur - prev)))
+    if drift > _DRIFT_TOL:
+        raise ConvergenceError(f"spectral quadrature drift {drift:.3e} between levels 0 and 1 > {_DRIFT_TOL:.1e}")
     closed, roundoff = _subtraction(w, a, grid)
     if roundoff > _DRIFT_TOL:
         raise ConvergenceError(
             f"closed-form subtraction round-off bound {roundoff:.3e} > {_DRIFT_TOL:.1e}: "
             "its orders nearly cancel the remainder"
         )
-    info.update({"drift": drift, "iterations": level, "tol": _DRIFT_TOL, "roundoff": roundoff})
+    info.update({"drift": drift, "iterations": 1, "tol": _DRIFT_TOL, "roundoff": roundoff})
     info["tail_bound"] = _tail_bound(w, a.alpha0_l, info["nu_max"])
-    period, images = spectral_lattice(w, a, grid, level)[2] * grid.spacing, _window(w, a, grid)[2]
-    info["alias_bound"] = None if images is None else _alias_bound(images, grid, period)
+    images = _window(w, a, grid)[2]
+    info["alias_bound"] = None if images is None else _alias_bound(images, grid, fine[2] * grid.spacing)
     return TimeSeries(grid, free + closed + cur, info)
 
 

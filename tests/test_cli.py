@@ -856,11 +856,13 @@ class TestKeptResults:
     @staticmethod
     def _counted(monkeypatch):
         """Calls to the window's image model and period search, which `_window` looks up when called, to
-        `spectral_response` on the oracle's lattices, and the oracle's own fills of level 0 (`_remainder`)."""
+        `spectral_response` on the oracle's lattices, and the oracle's fills of a lattice on its own (`_fill`
+        with no coarse lattice to complete)."""
         calls = collections.Counter()
-        for name in ("_image_model", "_least_period", "spectral_response", "_remainder"):
+        for name in ("_image_model", "_least_period", "spectral_response", "_fill"):
             def counted(*args, _f=getattr(propagate, name), _name=name):
-                calls[_name] += _name != "_remainder" or args[3] == 0
+                if _name != "_fill" or len(args) == 4:
+                    calls[_name] += 1
                 return _f(*args)
 
             monkeypatch.setattr(propagate, name, counted)
@@ -874,8 +876,8 @@ class TestKeptResults:
 
     def test_validate_and_run_share_one_window(self, tmp_path, monkeypatch):
         # one window, one image model, one contour and one period search for the lattice
-        # check and every level of the oracle call after it, whose level 0 is read off
-        # level 1's lattice: two slices of level 1, no own fill of level 0
+        # check and both levels of the oracle call after it, whose level 0 is read off
+        # level 1's lattice: two slices of level 1, no fill of a level on its own
         calls = self._counted(monkeypatch)
         (sc,) = figure_preset("fig6a")
         assert validate(sc)[0] == []
@@ -891,10 +893,10 @@ class TestKeptResults:
         # fig6a, fe57 and fig7's pair on one EIT medium), and 8 oracle calls: fe57 is
         # fig6a's.  The CSV text tables are built on the first pass only.  4 contours for
         # the 8 image models, one per (delta_ph, medium): fig2's pair, fig3a's pair,
-        # fig6a with fig7's pair, fig6b.  Level 0 is read off level 1's lattice in 7 of
-        # the 8 oracle calls, and filled on its own in fig3a_total's (level 1 is 28,125
-        # steps, not 2 x 14,400), so the lattices take 12 spectral_response calls, not 19.
-        names = ("_image_model", "_least_period", "_remainder", "spectral_response")
+        # fig6a with fig7's pair, fig6b.  Every level 1 is an aligned FFT of twice level
+        # 0's mdiv and p, so level 0 is read off it in all 8 oracle calls: no lattice is
+        # filled on its own, and the lattices take 11 spectral_response calls.
+        names = ("_image_model", "_least_period", "_fill", "spectral_response")
         calls = self._counted(monkeypatch)
         counts = []
         for run in range(2):
@@ -905,7 +907,7 @@ class TestKeptResults:
                     run_scenario(sc, tmp_path / str(run))
             after = self._computed() + tuple(calls[name] for name in names)
             counts.append(tuple(a - b for a, b in zip(after, before)))
-        assert counts == [(8, 7, 4, 4, 8, 1, 4, 8, 8, 1, 12), (8, 7, 4, 4, 8, 0, 4, 8, 8, 1, 12)]
+        assert counts == [(8, 7, 4, 4, 8, 1, 4, 8, 8, 0, 11), (8, 7, 4, 4, 8, 0, 4, 8, 8, 0, 11)]
 
     def test_kept_parts_and_traces_equal_fresh_ones(self):
         (sc,) = figure_preset("fig6a")

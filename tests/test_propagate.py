@@ -77,9 +77,9 @@ BEAT_SETS = [
 ]
 ROUTING_MEDIA = [MatchedLine(1.0, 5.0), BroadLine(10.0, 2.0), EitMedium(10.0, 1.0, 20.0, 3.0)]
 # Grids of the fill tests: ROUTING_MEDIA fill one slice a level on each, except
-# the broad line's level 0 on FILL_GRID, read off level 1's lattice (no fill of
-# its own); THICK_EIT reads level 0 off level 1's 17 slices on FILL_GRID and
-# fills 9 and 33 slices on ZOOM_FILL_GRID.
+# level 0 on FILL_GRID, read off level 1's lattice (no fill of its own);
+# THICK_EIT reads level 0 off level 1's 17 slices on FILL_GRID and fills 9 and
+# 33 slices on ZOOM_FILL_GRID.
 FILL_GRID = TimeGrid(-1.0, 6.0, 601)
 ZOOM_FILL_GRID = TimeGrid(-1e-3, 1e-3, 2001)
 THICK_EIT = EitMedium(10.0, 1.0, 20.0, 300.0)
@@ -519,7 +519,7 @@ class TestPropagateNumeric:
         "medium, grid, strategy, slices",
         [
             pytest.param(medium, grid, strategy, slices, id=f"{type(medium).__name__}-{strategy}")
-            for grid, strategy, routed in [(FILL_GRID, "fft", [[1, 1], [0, 1], [1, 1]]),
+            for grid, strategy, routed in [(FILL_GRID, "fft", [[0, 1]] * 3),
                                            (ZOOM_FILL_GRID, "zoom", [[1, 1]] * 3)]
             for medium, slices in zip(ROUTING_MEDIA, routed)
         ]
@@ -533,7 +533,7 @@ class TestPropagateNumeric:
     ):
         parallel = propagate_numeric(causal_unit, medium, grid)
         assert parallel.convergence["strategy"] == strategy
-        assert _fill_slices(causal_unit, medium, grid, parallel.convergence["iterations"]) == slices
+        assert _fill_slices(causal_unit, medium, grid) == slices
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = propagate_numeric(causal_unit, medium, grid)
         assert np.array_equal(parallel.amplitude, serial.amplitude)
@@ -542,7 +542,7 @@ class TestPropagateNumeric:
     def test_one_slice_level_starts_no_fill_thread(self, causal_unit, monkeypatch):
         med = MatchedLine(1.0, 10.0)
         base = propagate_numeric(causal_unit, med, FILL_GRID)
-        assert _fill_slices(causal_unit, med, FILL_GRID, base.convergence["iterations"]) == [0, 1]
+        assert _fill_slices(causal_unit, med, FILL_GRID) == [0, 1]
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-slice level started a fill pool")
@@ -566,8 +566,8 @@ class TestPropagateNumeric:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(propagate, "ThreadPoolExecutor", Recording)
-        out = propagate_numeric(causal_unit, med, grid)
-        assert _fill_slices(causal_unit, med, grid, out.convergence["iterations"]) == slices
+        propagate_numeric(causal_unit, med, grid)
+        assert _fill_slices(causal_unit, med, grid) == slices
         assert sizes == ([2] if pooled else [])
 
     @staticmethod
@@ -588,7 +588,7 @@ class TestPropagateNumeric:
         med = EitMedium(10.0, 1.0, 20.0, 300.0)
         # level 0 is read off level 1's lattice, whose fill is the first and raises: columns
         # 0..3,240 of 170 rows, 192 columns a slice, 17 slices
-        assert _fill_slices(causal_unit, med, grid, 1) == [0, 17]
+        assert _fill_slices(causal_unit, med, grid) == [0, 17]
         base = propagate_numeric(causal_unit, med, grid)
         with monkeypatch.context() as patch:
             self._failing_slice(patch)
@@ -689,7 +689,7 @@ class TestPropagateNumeric:
         # at half weight, summed with exact integer phases j*k mod p
         w = PhotonWaveform(kind, 1.0)
         strategy, _, p, m, nu_max = spectral_lattice(w, medium, grid, 0)
-        values, info = propagate._remainder(w, medium, grid, 0)
+        values, info = _own_fill(w, medium, grid, 0)
         assert info["strategy"] == strategy == "zoom"
         assert values.dtype == np.float64
         dnu = 2.0 * math.pi / (p * grid.spacing)
@@ -728,8 +728,9 @@ class TestPropagateNumeric:
             monkeypatch.setattr(propagate, "_window", lambda *_: (nu_max, 1.0, None))
         strategy, mdiv, p, m, _ = spectral_lattice(w, medium, grid, level)
         assert strategy == "fft"
-        assert p == grid.n_points if short_period else p > grid.n_points
-        values, info = propagate._remainder(w, medium, grid, level)
+        # level 1 doubles level 0's p: the wrapping bins and the odd p are level 0's cases
+        assert p == grid.n_points << level if short_period else p > grid.n_points
+        values, info = _own_fill(w, medium, grid, level)
         assert info["n_freq"] == m
         x = grid.t_start / grid.spacing
         s0, f = math.floor(x), x - math.floor(x)
@@ -762,10 +763,10 @@ class TestPropagateNumeric:
         # doubled while the lattice was filled at -nu_half + k*dnu
         w = PhotonWaveform(C, 1.0)
         medium, grid = EitMedium(10.0, 1.0, 20.0, 30.0), TimeGrid(-2.0, 15.0, 1701)
-        base, _ = propagate._remainder(w, medium, grid, 1)
+        base, _ = _own_fill(w, medium, grid, 1)
         nu_max, period, images = _window(w, medium, grid)
         monkeypatch.setattr(propagate, "_window", lambda *_: (nu_max, 2.0 * period, images))
-        doubled, info = propagate._remainder(w, medium, grid, 1)
+        doubled, info = _own_fill(w, medium, grid, 1)
         assert info["strategy"] == "fft"
         assert np.abs(doubled - base).max() <= 1e-12
 
@@ -825,8 +826,8 @@ class TestPropagateNumeric:
         out = propagate_numeric(causal_unit, MatchedLine(1.0, 5.0), grid)
         conv = out.convergence
         assert conv["drift"] <= 1e-5
-        assert conv["iterations"] >= 1
-        _, mdiv, p, _, _ = spectral_lattice(causal_unit, MatchedLine(1.0, 5.0), grid, conv["iterations"])
+        assert conv["iterations"] == 1
+        _, mdiv, p, _, _ = spectral_lattice(causal_unit, MatchedLine(1.0, 5.0), grid, 1)
         assert conv["n_freq"] == mdiv * p
 
     @pytest.mark.parametrize("kind", [C, S, A])
@@ -879,6 +880,27 @@ class TestPropagateNumeric:
         with pytest.raises(ConvergenceError, match="drift"):
             propagate_numeric(causal_unit, MatchedLine(1.0, 10.0), grid)
 
+    @pytest.mark.parametrize(
+        "kind, delta_ph, med, grid, drift",
+        [
+            # a third, refined level once accepted this thick line's trace 2.0e-5 off analytic_parts,
+            # further off than levels 0 and 1
+            (A, 7.181946415776719, MatchedLine(7.181946415776719, 1794.4192954532461),
+             TimeGrid(-0.23443496233427555, 1.2639388414906871, 51), 1.776e-5),
+            # a third level's chirp-z zoom once passed the cap, and its error named the cap, not the drift
+            (C, 2.1426250512176748, BroadLine(2.4605549629879584, 2002.395866220482),
+             TimeGrid(-0.8661201126205796, 17.442371093718336, 86), 1.490e-4),
+        ],
+        ids=["matched_antisymmetric", "broad_causal"],
+    )
+    def test_thick_line_drift_is_named(self, kind, delta_ph, med, grid, drift):
+        # configs that validate accepts: the run fills two levels and names their drift
+        w = PhotonWaveform(kind, delta_ph)
+        assert validate(Scenario("thick", "gamma", w, med, grid, ["numeric"], ["time_trace"]))[0] == []
+        with pytest.raises(ConvergenceError, match=r"drift \S+ between levels 0 and 1") as info:
+            propagate_numeric(w, med, grid)
+        assert float(re.search(r"drift (\S+)", str(info.value)).group(1)) == pytest.approx(drift, rel=1e-3)
+
 
 def _rotation_sum(w, a, grid, nu_max, period):
     """Remainder sum over [-nu_max, nu_max) at step 2pi/period, one phase rotation per grid step."""
@@ -907,20 +929,24 @@ def _assert_parts_match_oracle(kind, delta_ph, medium, b_s, b_a, grid):
     assert np.abs(num - ana)[mask].max() <= 1e-4
 
 
-def _fill_slices(w, a, grid, iterations):
-    """The number of `_row_blocks` slices that fill each level 0..iterations of the oracle's lattice.
+def _fill_slices(w, a, grid):
+    """The number of `_row_blocks` slices that fill levels 0 and 1 of the oracle's lattice.
 
-    Level 0 counts 0 where level 1's lattice nests it: its columns are completed within level 1's slices.
+    Level 0 counts 0 where level 1 is an aligned FFT: its columns are completed within level 1's slices.
     """
     slices = []
-    for level in range(iterations + 1):
+    for level in (0, 1):
         strategy, mdiv, p, m, _ = spectral_lattice(w, a, grid, level)
         blocks = propagate._row_blocks(p // 2 + 1, mdiv) if strategy == "fft" else propagate._row_blocks(m, 1)
         slices.append(len(blocks))
-    coarse, fine = spectral_lattice(w, a, grid, 0), spectral_lattice(w, a, grid, 1)
-    if coarse[0] == fine[0] == "fft" and fine[1:3] == (2 * coarse[1], 2 * coarse[2]):
+    if strategy == "fft":
         slices[0] = 0
     return slices
+
+
+def _own_fill(w, a, grid, level):
+    """(values, info) of the oracle's lattice at `level`, filled on its own rather than read off another."""
+    return propagate._fill(w, a, grid, spectral_lattice(w, a, grid, level))[-1]
 
 
 def _property_grid(delta_ph):
@@ -1215,7 +1241,7 @@ class TestAliasBound:
         monkeypatch.setattr(propagate, "_TAIL_TOL", 1e-10)
         nu_max = _window(w, medium, wide)[0]
         monkeypatch.setattr(propagate, "_window", lambda *_: (nu_max, 4.0 * period, None))
-        ref, info = propagate._remainder(w, medium, wide, 0)
+        ref, info = _own_fill(w, medium, wide, 0)
         images = np.abs(ref[: grid.n_points]) + np.abs(ref[2 * p :])
         # the reference's tail, twice, and its FFT's round-off, ~1e-13
         allowance = 2.0 * propagate._tail_bound(w, medium.alpha0_l, info["nu_max"]) + 1e-12
@@ -1277,7 +1303,8 @@ def _nested_case(kind, delta_ph, medium, ratio, thickness, t_start, span, n_poin
 
 
 class TestNestedLevels:
-    """Level 0 read off level 1's lattice (`_fill`), and the image bound's kept contour, against fresh ones."""
+    """Level 0 read off level 1's lattice (`_fill`), the two levels of accepted runs, and the image bound's kept
+    contour, against fresh ones."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -1312,11 +1339,12 @@ class TestNestedLevels:
         w, med, grid = _nested_case(kind, delta_ph, medium, ratio, thickness, t_start, span, n_points)
         assume(validate(Scenario("nested", "gamma", w, med, grid, ["numeric"], ["time_trace"]))[0] == [])
         coarse, fine = spectral_lattice(w, med, grid, 0), spectral_lattice(w, med, grid, 1)
-        assume(coarse[0] == fine[0] == "fft" and fine[1:3] == (2 * coarse[1], 2 * coarse[2]))
+        assume(fine[0] == "fft")  # a zoomed level 1 fills its levels apart
+        assert coarse[0] == "fft" and fine[1:3] == (2 * coarse[1], 2 * coarse[2])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(propagate, "_RULE_BLOCK", block)
             patch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
-            own = [propagate._remainder(w, med, grid, level) for level in (0, 1)]
+            own = [_own_fill(w, med, grid, level) for level in (0, 1)]
             nested = propagate._fill(w, med, grid, fine, coarse)
         for (got, got_info), (want, info) in zip(nested, own):
             assert got.tobytes() == want.tobytes()
@@ -1324,6 +1352,38 @@ class TestNestedLevels:
         mdiv0, p0 = coarse[1:3]
         if mdiv0 % 2 and not p0 % 2:  # nu = 0 is level 0's sample m0/2, its own mirror, read conjugated
             assert _remainder_integrand(w, med, np.zeros(1))[0].imag == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([C, S, A, G]),
+        delta_ph=st.floats(0.05, 50.0),
+        medium=st.sampled_from(["matched", "broad", "eit"]),
+        ratio=st.floats(1.01, 100.0),
+        log_thickness=st.one_of(st.floats(-2.0, math.log10(3000.0)), st.floats(2.0, math.log10(3000.0))),
+        t_start=st.floats(-10.0, 1.0),
+        span=st.floats(2.0, 40.0),
+        n_points=st.integers(31, 301),
+    )
+    # a thick matched line on 41 points, level 1 of 751,872 samples: drift 2.6e-5
+    @example(kind=A, delta_ph=1.0, medium="matched", ratio=1.2, log_thickness=math.log10(1500.0), t_start=-1.7,
+             span=10.8, n_points=41)
+    def test_accepted_run_ends_at_level_one_or_names_its_error(self, kind, delta_ph, medium, ratio, log_thickness,
+                                                              t_start, span, n_points):
+        # coarse grids through thick media: the run returns level 1 within the drift tolerance, or
+        # names the drift or the round-off, never a lattice cap, which validate checked at level 1
+        w, med, grid = _nested_case(kind, delta_ph, medium, ratio, 10.0**log_thickness, t_start, span, n_points)
+        assume(validate(Scenario("accepted", "gamma", w, med, grid, ["numeric"], ["time_trace"]))[0] == [])
+        coarse, fine = spectral_lattice(w, med, grid, 0), spectral_lattice(w, med, grid, 1)
+        assume(fine[3] <= 2**20)  # each draw's cost, by level 1's sample count
+        if fine[0] == "fft":
+            assert fine[1:3] == (2 * coarse[1], 2 * coarse[2])
+        try:
+            conv = propagate_numeric(w, med, grid).convergence
+        except ConvergenceError as exc:
+            assert re.search(r"drift \S+ between levels 0 and 1|round-off", str(exc)), str(exc)
+            assert "cap" not in str(exc)
+            return
+        assert conv["iterations"] == 1 and conv["drift"] <= propagate._DRIFT_TOL
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(
