@@ -56,6 +56,7 @@ from .propagate import (
     _check_beat_work,
     _check_broad,
     _check_nonadiabatic,
+    _check_phi_plus,
     _gaussian_eta,
     adiabatic_eit,
     analytic_matched,
@@ -237,7 +238,7 @@ METHODS: dict[str, Method] = {
     "phi_plus": Method(
         (EitMedium,), ALL_SOURCES,
         _closed(lambda w, a, t: phi_plus(w.delta_ph, eit_params(a), t)),
-        _check_eit,
+        lambda w, a, grid: _check_phi_plus(w.delta_ph, eit_params(a)),
     ),
     "phi_plus_zero": Method(
         (EitMedium,), ALL_SOURCES,

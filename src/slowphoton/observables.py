@@ -9,7 +9,7 @@ violation can be followed to thicknesses of a few thousand.  The broad-line
 energies of a whole thickness scan take the closed forms' depth-windowed
 Gauss-Legendre rule (`propagate._legendre`, built on first use) on the window
 where exp(-2a(T_b - x)) exceeds exp(-40); the part below is under exp(-40)/(2a).
-Its _BROAD_NODES = 24 nodes keep the scan within 7.3e-13 of 30-digit mpmath
+Its _BROAD_NODES = 24 nodes keep the scan within 2.9e-14 of 30-digit mpmath
 from Gamma/delta_ph = 1.01 up; nearer the matched line the rule's round-off,
 amplified by a**3, grows like 1/(Gamma/delta_ph - 1).
 """
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special as _sp
 
+from . import specfun
 from .errors import TruncatedSupportWarning
 from .media import EitParams
 from .propagate import _check_broad, _depth_rule, _gaussian_eta, _legendre, _row_blocks
@@ -45,14 +45,9 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-6
-# u_broad's depth rule, the least count the measured error supports.  i0e is
-# entire, and Gauss-Legendre on exp(20x), the window's widest exponential, is
-# at round-off from 20 nodes on (7.7e-16 relative), which then grows with the
-# count through scipy's weights (8.9e-15 at 24, 4.6e-14 at 32).  Against
-# 30-digit mpmath over Gamma/delta_ph = 1.01-1000 and T = 0-3,000, the scan is
-# within 7.3e-13 at 24 nodes, while 32 reach 3.7e-12 and 20 reach 1.6e-11, each
-# worst at Gamma/delta_ph = 1.01; 22 still truncate at small T (6.2e-13 at
-# T = 0.1 there, against 1.5e-13 at 24).
+# u_broad's depth rule, the least count the measured error supports: against 30-digit mpmath at
+# Gamma/delta_ph = 1.01, 1.05 and 3 and T = 0.1-3,000, 24 nodes are within 2.9e-14 (32: 3.3e-14),
+# worst at 1.01, where 22 still truncate (1.1e-13) and 20 reach 2.2e-11.
 _BROAD_NODES = 24
 # Most thicknesses a scan config may ask of thickness_scan, which bounds its
 # work (a broad scan this long took 3.5 s on a 2-vCPU VM) and its ~100 MB CSV.
@@ -101,8 +96,8 @@ def u_matched(thickness):
     """
     if np.any(np.asarray(thickness) < 0):
         raise ValueError("thickness must be >= 0")
-    i0e = _sp.i0e(thickness)
-    i1e = _sp.i1e(thickness)
+    i0e = specfun.i0e(thickness)
+    i1e = specfun.i1e(thickness)
     u_s = 0.5 * (i0e - i1e)
     u_a = 0.5 * (i0e + i1e)
     return u_s, u_a, u_s + u_a
@@ -130,7 +125,7 @@ def u_broad(delta_ph: float, gamma_total: float, thickness):
     i1 = np.empty(tb.shape)
     i2 = np.empty(tb.shape)
     for blk in _row_blocks(tb.size, depth.shape[1]):
-        wi = w[blk] * _sp.i0e(tb[blk, None] - depth[blk])
+        wi = w[blk] * specfun.i0e(tb[blk, None] - depth[blk])
         i1[blk] = wi.sum(axis=1)
         i2[blk] = (wi * depth[blk]).sum(axis=1)
     u1 = 2.0 * a**2 * u0 * i1
@@ -151,7 +146,7 @@ def u_eit_adiabatic(delta_ph: float, params: EitParams) -> float:
     """
     u0 = 0.5 / delta_ph
     r = delta_ph / params.delta_eff
-    return u0 * math.exp(-2.0 * params.t_eit) * float(_sp.erfcx(math.sqrt(2.0) * r))
+    return u0 * math.exp(-2.0 * params.t_eit) * float(specfun.erfcx(math.sqrt(2.0) * r))
 
 
 def u_gaussian(delta_ph: float, gamma_total: float, thickness: float) -> float:

@@ -54,8 +54,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
-from scipy import special as _sp
 
+from . import specfun
 from .errors import ConvergenceError, UnsupportedWaveformError, ValidityError
 from .media import (
     AbsorberSpec,
@@ -590,7 +590,7 @@ def analytic_matched(delta_ph: float, thickness: float, tau):
     """
     tv = np.asarray(tau, dtype=float)
     tp = np.clip(tv, 0.0, None)
-    out = np.exp(-delta_ph * tp) * _sp.j0(2.0 * np.sqrt(thickness * delta_ph * tp))
+    out = np.exp(-delta_ph * tp) * specfun.j0(2.0 * np.sqrt(thickness * delta_ph * tp))
     out = out * _step(tv)
     return out if np.ndim(tau) else float(out)
 
@@ -611,15 +611,16 @@ def _depth_rule(rule, t_eff, decay):
 
 @functools.lru_cache(maxsize=4)
 def _legendre(n):
-    """scipy's n-node Gauss-Legendre rule (nodes, weights) on [-1, 1], as read-only arrays.
+    """`specfun.gauss_legendre`'s n-node rule (nodes, weights) on [-1, 1], as read-only arrays.
 
     The beat integrals and `observables.u_broad` take every rule from here, so
-    none is built (nor scipy.linalg loaded) at import.  The last four n are kept,
-    two lines' worth (a broad line's beat integrals take two rules): per pass of
-    the seed-1 benchmark, the sweep reuses 4 rules and builds 26 (1 and 29 if
-    one were kept), and the scan builds none and reuses its one rule 64 times.
+    none is built at import.  The last four n are kept, two lines' worth (a
+    broad line's beat integrals take two rules): per warm pass of the seed-1
+    benchmark, the sweep reuses 4 rules and builds 26 (1 and 29 if one were
+    kept), the scan builds none and reuses its one rule 64 times, and the
+    figures build all 7, as a one-shot run does (eight kept would reuse them).
     """
-    rule = _sp.roots_legendre(n)
+    rule = specfun.gauss_legendre(n)
     for part in rule:
         part.flags.writeable = False
     return rule
@@ -692,7 +693,7 @@ def _beat_integral(t_eff, decay, rate, tau_values):
     root_tau = np.sqrt(flat)
     out = np.empty(flat.shape)
     for rows in _row_blocks(flat.size, u.size):
-        out[rows] = _sp.j0(root_tau[rows, None] * phase) @ w
+        out[rows] = specfun.j0(root_tau[rows, None] * phase) @ w
     return out.reshape(tv.shape)
 
 
@@ -743,7 +744,7 @@ def _kept_line_parts(d, g, alpha0_l, sign, shape, bits):
         if g > d:
             g_minus = _beat_integral(t_minus, 1.0, g - d, tp)
         else:
-            g_minus = _sp.j0(2.0 * np.sqrt(alpha0_l * tp))
+            g_minus = specfun.j0(2.0 * np.sqrt(alpha0_l * tp))
         fast = 0.5 * np.exp(-g * tp)
         b_s[near] += fast * (g_minus - g_plus)
         b_a[near] += fast * (g_minus + g_plus)
@@ -795,13 +796,8 @@ def approx_broad(delta_ph: float, gamma_total: float, alpha0_l: float, tau):
     tv = np.atleast_1d(np.asarray(tau, dtype=float))
     tp = np.clip(tv, 0.0, None)
     x = 2.0 * np.sqrt(alpha0_l * tp)
-    # J1(x)/x -> 1/2 as x -> 0; series below x = 1e-3 avoids 0/0
-    small = x < 1e-3
-    ratio = np.empty_like(x)
-    ratio[small] = 0.5 - x[small] ** 2 / 16.0
-    ratio[~small] = _sp.j1(x[~small]) / x[~small]
-    second = (gamma_total - delta_ph) * tp * 2.0 * ratio
-    out = np.exp(-gamma_total * tp) * (_sp.j0(x) + second) * _step(tv)
+    second = (gamma_total - delta_ph) * tp * 2.0 * specfun.j1x(x)
+    out = np.exp(-gamma_total * tp) * (specfun.j0(x) + second) * _step(tv)
     return out if np.ndim(tau) else float(out[0])
 
 
@@ -809,18 +805,31 @@ def approx_broad(delta_ph: float, gamma_total: float, alpha0_l: float, tau):
 # EIT closed forms
 # ---------------------------------------------------------------------------
 
+def _check_phi_plus(delta_ph: float, params: EitParams) -> float:
+    """phi_plus's plateau exp(r**2), r = delta_ph/delta_eff; ValidityError where it overflows."""
+    try:
+        return math.exp((delta_ph / params.delta_eff) ** 2)
+    except OverflowError:
+        raise ValidityError(
+            "phi_plus's plateau exp((delta_ph/delta_eff)**2) overflows past delta_ph/delta_eff = "
+            f"sqrt(709.78) (got {delta_ph / params.delta_eff:.6g})"
+        ) from None
+
+
 def phi_plus(delta_ph: float, params: EitParams, tau):
     """Leading-edge smoothing function of the EIT-filtered envelope.
 
-    0.5*exp(r**2)*[1 + erf(de/2*(tau - t_d) - r)] with r = delta_ph/delta_eff;
+    0.5*exp(r**2)*[1 + erf(z)], z = de/2*(tau - t_d) - r, r = delta_ph/delta_eff;
     rises from 0 to ~1 around the group delay over a width ~4/delta_eff.
-    delta_ph = 0 gives the pure window-limited edge.
+    delta_ph = 0 gives the pure window-limited edge.  Evaluated through
+    erfcx, as `_r_pm` is: 0.5*exp(r**2 - z**2)*erfcx(-z) below z = 0, where
+    1 + erf(z) cancels, and exp(r**2) minus its mirror above.
     """
-    de = params.delta_eff
-    r = delta_ph / de
-    tv = np.asarray(tau, dtype=float)
-    z = 0.5 * de * (tv - params.t_d) - r
-    out = 0.5 * math.exp(r * r) * (1.0 + _sp.erf(z))
+    plateau = _check_phi_plus(delta_ph, params)
+    r = delta_ph / params.delta_eff
+    z = 0.5 * params.delta_eff * (np.asarray(tau, dtype=float) - params.t_d) - r
+    edge = 0.5 * np.exp(r * r - z * z) * specfun.erfcx(np.abs(z))
+    out = np.where(z < 0, edge, plateau - edge)
     return out if np.ndim(tau) else float(out)
 
 
@@ -835,15 +844,9 @@ def _r_pm(sign: int, delta_ph: float, p: EitParams, tau):
     d = delta_ph
     r = d / de
     y = np.asarray(tau, dtype=float) - p.t_d
-    base = np.exp(-0.25 * (de * y) ** 2 - p.t_eit)
     z = 0.5 * de * y - sign * r
-    out = np.where(
-        sign * z <= 0,
-        0.5 * _sp.erfcx(np.abs(z)) * base,
-        np.exp(np.minimum(r * r - p.t_eit - sign * d * y, 0.0))
-        - 0.5 * _sp.erfcx(np.abs(z)) * base,
-    )
-    return out
+    edge = 0.5 * specfun.erfcx(np.abs(z)) * np.exp(-0.25 * (de * y) ** 2 - p.t_eit)
+    return np.where(sign * z <= 0, edge, np.exp(np.minimum(r * r - p.t_eit - sign * d * y, 0.0)) - edge)
 
 
 def adiabatic_eit(w: PhotonWaveform, a: EitMedium, tau):

@@ -638,6 +638,27 @@ class TestMainEntry:
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_phi_plus_exit_2(self, tmp_path, capsys, command):
+        # fig5's medium at a causal delta_ph = 200: r = delta_ph/delta_eff = 28.9 is past sqrt(709.78),
+        # where exp(r**2) raised an unnamed OverflowError in run after validate printed ok
+        text = (
+            FIG6A_TEXT.replace("source.delta_ph = 1.0", "source.delta_ph = 200.0")
+            .replace("grid.t_start = -2.0", "grid.t_start = -0.5").replace("grid.t_end = 15.0", "grid.t_end = 2.5")
+            .replace("grid.n_points = 1701", "grid.n_points = 301")
+            .replace("methods = input, numeric, total_eit", "methods = phi_plus")
+            .replace("outputs = time_trace, eit_params", "outputs = time_trace")
+        )
+        out = tmp_path / "out"
+        args = [command, str(_write(tmp_path, text))] + (["--out", str(out)] if command == "run" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "error: method 'phi_plus': phi_plus's plateau exp((delta_ph/delta_eff)**2) overflows" in (
+            captured.out + captured.err
+        )
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "medium",
         [
@@ -1011,29 +1032,23 @@ class TestKeptResults:
         assert {p.name: p.read_bytes() for p in (tmp_path / "reverse").iterdir()} == forward
 
 
-_IMPORT_GATE = """
+_FRESH_IMPORT = """
 import json, sys
-import numpy, scipy.special
-scipy.special.roots_legendre(2)
-before = set(sys.modules)
 import slowphoton.cli
 print(json.dumps({
-    "added": sorted(m for m in set(sys.modules) - before if m == "scipy" or m.startswith("scipy.")),
-    "absent": [m for m in ("scipy.integrate", "scipy.fft") if m not in sys.modules],
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "rules": slowphoton.propagate._legendre.cache_info().currsize,
+    "text_tables": slowphoton.cli._text_tables.cache_info().currsize,
 }))
 """
 
 
-_FRESH_IMPORT = """
-import json, sys
-import numpy, scipy.special
-before = set(sys.modules)
-import slowphoton.cli
-print(json.dumps({
-    "added": sorted(m for m in set(sys.modules) - before if m == "scipy" or m.startswith("scipy.")),
-    "rules": slowphoton.propagate._legendre.cache_info().currsize,
-    "text_tables": slowphoton.cli._text_tables.cache_info().currsize,
-}))
+_FIGURE_ALL = """
+import contextlib, io, json, sys, tempfile
+from slowphoton.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    code = main(["figure", "all", "--out", out])
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
 
 
@@ -1051,14 +1066,12 @@ class TestImports:
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout)
 
-    def test_cli_import_loads_no_scipy_module_beyond_special(self):
-        # a fresh interpreter holding numpy, scipy.special and a Gauss-Legendre rule (which
-        # loads scipy.linalg): whatever scipy.special loads on this build, slowphoton adds no
-        # scipy module, and scipy.integrate and scipy.fft stay out
-        assert self._run(_IMPORT_GATE) == {"added": [], "absent": ["scipy.integrate", "scipy.fft"]}
+    def test_cli_import_loads_no_scipy_and_builds_no_rule(self):
+        # a fresh interpreter: the import loads no scipy module, leaves _legendre empty and
+        # builds no CSV text table
+        assert self._run(_FRESH_IMPORT) == {"scipy": [], "rules": 0, "text_tables": 0}
 
-    def test_cli_import_builds_no_rule(self):
-        # with only numpy and scipy.special loaded, and no rule built, the import adds no
-        # scipy module (a rule would load scipy.linalg), leaves _legendre empty and builds
-        # no CSV text table
-        assert self._run(_FRESH_IMPORT) == {"added": [], "rules": 0, "text_tables": 0}
+    def test_figure_all_loads_no_scipy(self):
+        # numpy is the only runtime dependency: a whole `figure all` in a fresh interpreter,
+        # every closed form and rule included, loads no scipy module, not even lazily
+        assert self._run(_FIGURE_ALL) == {"code": 0, "scipy": []}

@@ -267,7 +267,7 @@ class TestBroadRule:
     @pytest.mark.parametrize("ratio", [1.01, 1.05])
     def test_near_matched_lines_match_mpmath_reference(self, ratio):
         # a**3 amplifies the rule's round-off, so its error grows like 1/(ratio - 1): here
-        # 24 nodes are within 7.3e-13 (1.01) and 6.9e-14 (1.05), and 32 reached 3.7e-12 and 3.6e-13
+        # 24 nodes are within 2.9e-14 (1.01) and 4.6e-15 (1.05)
         thicknesses = [0.25, 0.5, 1.0, 2.0, 5.0, 100.0]
         scan = thickness_scan("broad", 1.0, ratio, thicknesses)
         ref = np.array([_mp_broad(1.0, ratio, t) for t in thicknesses])
@@ -279,10 +279,9 @@ class TestBroadRule:
         "patches",
         [
             [(observables, "_BROAD_NODES", 2 * observables._BROAD_NODES)],
-            # a window 60/40 as deep needs more nodes (24 move values by 1.7e-13), so it takes the
-            # doubled rule and only the cut at exp(-40) is checked; the 36 nodes of the scaled count
-            # move them by 1.3e-13, as scipy's 36-node rule is 1.8e-13 off on exp(30x) by its weights
-            [(propagate, "_DEPTH_SPAN", 60.0), (observables, "_BROAD_NODES", 2 * observables._BROAD_NODES)],
+            # a window 60/40 as deep needs 60/40 as many nodes (24 move values by 1.7e-13, 36 by
+            # 1.3e-16), so only the cut at exp(-40) is checked
+            [(propagate, "_DEPTH_SPAN", 60.0), (observables, "_BROAD_NODES", 3 * observables._BROAD_NODES // 2)],
         ],
         ids=["double_nodes", "window_exp_minus_60"],
     )

@@ -1,6 +1,7 @@
 """Transmission solutions: closed forms against the spectral oracle."""
 
 import itertools
+import json
 import math
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
-from scipy.special import j0, roots_legendre
+from scipy.special import j0
 
 from slowphoton import propagate
 from slowphoton.cli import Scenario, validate
@@ -247,8 +249,8 @@ class TestBeatCut:
             propagate._check_beat_work(d, g, alpha0_l, grid)
         checked = int(re.search(r"need (\d+)", str(info.value)).group(1))
         rule_j0 = []  # the tau x node matrices of the beat rules, not the matched line's own J0
-        bessel = propagate._sp.j0
-        monkeypatch.setattr(propagate._sp, "j0", lambda x: rule_j0.append(x.size * (x.ndim == 2)) or bessel(x))
+        bessel = propagate.specfun.j0
+        monkeypatch.setattr(propagate.specfun, "j0", lambda x: rule_j0.append(x.size * (x.ndim == 2)) or bessel(x))
         propagate._line_parts(d, g, alpha0_l, grid.times())
         assert 0 < sum(rule_j0) <= checked
         monkeypatch.setattr(propagate, "_MAX_BEAT_WORK", checked)
@@ -319,8 +321,13 @@ class TestBeatIntegral:
                 part[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 part *= 2.0
-        np.testing.assert_array_equal(nodes, roots_legendre(72)[0])
-        np.testing.assert_array_equal(weights, roots_legendre(72)[1])
+        # and accurate: within 4e-16 (nodes) and 3e-15 (weights) of 40-digit mpmath, and 2.5e-15
+        # on exp(20x) and exp(30x)
+        reference = json.loads((Path(__file__).parent / "specfun_reference.json").read_text())["legendre"]["72"]
+        assert np.abs(nodes - reference["nodes"]).max() <= 4e-16
+        assert np.abs(weights / reference["weights"] - 1.0).max() <= 3e-15
+        for a in (20.0, 30.0):
+            assert np.exp(a * nodes) @ weights == pytest.approx(2.0 * math.sinh(a) / a, rel=2.5e-15)
 
 
 class TestBeatIntegralProperties:
