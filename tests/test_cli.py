@@ -501,8 +501,8 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "old, new",
         [("medium.thickness = 10", "medium.thickness = 1e6"), ("grid.t_end = 10", "grid.t_end = 1e300"),
-         ("medium.thickness = 10", "medium.thickness = 8000")],
-        ids=["thick", "long", "thickness_8000"],
+         ("medium.thickness = 10", "medium.thickness = 120000")],
+        ids=["thick", "long", "thickness_120000"],
     )
     def test_oversized_lattice_exit_2(self, tmp_path, capsys, old, new):
         # the chirp-z zoom of level 1 would need > 2**22 frequencies, so
@@ -526,8 +526,13 @@ class TestMainEntry:
             # alpha0*l*tau overflows the node count
             (MATCHED_TEXT.replace("medium.thickness = 10", "medium.thickness = 1e308")
              .replace("methods = numeric", "methods = analytic_parts"), "analytic_parts", "inf"),
+            # one tau past zero: 2,000,028 J0 values, under the cap, but a rule whose O(n**2) build
+            # would take days (3,001 nodes take 0.2 s, 31,651 about 27 s)
+            (MATCHED_TEXT.replace("medium.thickness = 10", "medium.thickness = 4e11")
+             .replace("grid.n_points = 1401", "grid.n_points = 2")
+             .replace("methods = numeric", "methods = analytic_parts"), "analytic_parts", 2000028),
         ],
-        ids=["analytic_parts", "total_eit", "overflow"],
+        ids=["analytic_parts", "total_eit", "overflow", "rule_build"],
     )
     def test_oversized_beat_rule_exit_2(self, tmp_path, capsys, text, method, nodes):
         # the closed forms' beat rules grow like sqrt(alpha0*l*tau): validate
@@ -538,7 +543,7 @@ class TestMainEntry:
         assert main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().out
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert time.perf_counter() - start < 10.0
+        assert time.perf_counter() - start < 1.0
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -684,7 +689,7 @@ class TestMainEntry:
         assert manifest["convergence"]["numeric"]["roundoff"] <= 1e-12
 
     def test_thick_matched_line_runs(self, tmp_path, capsys):
-        # alpha0*l = 4,000: with three orders subtracted, the window of the
+        # alpha0*l = 4,000: with the Pade form subtracted, the window of the
         # accepted level keeps its FFT lattice under the cap
         path = _write(tmp_path, MATCHED_TEXT.replace("medium.thickness = 10", "medium.thickness = 4000"))
         assert main(["validate", str(path)]) == 0
@@ -898,13 +903,13 @@ class TestKeptResults:
     def test_validate_and_run_share_one_window(self, tmp_path, monkeypatch):
         # one window, one image model, one contour and one period search for the lattice
         # check and both levels of the oracle call after it, whose level 0 is read off
-        # level 1's lattice: two slices of level 1, no fill of a level on its own
+        # level 1's lattice: one slice of level 1, no fill of a level on its own
         calls = self._counted(monkeypatch)
         (sc,) = figure_preset("fig6a")
         assert validate(sc)[0] == []
         run_scenario(sc, tmp_path)
         assert propagate._window.cache_info().misses == propagate._contour.cache_info().misses == 1
-        assert calls == {"_image_model": 1, "_least_period": 1, "spectral_response": 2}
+        assert calls == {"_image_model": 1, "_least_period": 1, "spectral_response": 1}
 
     def test_each_pass_over_the_presets_computes_the_same(self, tmp_path, monkeypatch):
         # Each kept result holds its last call only, so this guards that the presets'
@@ -916,7 +921,7 @@ class TestKeptResults:
         # the 8 image models, one per (delta_ph, medium): fig2's pair, fig3a's pair,
         # fig6a with fig7's pair, fig6b.  Every level 1 is an aligned FFT of twice level
         # 0's mdiv and p, so level 0 is read off it in all 8 oracle calls: no lattice is
-        # filled on its own, and the lattices take 11 spectral_response calls.
+        # filled on its own, and each lattice is one slice, 8 spectral_response calls.
         names = ("_image_model", "_least_period", "_fill", "spectral_response")
         calls = self._counted(monkeypatch)
         counts = []
@@ -928,7 +933,7 @@ class TestKeptResults:
                     run_scenario(sc, tmp_path / str(run))
             after = self._computed() + tuple(calls[name] for name in names)
             counts.append(tuple(a - b for a, b in zip(after, before)))
-        assert counts == [(8, 7, 4, 4, 8, 1, 4, 8, 8, 0, 11), (8, 7, 4, 4, 8, 0, 4, 8, 8, 0, 11)]
+        assert counts == [(8, 7, 4, 4, 8, 1, 4, 8, 8, 0, 8), (8, 7, 4, 4, 8, 0, 4, 8, 8, 0, 8)]
 
     def test_kept_parts_and_traces_equal_fresh_ones(self):
         (sc,) = figure_preset("fig6a")
