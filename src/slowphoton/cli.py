@@ -176,23 +176,6 @@ def _open_window(medium) -> Optional[EitParams]:
         return None
 
 
-def _numeric(w, a, grid) -> TimeSeries:
-    """propagate_numeric's trace, kept for the last (source, medium, grid).
-
-    Grids whose bounds differ only in the sign of a zero are equal and share
-    one trace, whose samples do not depend on that sign.  Each call gets its
-    own grid, samples and convergence record; a wrapper set on this module's
-    propagate_numeric sees each call that computes.
-    """
-    kept = _kept_trace(w, a, grid)
-    return TimeSeries(grid, kept.amplitude.copy(), dict(kept.convergence))
-
-
-@functools.lru_cache(maxsize=1)
-def _kept_trace(w, a, grid) -> TimeSeries:
-    return propagate_numeric(w, a, grid)
-
-
 def _parts(w, a, tau):
     if isinstance(a, MatchedLine):
         return _from_parts(w.kind, *analytic_parts_matched(w.delta_ph, a.thickness, tau))
@@ -202,7 +185,7 @@ def _parts(w, a, tau):
 METHODS: dict[str, Method] = {
     "input": Method(None, ALL_SOURCES, lambda w, a, grid: sample(w, grid)),
     "numeric": Method(
-        None, ALL_SOURCES, _numeric,
+        None, ALL_SOURCES, lambda w, a, grid: propagate_numeric(w, a, grid),
         lambda w, a, grid: spectral_lattice(w, a, grid, 1),  # level 1, the larger and last a run fills
     ),
     "analytic_matched": Method(

@@ -12,10 +12,14 @@ remainder, decaying like (alpha0*l/nu)**7, is cut where its tail is below
 _TAIL_TOL and folded onto the grid's period for one FFT of p ~ period/spacing
 points.  The period is the least one whose periodic images of the remainder,
 bounded exactly before tau = 0 and along a shifted contour after it
-(`_image_model`), sum to at most _ALIAS_TOL on the grid; `_window` keeps the
-last window, so that `validate` and the run after it share it, and
-`_contour` the last contour, which depends on delta_ph and the medium only,
-so that the parts of one photon share it.
+(`_image_model`), sum to at most _ALIAS_TOL on the grid for every exponential
+kind.  One solve serves a photon (`_solve`): its symmetric and antisymmetric
+parts share the window, the fill, which evaluates each sample once for both,
+and the closed part, and every exponential kind, the causal photon included,
+is their PART_WEIGHTS combination, so no byte depends on which kind is asked
+first.  `_window` keeps the last window, so that `validate` and the run after
+it share it, and `_solve` the last solve, so that the kinds of one (delta_ph,
+medium, grid) share it.
 Sources and impulse responses are real, so h(-nu) = conj h(nu): the folded
 spectrum is Hermitian, its half goes through one real-output FFT, and the
 envelope is real by construction.  Two levels are filled: level 1 is the
@@ -50,6 +54,7 @@ import bisect
 import functools
 import math
 import os
+import types
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -109,9 +114,10 @@ _PADE_ERROR = 2.81e-5
 # propagate_numeric fills level 0 and level 1, of twice its window and period; they must agree to
 # _DRIFT_TOL in max-abs.  No level 2: on thick lines it moved further from the exact closed forms.
 _DRIFT_TOL = 1e-5
-# Window: past +-nu_max >= alpha0*l, taken past EIT's lines at +-omega, |b0(nu)| <= 1/|nu| and |A(nu)l| <~
-# alpha0*l/|nu| <= 1 keep the remainder, b0 times exp(-A(nu)l) - R(A(nu)l), below `_tail_bound` =
-# _PADE_ERROR*(alpha0*l/nu_max)**7/(7*pi): _TAIL_TOL at alpha0*l*(_PADE_ERROR/(7*pi*_TAIL_TOL))**(1/7) = 1.035*alpha0*l.
+# Window: past +-nu_max, taken past EIT's lines at +-omega, |b0(nu)| <= 1/|nu| and |A(nu)l| <= alpha0*l/(nu -
+# Omega**2/nu) <= 1 (Omega = 0 for a line) keep the remainder, b0 times exp(-A(nu)l) - R(A(nu)l), below
+# `_tail_bound` = _PADE_ERROR*(alpha0*l/(nu_max - Omega**2/nu_max))**7/(7*pi): _TAIL_TOL where nu_max -
+# Omega**2/nu_max = alpha0*l*(_PADE_ERROR/(7*pi*_TAIL_TOL))**(1/7) = 1.035*alpha0*l.
 _TAIL_TOL = 1e-6
 # Period: the folded lattice sum at tau_j is the remainder summed over its images tau_j + n*period (Poisson),
 # and the level-0 period is the least whose images n != 0 stay below `_alias_bound` = _ALIAS_TOL, 1e-3 of
@@ -171,8 +177,9 @@ def _expm1(a):
     return out
 
 
-def _subtraction(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
-    """(signal, roundoff): b(s) * (R(A(s)l) - 1) on the grid, R the Pade form of exp(-u) (see _PADE_POLES).
+def _subtraction(sources, a: AbsorberSpec, grid: TimeGrid):
+    """(signals, roundoff): b(s) * (R(A(s)l) - 1) on the grid for each source of one delta_ph, one row each, R the
+    Pade form of exp(-u) (see _PADE_POLES), and each row's round-off bound.
 
     With `medium_system`'s u = A(s)l = C(sI - M)^(-1)B, u/(1 - u/r) is C(sI - M - B*C/r)^(-1)B: pole r_i's
     term w_i*b(s)*u/(1 - u/r_i) is the source's causal state (rate -d) in series with the medium fed back
@@ -180,41 +187,46 @@ def _subtraction(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
     pole's chain and one of the conjugate pair's (its partner's term is its conjugate) sit on the block
     diagonal of one chain matrix.  For tau > 0 the terms read C off exp(chain*tau) @ x0, x0 being c_p on the
     source states plus c_m*(d - M - B*C/r_i)^(-1)B on the medium's: what the medium carries past tau = 0 of
-    the anticausal c_m*exp(d*tau).  For tau <= 0 they are that readout of x0 times exp(d*tau).  The tau > 0
+    the anticausal c_m*exp(d*tau).  For tau <= 0 they are that readout of x0 times exp(d*tau).  x0 has one
+    column per source, so the sources share the chain and each row is linear in its (c_p, c_m).  The tau > 0
     columns are stepped by doubling from one spacing, then moved to linspace's tau to first order.  roundoff
-    is eps times 2 plus the doublings times the largest summed moduli of the terms.
+    is eps times 2 plus the doublings times the largest summed moduli of a row's terms.
     """
     tau = grid.times()
-    if w.kind not in PART_WEIGHTS:
-        return np.zeros(tau.shape), 0.0
-    c_p, c_m = _exponential_weights(w.kind)
-    d = w.delta_ph
+    if sources[0].kind not in PART_WEIGHTS:
+        return np.zeros((len(sources), tau.size)), np.zeros(len(sources))
+    c_p, c_m = np.array([_exponential_weights(w.kind) for w in sources]).T
+    d = sources[0].delta_ph
     m, b, c = medium_system(a)
     k = 1 + len(m)
-    chain, read, x0 = np.zeros((2 * k, 2 * k), complex), np.zeros((2, 2 * k), complex), np.zeros(2 * k, complex)
+    chain, read = np.zeros((2 * k, 2 * k), complex), np.zeros((2, 2 * k), complex)
+    x0 = np.zeros((2 * k, len(sources)), complex)
     for i, r, weight in ((0, _PADE_POLES[0], _PADE_WEIGHTS[0]), (1, _PADE_POLES[1], 2.0 * _PADE_WEIGHTS[1])):
         src, med = i * k, slice(i * k + 1, (i + 1) * k)
         chain[src, src], chain[med, src], chain[med, med] = -d, b[:, 0], m + b @ c / r
         read[i, med] = weight * c[0]
-        x0[src], x0[med] = c_p, c_m * np.linalg.solve(d * np.eye(k - 1) - chain[med, med], b[:, 0])
-    terms = np.outer(read @ x0, np.exp(d * np.minimum(tau, 0.0)))
+        x0[src], x0[med] = c_p, np.outer(np.linalg.solve(d * np.eye(k - 1) - chain[med, med], b[:, 0]), c_m)
+    terms = np.empty((2, len(sources), tau.size), dtype=complex)  # chain, source, tau
     pos = np.flatnonzero(tau > 0)
+    before = tau.size - pos.size  # linspace's tau ascend
+    terms[:, :, :before] = (read @ x0)[:, :, None] * np.exp(d * tau[:before])
     if pos.size:
         # x = exp(-mu*tau)*y: y, under the chain shifted by its slowest rate mu, neither decays nor grows
         mu = -float(np.linalg.eigvals(chain).real.max())
         shifted = chain + mu * np.eye(2 * k)
-        h, first = grid.spacing, float(tau[pos[0]])  # column j is y at first + j*h
+        h, first = grid.spacing, float(tau[pos[0]])  # column j of each source is y at first + j*h
         step = _expm1(h * shifted)
-        cols = np.empty((2 * k, pos.size), dtype=complex)
-        cols[:, 0] = x0 + _expm1(first * shifted) @ x0
-        done = 1
-        while done < pos.size:  # columns done..2*done-1 are exp(done*h*shifted) times columns 0..done-1
-            more = min(done, pos.size - done)
+        cols = np.empty((2 * k, pos.size * len(sources)), dtype=complex)  # the sources' columns side by side
+        cols[:, :len(sources)] = x0 + _expm1(first * shifted) @ x0
+        done = len(sources)
+        while done < cols.shape[1]:  # columns done.. are exp(done*h*shifted) times columns 0..
+            more = min(done, cols.shape[1] - done)
             cols[:, done:done + more] = cols[:, :more] + step @ cols[:, :more]
             step, done = 2.0 * step + step @ step, done + more
-        value, slope = np.vsplit(np.vstack([read, read @ shifted]) @ cols, 2)
-        terms[:, pos] = (value + slope * (tau[pos] - (first + np.arange(pos.size) * h))) * np.exp(-mu * tau[pos])
-    roundoff = float((2 + (pos.size - 1).bit_length()) * np.finfo(float).eps * np.abs(terms).sum(axis=0).max())
+        value, slope = (np.vstack([read, read @ shifted]) @ cols).reshape(2, 2, pos.size, len(sources)).swapaxes(2, 3)
+        lag = tau[pos] - (first + np.arange(pos.size) * h)
+        terms[:, :, before:] = (value + slope * lag) * np.exp(-mu * tau[pos])
+    roundoff = (2 + (pos.size - 1).bit_length()) * np.finfo(float).eps * np.abs(terms).sum(axis=0).max(axis=1)
     return terms.sum(axis=0).real, roundoff
 
 
@@ -238,20 +250,28 @@ def _pade_remainder(x):
     return x
 
 
-def _remainder_integrand(w, a, nu):
-    """h(nu) = b(0, nu)*(exp(x) - R(-x)), x = -A(nu)l; the Gaussian's exp(x) - 1 (its free term only)."""
+def _remainder_integrand(sources, a, nu):
+    """h(nu) = b(0, nu)*(exp(x) - R(-x)), x = -A(nu)l, one row per source, which share one evaluation of
+    exp(x) - R(-x); the Gaussian's exp(x) - 1 (its free term only)."""
     x = spectral_response(a, nu)
     np.negative(x.view(float), out=x.view(float))  # both parts: the bits of complex negation at a fifth of its cost
-    x = _pade_remainder(x) if w.kind in PART_WEIGHTS else np.subtract(np.exp(x, out=x), 1.0, out=x)
-    x *= spectral_amplitude(w, nu)
-    return x
+    x = _pade_remainder(x) if sources[0].kind in PART_WEIGHTS else np.subtract(np.exp(x, out=x), 1.0, out=x)
+    h = np.empty((len(sources),) + x.shape, dtype=complex)
+    for row, w in zip(h, sources):
+        np.multiply(x, spectral_amplitude(w, nu), out=row)
+    return h
 
 
-def _tail_bound(w: PhotonWaveform, alpha0_l, nu_max):
-    """Bound on the remainder integral past +-nu_max (see _TAIL_TOL), for nu_max >= alpha0*l as `_window` keeps it."""
+def _tail_bound(w: PhotonWaveform, a: AbsorberSpec, nu_max):
+    """Bound on the remainder integral past +-nu_max (see _TAIL_TOL), for nu_max at least `_window`'s tail term.
+
+    Past Omega (0 for a line), |A(nu)l| <= alpha0*l/(nu*(1 - Omega**2/nu**2)), because
+    |(s + Gamma)(s + gamma_m) + Omega**2| >= |s + Gamma|*|s + gamma_m| - Omega**2 and |s + rate| >= |nu|.
+    """
     if w.kind is WaveformKind.GAUSSIAN:  # |b0| <= (2*sqrt(pi)/d)*exp(-(nu/d)**2), |exp(-A(nu)l) - 1| <= 2
         return 2.0 * math.erfc(nu_max / w.delta_ph)
-    return _PADE_ERROR * (alpha0_l / nu_max) ** 7 / (7.0 * math.pi)
+    omega = getattr(a, "omega", 0.0)  # 0 for a line
+    return _PADE_ERROR * (a.alpha0_l / (nu_max * (1.0 - (omega / nu_max) ** 2))) ** 7 / (7.0 * math.pi)
 
 
 def _transfer(m, b, c):
@@ -266,8 +286,9 @@ def _transfer(m, b, c):
     return np.array(num), np.array(den)
 
 
-def _image_model(w: PhotonWaveform, a: AbsorberSpec):
-    """(d, c0, terms): |r(tau)| <= c0*exp(d*tau) for tau <= 0 and K*exp(-sigma*tau) for tau > 0, (sigma, K) in terms.
+def _image_model(d, a: AbsorberSpec):
+    """{kind: (d, c0, terms)}, read-only, for each exponential kind of rate d: |r(tau)| <= c0*exp(d*tau) for
+    tau <= 0 and K*exp(-sigma*tau) for tau > 0, (sigma, K) in terms.
 
     r is the remainder of an exponential source, the inverse transform of h = b(0, s)*E(s), s = -i*nu,
     E = exp(-u) - R(u) and u = A(s)l = C(sI - M)^(-1)B from `medium_system`, as `_transfer`'s rational
@@ -281,25 +302,25 @@ def _image_model(w: PhotonWaveform, a: AbsorberSpec):
     runs it came within 3% on 600 drawn lines and 8% on 600 drawn EIT media,
     and K is twice it.  Past 60 steps, or at a value that is not finite, K is
     inf: such a lattice is far past the cap.  The contour depends on d and the
-    medium only, so the sources that share them (the parts of one photon)
-    share one, and each call applies its own pole weights to it.
+    medium only, so the three kinds share one, each with its own pole weights.
     """
-    d = w.delta_ph
-    c_p, c_m = _exponential_weights(w.kind)
     e_d, paths = _contour(d, a)
-    terms = []
+    models = {}
     with np.errstate(all="ignore"):
-        c0 = abs(c_m * e_d)
-        for sigma, s, e, density, reached in paths:
-            h = (c_p / (s + d) + c_m / (d - s)) * e
-            k = float((np.abs(h) / density).sum() / _IMAGE_NODES)  # 2 * (1/2pi) * sum |h|*(pi/n)/density
-            terms.append((sigma, k if k < math.inf and reached else math.inf))
-    return d, float(c0) if c_m else 0.0, tuple(terms)
+        poles = [(1.0 / (s + d), 1.0 / (d - s)) for _, s, *_ in paths]  # c/(s + d) = c*(1/(s + d)), c = 1 or +-1/2
+        for kind in PART_WEIGHTS:
+            c_p, c_m = _exponential_weights(kind)
+            terms = []
+            for (sigma, s, e, density, reached), (causal, anticausal) in zip(paths, poles):
+                h = (c_p * causal + c_m * anticausal) * e
+                k = float((np.abs(h) / density).sum() / _IMAGE_NODES)  # 2 * (1/2pi) * sum |h|*(pi/n)/density
+                terms.append((sigma, k if k < math.inf and reached else math.inf))
+            models[kind] = (d, float(abs(c_m * e_d)) if c_m else 0.0, tuple(terms))
+    return types.MappingProxyType(models)
 
 
-@functools.lru_cache(maxsize=1)
 def _contour(d, a: AbsorberSpec):
-    """(E(d), paths) of `_image_model` for rate d through medium a, kept for the last call, arrays read-only.
+    """(E(d), paths) of `_image_model` for rate d through medium a.
 
     Each path is (sigma, s, E(s), density, reached) on Re s = -sigma: the
     nodes s = -sigma + iy of a midpoint rule in theta over Cauchy maps
@@ -312,15 +333,14 @@ def _contour(d, a: AbsorberSpec):
     """
     m, b, c = medium_system(a)
     eig, (num, den) = np.linalg.eigvals(m), _transfer(m, b, c)
-    pade = np.concatenate([np.linalg.eigvals(m + b @ c / r) for r in _PADE_POLES])
+    pade = np.linalg.eigvals(np.array([m + b @ c / r for r in _PADE_POLES])).ravel()
     # at zero (Re eig past round-off at extreme rates) K is inf, and so is the period
     rate = max(0.0, min(d, float(-eig.real.max()), float(-pade.real.max())))
     top = max(a.alpha0_l, d, float(np.abs(eig).max()))
     tan = np.tan((np.arange(_IMAGE_NODES) + 0.5) * (math.pi / _IMAGE_NODES) - 0.5 * math.pi)
     rungs = 8.0 ** np.arange(60)
-    paths = []
+    paths, nodes = [], [np.array([d + 0j])]
     with np.errstate(all="ignore"):
-        e_d = _pade_remainder(-np.polyval(num, [d + 0j]) / np.polyval(den, [d + 0j]))[0].real
         for sigma in rate * np.array(_IMAGE_SIGMAS):
             maps, reached = [], True
             poles = [(0.0, d - sigma), (0.0, d + sigma)] + [(z.imag, -z.real - sigma) for z in eig]
@@ -331,13 +351,15 @@ def _contour(d, a: AbsorberSpec):
                 reached &= bool(widths[-1] >= top)
             centre, width = np.array(maps).T
             y = (centre[:, None] + width[:, None] * tan).ravel()
-            density = (width / (width**2 + (y[:, None] - centre) ** 2)).sum(axis=1)
-            s = 1j * y - sigma
-            e = _pade_remainder(-np.polyval(num, s) / np.polyval(den, s))
-            for part in (s, e, density):
-                part.flags.writeable = False
-            paths.append((float(sigma), s, e, density, reached))
-    return e_d, tuple(paths)
+            density = y[:, None] - centre
+            density *= density
+            density += width**2
+            nodes.append(1j * y - sigma)
+            paths.append((float(sigma), np.divide(width, density, out=density).sum(axis=1), reached))
+        s = np.concatenate(nodes)  # E at d and at every path's nodes, in one pass
+        e = np.split(_pade_remainder(-np.polyval(num, s) / np.polyval(den, s)), np.cumsum([n.size for n in nodes[:-1]]))
+    return e[0][0].real, tuple((sigma, s, e_s, density, reached)
+                               for (sigma, density, reached), s, e_s in zip(paths, nodes[1:], e[1:]))
 
 
 def _image_sum(coef, rate, first, period):
@@ -363,32 +385,49 @@ def _alias_bound(images, grid: TimeGrid, period):
     return later + _image_sum(c0, d, period - t1, period)
 
 
-def _least_period(images, grid: TimeGrid):
-    """The least period, to 2**-20 of itself, past which `_alias_bound` stays below _ALIAS_TOL (inf if none)."""
-    lo = max(-grid.t_start, grid.t_end, grid.t_end - grid.t_start)
-    hi = 2.0 * max(lo, 1.0)
-    while not _alias_bound(images, grid, hi) <= _ALIAS_TOL:  # the bound falls as the period grows
-        if hi == math.inf:
-            return hi
-        lo, hi = hi, 2.0 * hi
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if _alias_bound(images, grid, mid) <= _ALIAS_TOL else (mid, hi)
-    return hi
+def _least_period(models, grid: TimeGrid):
+    """The least period, to 2**-20 of itself, past which every model's `_alias_bound` stays below _ALIAS_TOL
+    (inf if none).  Each bound falls as the period grows, so that is the own least period of the model that
+    needs the longest, and a model is searched only if it exceeds the tolerance at the period so far."""
+    period = None
+    for images in models:
+        if period is not None and _alias_bound(images, grid, period) <= _ALIAS_TOL:
+            continue
+        lo = max(-grid.t_start, grid.t_end, grid.t_end - grid.t_start)
+        hi = 2.0 * max(lo, 1.0)
+        while not _alias_bound(images, grid, hi) <= _ALIAS_TOL:
+            if hi == math.inf:
+                return hi
+            lo, hi = hi, 2.0 * hi
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _alias_bound(images, grid, mid) <= _ALIAS_TOL else (mid, hi)
+        period = hi
+    return period
+
+
+def _solved(w: PhotonWaveform):
+    """The sources that one oracle solve fills for w: the symmetric and antisymmetric parts of an exponential
+    kind's delta_ph, which every exponential kind combines by its PART_WEIGHTS, else w alone."""
+    parts = (WaveformKind.SYMMETRIC_PART, WaveformKind.ANTISYMMETRIC_PART)
+    return tuple(PhotonWaveform(kind, w.delta_ph) for kind in parts) if w.kind in PART_WEIGHTS else (w,)
 
 
 @functools.lru_cache(maxsize=1)
-def _window(w: PhotonWaveform, a: AbsorberSpec, grid: TimeGrid):
-    """(nu_max, period, images) of level 0, kept for the last call: an exponential source's period from
-    `_image_model`'s images; the Gaussian's images are None."""
-    d = w.delta_ph
-    if w.kind is WaveformKind.GAUSSIAN:  # keeps the bare period rule: no bound is stated for it
+def _window(sources, a: AbsorberSpec, grid: TimeGrid):
+    """(nu_max, period, images) of level 0 for `_solved`'s sources, kept for the last call: the exponential
+    kinds' one period from `_image_model`'s images of each; the Gaussian's images are None."""
+    d = sources[0].delta_ph
+    if sources[0].kind is WaveformKind.GAUSSIAN:  # keeps the bare period rule: no bound is stated for it
         rate_min = min(d, a.linewidth, a.gamma_m if isinstance(a, EitMedium) else math.inf)
         return max(15.0 * d, 3.0 * a.linewidth), 1.5 * (grid.t_end - grid.t_start) + 50.0 / rate_min, None
-    # _tail_bound, c*(alpha0*l/nu)**7, is _TAIL_TOL at nu = alpha0*l*(c/_TAIL_TOL)**(1/7), and holds from alpha0*l on
-    tail = max(1.0, (_tail_bound(w, 1.0, 1.0) / _TAIL_TOL) ** (1.0 / 7.0)) * a.alpha0_l
-    nu_max = max(50.0 * a.linewidth, tail, 2.0 * a.omega if isinstance(a, EitMedium) else 0.0)
-    return nu_max, _least_period(images := _image_model(w, a), grid), images
+    # _tail_bound, c*(alpha0*l/(nu - Omega**2/nu))**7, is _TAIL_TOL where nu - Omega**2/nu = L =
+    # alpha0*l*(c/_TAIL_TOL)**(1/7), at nu = L/2 + hypot(L/2, Omega), and holds from alpha0*l on
+    half = 0.5 * max(1.0, (_PADE_ERROR / (7.0 * math.pi) / _TAIL_TOL) ** (1.0 / 7.0)) * a.alpha0_l
+    omega = getattr(a, "omega", 0.0)  # 0 for a line
+    nu_max = max(50.0 * a.linewidth, half + math.hypot(half, omega), 2.0 * omega)
+    images = _image_model(d, a)
+    return nu_max, _least_period(tuple(images.values()), grid), images
 
 
 def _fast_len(n: int) -> int:
@@ -410,7 +449,7 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
     """
     if a is None or a.thickness == 0.0:
         return None
-    nu_max, period, _ = _window(w, a, grid)
+    nu_max, period, _ = _window(_solved(w), a, grid)
     spacing, scale = grid.spacing, 1 << level
     # bounds the sizes below (~ period x max(nu_max, 1/spacing)) and t_start/spacing
     size = 2.0 * 4**level * max(nu_max, 1.0 / spacing, 1.0) * max(period, 1.0)
@@ -431,11 +470,14 @@ def spectral_lattice(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGri
     return "zoom", 1, p, m, m * math.pi / (p * spacing)
 
 
-def _fill(w, a, grid, lattice, coarse=None):
+def _fill(sources, a, grid, lattice, coarse=None):
     """[(values, info)] of `spectral_lattice`'s `lattice`, after those of the `coarse` lattice it nests, if given.
 
-    values is the remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) on
-    the scenario grid, a real array.  nu_k = (k - m/2)*dnu is filled in
+    values is the remainder (dnu/2pi) * sum_k h(nu_k) exp(-i*nu_k*tau_j) of
+    each source on the scenario grid, a real (sources, n_points) array: each
+    slice evaluates its samples once for all sources (`_remainder_integrand`),
+    and their half spectra are folded side by side, one real-output FFT each.
+    nu_k = (k - m/2)*dnu is filled in
     `_row_blocks` slices, which do not depend on the CPU count: _POOL_SLICES
     or more slices on a pool of one thread per usable CPU that lives for this
     call, fewer slices or one usable CPU on the calling thread.  Each slice is
@@ -468,26 +510,28 @@ def _fill(w, a, grid, lattice, coarse=None):
     n, dnu = grid.n_points, 2.0 * math.pi / (p * grid.spacing)
     s0, f = divmod(grid.t_start / grid.spacing, 1.0)
     if strategy == "fft":
-        spect = np.empty(p // 2 + 1, dtype=complex)
+        spect = np.empty((len(sources), p // 2 + 1), dtype=complex)
         rows = np.exp(-2j * math.pi * f * np.arange(mdiv))[:, None]
         index, blocks = np.arange(p // 2 + 1), _row_blocks(p // 2 + 1, mdiv)
         if coarse is not None:
             mdiv0, p0 = coarse[1:3]
-            spect0 = np.empty(p0 // 2 + 1, dtype=complex)
+            spect0 = np.empty((len(sources), p0 // 2 + 1), dtype=complex)
             rows0 = np.exp(-2j * math.pi * f * np.arange(mdiv0))[:, None]
 
         def fill(cols):
             r = index[cols]
-            h = _remainder_integrand(w, a, dnu * (np.arange(0, m, p)[:, None] + r - m / 2))
-            spect[r] = _column_sums(rows * h) * np.exp(1j * math.pi * f * (mdiv - 2 * r / p))
-            if coarse is None:
-                return
-            lo, hi, block = _coarse_block(h, int(r[0]), int(r[-1]) + 1, mdiv0, p0)
-            if lo < hi:
-                r0 = np.arange(lo, hi)
-                spect0[lo:hi] = _column_sums(rows0 * block) * np.exp(1j * math.pi * f * (mdiv0 - 2 * r0 / p0))
+            h = _remainder_integrand(sources, a, dnu * (np.arange(0, m, p)[:, None] + r - m / 2))
+            if coarse is not None:  # before h takes the fine rows' phases
+                lo, hi, block = _coarse_block(h, int(r[0]), int(r[-1]) + 1, mdiv0, p0)
+                if lo < hi:
+                    r0 = np.arange(lo, hi)
+                    block *= rows0
+                    spect0[:, lo:hi] = _column_sums(block) * np.exp(1j * math.pi * f * (mdiv0 - 2 * r0 / p0))
+            h *= rows
+            spect[:, cols] = _column_sums(h) * np.exp(1j * math.pi * f * (mdiv - 2 * r / p))
     else:
-        spect, kernel = np.zeros((2, _fast_len(m + n - 1)), dtype=complex)
+        spect = np.zeros((len(sources), _fast_len(m + n - 1)), dtype=complex)
+        kernel = np.zeros(spect.shape[1], dtype=complex)
         index, blocks = np.arange(m), _row_blocks(m, 1)
 
         def chirp(t):  # exp(-i*pi*t**2/p), t*t mod 2p exact in float64 (< 2**53 under the cap)
@@ -496,8 +540,8 @@ def _fill(w, a, grid, lattice, coarse=None):
         def fill(blk):
             k = index[blk]
             kernel[-k] = np.conjugate(turn := chirp(k))
-            h = _remainder_integrand(w, a, dnu * (k - m / 2))
-            spect[k] = h * turn * np.exp(-1j * dnu * grid.t_start * k)
+            h = _remainder_integrand(sources, a, dnu * (k - m / 2))
+            spect[:, k] = h * turn * np.exp(-1j * dnu * grid.t_start * k)
 
         np.conjugate(head := chirp(np.arange(n)), out=kernel[:n])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -511,36 +555,36 @@ def _fill(w, a, grid, lattice, coarse=None):
     # j*k = (j**2 + k**2 - (j - k)**2)/2: a convolution with the chirp
     np.fft.fft(spect, out=spect)
     spect *= np.fft.fft(kernel, out=kernel)
-    r = (np.exp(1j * nu_half * grid.times()) * np.fft.ifft(spect, out=spect)[:n] * head).real
+    r = (np.exp(1j * nu_half * grid.times()) * np.fft.ifft(spect, out=spect)[:, :n] * head).real
     return [((dnu / (2.0 * math.pi)) * r, {"nu_max": nu_half, "n_freq": m, "strategy": strategy})]
 
 
 def _column_sums(x):
-    """x.sum(axis=0) with the rows of x added one after another: numpy sums one column pairwise, so it is doubled."""
-    return (x if x.shape[1] > 1 else np.repeat(x, 2, axis=1)).sum(axis=0)[:x.shape[1]]
+    """x.sum(axis=-2) with the rows of each x[i] added one after another: numpy sums one column pairwise, so it
+    is doubled."""
+    return (x if x.shape[-1] > 1 else np.repeat(x, 2, axis=-1)).sum(axis=-2)[..., :x.shape[-1]]
 
 
 def _coarse_block(h, c0, c1, mdiv0, p0):
-    """(lo, hi, block): the coarse columns lo..hi-1 held by fine columns c0..c1-1 of h, a C-ordered (mdiv0, hi - lo)
-    block (see `_fill`)."""
+    """(lo, hi, block): the coarse columns lo..hi-1 held by fine columns c0..c1-1 of h, a C-ordered
+    (sources, mdiv0, hi - lo) block (see `_fill`)."""
     low = (mdiv0 + 1) // 2
     if mdiv0 % 2 == 0:  # column 2*r0, rows mdiv0/2 + q
         lo, hi = (c0 + 1) // 2, (c1 + 1) // 2
-        return lo, hi, h[low:low + mdiv0, 2 * lo - c0:c1 - c0:2].copy()
+        return lo, hi, h[:, low:low + mdiv0, 2 * lo - c0:c1 - c0:2].copy()
     lo, hi = (p0 - c1) // 2 + 1, (p0 - c0) // 2 + 1  # column p0 - 2*r0, rows (3*mdiv0 - 1)/2 - q, conjugated
-    cut = h[low:low + mdiv0, p0 - 2 * hi + 2 - c0:p0 - 2 * lo + 1 - c0:2]
-    return lo, hi, np.conjugate(cut[::-1, ::-1], order="C")
+    cut = h[:, low:low + mdiv0, p0 - 2 * hi + 2 - c0:p0 - 2 * lo + 1 - c0:2]
+    return lo, hi, np.conjugate(cut[:, ::-1, ::-1], order="C")
 
 
 def _fold(spect, lattice, grid):
-    """(values, info) of an aligned FFT `lattice` from its half spectrum S_0..S_(p/2) (see `_fill`)."""
+    """(values, info) of an aligned FFT `lattice` from its half spectra S_0..S_(p/2), one row each (see `_fill`)."""
     strategy, mdiv, p, m, nu_half = lattice
     s0 = divmod(grid.t_start / grid.spacing, 1.0)[0]
     bins = np.arange(grid.n_points) + int(s0 % (2 * p))  # = j + s0 mod p and mod 2
-    # exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f)), its f part already in spect
-    r = (1 - 2 * (mdiv * bins % 2)) * np.fft.hfft(spect, p)[bins % p]
-    dnu = 2.0 * math.pi / (p * grid.spacing)
-    return (dnu / (2.0 * math.pi)) * r, {"nu_max": nu_half, "n_freq": m, "strategy": strategy}
+    # dnu/2pi times exp(i*nu_half*tau_j) = exp(i*pi*mdiv*(s0 + j + f)), its f part already in spect
+    scale = (2.0 * math.pi / (p * grid.spacing) / (2.0 * math.pi)) * (1 - 2 * (mdiv * bins % 2))
+    return np.fft.hfft(spect, p)[:, bins % p] * scale, {"nu_max": nu_half, "n_freq": m, "strategy": strategy}
 
 
 def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGrid) -> TimeSeries:
@@ -555,27 +599,53 @@ def propagate_numeric(w: PhotonWaveform, a: Optional[AbsorberSpec], grid: TimeGr
     `validate`'s lattice check before it, and its images' bound at level 1's
     period is recorded as `alias_bound` (None for the Gaussian source), and
     the closed-form part's round-off bound as `roundoff` (`_subtraction`).
+    One solve (`_solve`) serves the exponential kinds of one (delta_ph,
+    medium, grid): each, the causal photon included, is its PART_WEIGHTS
+    combination of the two part traces, with its own drift, alias_bound and
+    roundoff (its parts' round-off bounds, weighted).
     A missing medium or zero thickness reproduces the sampled input exactly.
     """
-    tau = grid.times()
-    free = time_amplitude(w, tau)
     if a is None or a.thickness == 0.0:
-        return TimeSeries(grid, free, {"drift": 0.0, "iterations": 0})
-    coarse, fine = spectral_lattice(w, a, grid, 0), spectral_lattice(w, a, grid, 1)
-    if fine[0] == "fft":  # level 1 holds level 0's lattice
-        levels = _fill(w, a, grid, fine, coarse)
-    else:
-        levels = _fill(w, a, grid, coarse) + _fill(w, a, grid, fine)
-    (prev, _), (cur, info) = levels
+        return TimeSeries(grid, time_amplitude(w, grid.times()), {"drift": 0.0, "iterations": 0})
+    sources, weights = _solved(w), PART_WEIGHTS.get(w.kind, (1.0,))
+    traces, roundoff, lattice, period = _solve(sources, a, grid)
+    prev, cur = _combined(weights, traces.swapaxes(0, 1))
     drift = float(np.max(np.abs(cur - prev)))
     if drift > _DRIFT_TOL:
         raise ConvergenceError(f"spectral quadrature drift {drift:.3e} between levels 0 and 1 > {_DRIFT_TOL:.1e}")
-    closed, roundoff = _subtraction(w, a, grid)
-    info.update({"drift": drift, "iterations": 1, "tol": _DRIFT_TOL, "roundoff": roundoff})
-    info["tail_bound"] = _tail_bound(w, a.alpha0_l, info["nu_max"])
-    images = _window(w, a, grid)[2]
-    info["alias_bound"] = None if images is None else _alias_bound(images, grid, fine[2] * grid.spacing)
-    return TimeSeries(grid, free + closed + cur, info)
+    info = {**lattice, "drift": drift, "iterations": 1, "tol": _DRIFT_TOL}
+    info["roundoff"] = float(_combined(weights, roundoff))
+    info["tail_bound"] = _tail_bound(w, a, info["nu_max"])
+    images = _window(sources, a, grid)[2]
+    info["alias_bound"] = None if images is None else _alias_bound(images[w.kind], grid, period)
+    return TimeSeries(grid, cur, info)
+
+
+def _combined(weights, parts):
+    """sum_i weights[i]*parts[i], added in order as `_from_parts` adds a kind's two parts."""
+    out = weights[0] * parts[0]
+    for c, part in zip(weights[1:], parts[1:]):
+        out += c * part
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _solve(sources, a: AbsorberSpec, grid: TimeGrid):
+    """(traces, roundoff, info, period) of `_solved`'s sources, kept for the last call: each source's transmitted
+    envelope at levels 0 and 1, a read-only (2, sources, n_points) array, its closed part's round-off bound, and
+    level 1's lattice record and period."""
+    coarse, fine = (spectral_lattice(sources[0], a, grid, level) for level in (0, 1))  # the sources' lattices
+    if fine[0] == "fft":  # level 1 holds level 0's lattice
+        levels = _fill(sources, a, grid, fine, coarse)
+    else:
+        levels = _fill(sources, a, grid, coarse) + _fill(sources, a, grid, fine)
+    closed, roundoff = _subtraction(sources, a, grid)
+    tau = grid.times()
+    base = np.array([time_amplitude(w, tau) for w in sources]) + closed
+    traces = np.array([base + values for values, _ in levels])
+    for kept in (traces, roundoff):
+        kept.flags.writeable = False
+    return traces, roundoff, types.MappingProxyType(levels[-1][1]), fine[2] * grid.spacing
 
 
 # ---------------------------------------------------------------------------

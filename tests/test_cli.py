@@ -873,22 +873,22 @@ class TestFigurePresets:
 class TestKeptResults:
     """Pure results kept between calls: each is computed once where a run reuses it, and changes no byte."""
 
-    KEPT = (propagate._window, propagate._legendre, cli._tau_text, propagate._kept_line_parts, cli._kept_trace,
-            cli._text_tables, propagate._contour)
+    KEPT = (propagate._window, propagate._legendre, cli._tau_text, propagate._kept_line_parts, propagate._solve,
+            cli._text_tables)
 
     def _computed(self):
         return tuple(f.cache_info().misses for f in self.KEPT)
 
     @staticmethod
     def _counted(monkeypatch):
-        """Calls to the window's image model and period search, which `_window` looks up when called, to
-        `spectral_response` on the oracle's lattices, and the oracle's fills of a lattice on its own (`_fill`
-        with no coarse lattice to complete)."""
+        """Calls to the window's image model and period search, which `_window` looks up when called, to the
+        oracle's fills (`_fill`) and to `spectral_response` on their lattices, and the frequencies m of the
+        lattices filled ("samples"; a coarse lattice read off a fill's is not counted again)."""
         calls = collections.Counter()
         for name in ("_image_model", "_least_period", "spectral_response", "_fill"):
             def counted(*args, _f=getattr(propagate, name), _name=name):
-                if _name != "_fill" or len(args) == 4:
-                    calls[_name] += 1
+                calls[_name] += 1
+                calls["samples"] += args[3][3] if _name == "_fill" else 0
                 return _f(*args)
 
             monkeypatch.setattr(propagate, name, counted)
@@ -901,28 +901,29 @@ class TestKeptResults:
         assert self._computed() == (0,) * len(self.KEPT)
 
     def test_validate_and_run_share_one_window(self, tmp_path, monkeypatch):
-        # one window, one image model, one contour and one period search for the lattice
-        # check and both levels of the oracle call after it, whose level 0 is read off
-        # level 1's lattice: one slice of level 1, no fill of a level on its own
+        # one window, one image model and one period search for the lattice check and
+        # both levels of the oracle call after it, whose level 0 is read off level 1's
+        # lattice: one fill, of one slice of level 1's 18,432 samples
         calls = self._counted(monkeypatch)
         (sc,) = figure_preset("fig6a")
         assert validate(sc)[0] == []
         run_scenario(sc, tmp_path)
-        assert propagate._window.cache_info().misses == propagate._contour.cache_info().misses == 1
-        assert calls == {"_image_model": 1, "_least_period": 1, "spectral_response": 1}
+        assert propagate._window.cache_info().misses == propagate._solve.cache_info().misses == 1
+        assert calls == {"_image_model": 1, "_least_period": 1, "_fill": 1, "spectral_response": 1, "samples": 18432}
 
     def test_each_pass_over_the_presets_computes_the_same(self, tmp_path, monkeypatch):
         # Each kept result holds its last call only, so this guards that the presets'
-        # order keeps every share: 8 windows (8 image models and 8 period searches) for
-        # 9 oracle calls, 7 rules for 7 beat integrals and fig3b's broad scan, 10 traces
-        # on 4 grids, 4 line parts for 8 closed-form traces (fig2's pair on one line;
-        # fig6a, fe57 and fig7's pair on one EIT medium), and 8 oracle calls: fe57 is
-        # fig6a's.  The CSV text tables are built on the first pass only.  4 contours for
-        # the 8 image models, one per (delta_ph, medium): fig2's pair, fig3a's pair,
-        # fig6a with fig7's pair, fig6b.  Every level 1 is an aligned FFT of twice level
-        # 0's mdiv and p, so level 0 is read off it in all 8 oracle calls: no lattice is
-        # filled on its own, and each lattice is one slice, 8 spectral_response calls.
-        names = ("_image_model", "_least_period", "_fill", "spectral_response")
+        # order keeps every share: 4 windows (4 image models and 4 period searches) for
+        # 9 oracle calls, one per (delta_ph, medium, grid), since the exponential kinds of
+        # one photon share a window and a solve (fig2's pair, fig3a's pair, fig6a with
+        # fe57 and fig7's pair, fig6b), 7 rules for 7 beat integrals and fig3b's broad
+        # scan, 10 traces on 4 grids, 4 line parts for 8 closed-form traces (fig2's pair
+        # on one line; fig6a, fe57 and fig7's pair on one EIT medium).  The CSV text
+        # tables are built on the first pass only.  Every level 1 is an aligned FFT of
+        # twice level 0's mdiv and p, so level 0 is read off it in all 4 solves: 4 fills,
+        # each of one slice, 4 spectral_response calls, on 82,996 level-1 frequencies
+        # (fig2 10,240, fig3a 40,500, the delta_ph = 1 EIT group 18,432, fig6b 13,824).
+        names = ("_image_model", "_least_period", "_fill", "spectral_response", "samples")
         calls = self._counted(monkeypatch)
         counts = []
         for run in range(2):
@@ -933,14 +934,15 @@ class TestKeptResults:
                     run_scenario(sc, tmp_path / str(run))
             after = self._computed() + tuple(calls[name] for name in names)
             counts.append(tuple(a - b for a, b in zip(after, before)))
-        assert counts == [(8, 7, 4, 4, 8, 1, 4, 8, 8, 0, 8), (8, 7, 4, 4, 8, 0, 4, 8, 8, 0, 8)]
+        assert counts == [(4, 7, 4, 4, 4, 1, 4, 4, 4, 4, 82996), (4, 7, 4, 4, 4, 0, 4, 4, 4, 4, 82996)]
+        assert counts[0][-1] <= 85_000
 
     def test_kept_parts_and_traces_equal_fresh_ones(self):
         (sc,) = figure_preset("fig6a")
         w, a, grid = sc.source, sc.medium, sc.grid
         args = (w.delta_ph, a.gamma_total, a.alpha0_l, grid.times())
-        parts, trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
-        kept_parts, kept_trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
+        parts, trace = propagate._line_parts(*args), propagate.propagate_numeric(w, a, grid)
+        kept_parts, kept_trace = propagate._line_parts(*args), propagate.propagate_numeric(w, a, grid)
         assert self._computed()[3:5] == (1, 1)
         for f in self.KEPT:
             f.cache_clear()
@@ -959,7 +961,7 @@ class TestKeptResults:
         traces = []
         for grid in grids:
             propagate._line_parts(w.delta_ph, a.gamma, a.alpha0_l, grid.times())
-            traces.append(cli._numeric(w, a, grid))
+            traces.append(propagate.propagate_numeric(w, a, grid))
             assert traces[-1].grid is grid
         # the line parts are kept by tau's bits, whose last sample differs in sign, so each
         # grid evicts the other's; the two grids are equal, and the oracle's samples do not
@@ -979,12 +981,12 @@ class TestKeptResults:
         (sc,) = figure_preset("fig6a")
         w, a, grid = sc.source, sc.medium, sc.grid
         args = (w.delta_ph, a.gamma_total, a.alpha0_l, grid.times())
-        parts, trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
+        parts, trace = propagate._line_parts(*args), propagate.propagate_numeric(w, a, grid)
         want = [part.copy() for part in parts], trace.amplitude.copy(), dict(trace.convergence)
         for array in (*parts, trace.amplitude):
             array[:] = np.nan
         trace.convergence["drift"] = math.inf
-        again, trace = propagate._line_parts(*args), cli._numeric(w, a, grid)
+        again, trace = propagate._line_parts(*args), propagate.propagate_numeric(w, a, grid)
         assert self._computed()[3:5] == (1, 1)
         for got, expected in zip(again, want[0]):
             np.testing.assert_array_equal(got, expected)

@@ -8,7 +8,7 @@ import pytest
 
 from slowphoton import propagate
 from slowphoton.media import BroadLine, EitMedium, MatchedLine
-from slowphoton.propagate import _subtraction
+from slowphoton.propagate import _solved, _subtraction
 from slowphoton.waveforms import PhotonWaveform, TimeGrid, WaveformKind
 
 C = WaveformKind.EXPONENTIAL_CAUSAL
@@ -19,6 +19,12 @@ A = WaveformKind.ANTISYMMETRIC_PART
 REFERENCE = json.loads(Path(__file__).with_name("subtraction_reference.json").read_text())
 POLES = [complex(*r) for r in REFERENCE["pade_poles"]]
 WEIGHTS = [complex(*w) for w in REFERENCE["pade_weights"]]
+
+
+def _one(w, medium, grid):
+    """(signal, roundoff) of `_subtraction` for the source w alone."""
+    (signal,), (roundoff,) = _subtraction((w,), medium, grid)
+    return signal, roundoff
 
 
 def _pade_minus_one(u):
@@ -55,7 +61,7 @@ def test_matches_40_digit_reference(case):
     # chain at rate delta_ph(1 +- 10^-k/2), k = 3..12: coincident and near-coincident poles of the chains
     medium = EitMedium(*case["params"]) if case["medium"] == "eit" else BroadLine(*case["params"])
     w = PhotonWaveform(WaveformKind(case["source"]), REFERENCE["delta_ph"])
-    signal, roundoff = _subtraction(w, medium, TimeGrid(*REFERENCE["grid"]))
+    signal, roundoff = _one(w, medium, TimeGrid(*REFERENCE["grid"]))
     want = np.array(case["signal"])
     assert np.abs(signal[REFERENCE["indices"]] - want).max() <= 2e-14 * np.abs(want).max()
     assert roundoff <= 1e-9
@@ -66,7 +72,7 @@ def test_matches_reference_at_linspace_times(case):
     # the EIT example's grid: linspace's times are not whole multiples of the
     # spacing, which the doubling steps by, so the columns take a first-order move
     w = PhotonWaveform(WaveformKind(case["source"]), REFERENCE["delta_ph"])
-    signal, _ = _subtraction(w, EitMedium(*case["params"]), TimeGrid(*REFERENCE["fine_grid"]))
+    signal, _ = _one(w, EitMedium(*case["params"]), TimeGrid(*REFERENCE["fine_grid"]))
     want = np.array(case["signal"])
     assert np.abs(signal[REFERENCE["fine_indices"]] - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -77,7 +83,7 @@ def test_matched_line_is_exact(thickness):
     # w_i*r_i*(1/(s + 1 - alpha0_l/r_i) - 1/(s + 1)), i.e. exp(-tau)*sum_i w_i*r_i*(exp(alpha0_l*tau/r_i) - 1)
     grid = TimeGrid(-2.0, 10.0, 1201)
     tau = np.clip(grid.times(), 0.0, None)
-    signal, roundoff = _subtraction(PhotonWaveform(C, 1.0), MatchedLine(1.0, thickness), grid)
+    signal, roundoff = _one(PhotonWaveform(C, 1.0), MatchedLine(1.0, thickness), grid)
     want = np.exp(-tau) * sum(w * r * np.expm1(thickness * tau / r) for r, w in zip(POLES, WEIGHTS)).real
     assert np.abs(signal - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(signal - want).max() <= roundoff
@@ -96,7 +102,7 @@ def test_anticausal_part_before_and_at_zero(kind, medium, a_d):
     tau = grid.times()
     c_m = 0.5 if kind is S else -0.5
     closed = _pade_minus_one(a_d)
-    signal, _ = _subtraction(PhotonWaveform(kind, 1.0), medium, grid)
+    signal, _ = _one(PhotonWaveform(kind, 1.0), medium, grid)
     before = tau <= 0
     assert tau[30] == 0.0
     np.testing.assert_allclose(signal[before], c_m * np.exp(tau[before]) * closed, rtol=1e-14)
@@ -107,8 +113,8 @@ def test_grid_after_zero_continues_the_grid_from_before(kind):
     # a grid starting past tau = 0 reaches its first point by one exponential, a grid before it by steps
     medium = EitMedium(10.0, 1.0, 20.0, 30.0)
     w = PhotonWaveform(kind, 1.0)
-    whole, _ = _subtraction(w, medium, TimeGrid(-2.0, 10.0, 49))
-    late, _ = _subtraction(w, medium, TimeGrid(3.0, 10.0, 29))
+    whole, _ = _one(w, medium, TimeGrid(-2.0, 10.0, 49))
+    late, _ = _one(w, medium, TimeGrid(3.0, 10.0, 29))
     assert np.abs(late - whole[20:]).max() <= 1e-14 * np.abs(whole).max()
 
 
@@ -116,12 +122,26 @@ def test_decayed_columns_keep_their_relative_precision():
     # far past tau = 0 every term has decayed by exp(-37): each column keeps its own relative
     # precision, not eps times the columns it was stepped from
     w, medium = PhotonWaveform(C, 1.0), BroadLine(2.0, 0.5)
-    near, _ = _subtraction(w, medium, TimeGrid(0.0, 38.0, 77))
-    far, _ = _subtraction(w, medium, TimeGrid(37.0, 38.0, 3))
+    near, _ = _one(w, medium, TimeGrid(0.0, 38.0, 77))
+    far, _ = _one(w, medium, TimeGrid(37.0, 38.0, 3))
     np.testing.assert_allclose(far, near[-3:], rtol=1e-13)
 
 
 def test_gaussian_subtracts_nothing():
     grid = TimeGrid(-2.0, 2.0, 11)
-    signal, roundoff = _subtraction(PhotonWaveform(WaveformKind.GAUSSIAN, 1.0), BroadLine(3.0, 2.0), grid)
+    signal, roundoff = _one(PhotonWaveform(WaveformKind.GAUSSIAN, 1.0), BroadLine(3.0, 2.0), grid)
     assert not signal.any() and roundoff == 0.0
+
+
+@pytest.mark.parametrize("medium", [MatchedLine(1.0, 10.0), BroadLine(10.0, 10.0), EitMedium(10.0, 1.0, 20.0, 30.0)],
+                         ids=["matched", "broad", "eit"])
+def test_shared_chain_reads_each_part_as_alone(medium):
+    # a photon's two parts share one chain through a two-column x0: each row is that part's own subtraction,
+    # and the causal photon's is their sum, within the round-off each records
+    grid = TimeGrid(-2.0, 15.0, 1701)
+    parts, roundoff = _subtraction(_solved(PhotonWaveform(C, 1.0)), medium, grid)
+    for row, bound, kind in zip(parts, roundoff, (S, A)):
+        alone, own = _one(PhotonWaveform(kind, 1.0), medium, grid)
+        assert np.abs(row - alone).max() <= bound + own
+    causal, own = _one(PhotonWaveform(C, 1.0), medium, grid)
+    assert np.abs(parts.sum(axis=0) - causal).max() <= roundoff.sum() + own
